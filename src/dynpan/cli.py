@@ -185,9 +185,8 @@ class _Outputs:
             lines.append(f"{key} = {cfg[key]}")
         lines.append(f"# build: dynpan {__version__}")
         for name in sorted(self.files):
-            digest = hashlib.sha256(
-                open(os.path.join(self.out_dir, name), "rb").read()
-            ).hexdigest()
+            with open(os.path.join(self.out_dir, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"# sha256 {name} {digest}")
         _atomic_write(os.path.join(self.out_dir, "run.manifest"),
                       "\n".join(lines) + "\n")

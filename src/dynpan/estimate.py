@@ -16,6 +16,22 @@ paired only with instruments dated t-1 or earlier, except that ``x_lag0``
 is admissible when the input is chosen one period ahead.  ``y_lag1`` is
 never used as an instrument because the residual contains the lagged
 measurement error.
+
+Sufficient statistics
+---------------------
+The concentrated kernels (:func:`beta_scan_evaluator`,
+:func:`concentrate_rho`) never re-read the panel per evaluation.  Every
+quantity they report is a product of two linear forms in the lagged columns
+``const`` and ``<series>_lag<k>``, k = 0..L, so one blocked pass over the
+panel accumulates the pooled second cross-moments of those columns and the
+fourth cross-moments (the Gram matrix of their pairwise products), pooled
+over periods t >= L.  The IV solve, the moment and its influence-function
+standard error are then k x k and (k(k+1)/2)^2 algebra, k <= 10 for L = 2.
+The result is cached on the (frozen, read-only) panel per L.  The pass
+holds one block of about ``_BLOCK_ROWS`` rows and their pair products at a
+time, never an n x k^2 matrix.  Columns are centered by their pooled mean
+before accumulating, so the fourth-moment variances do not cancel; linear
+forms in raw columns are mapped onto the centered ones.
 """
 
 from __future__ import annotations
@@ -305,6 +321,115 @@ def fit_reduced_form(panel):
     return params, fit_y, fit_x
 
 
+#: Pooled rows per accumulation block; with k = 10 columns the block and its
+#: 55 pair products take about 4 MB.
+_BLOCK_ROWS = 8192
+
+
+@dataclass(frozen=True)
+class _CrossMoments:
+    """Pooled cross-moments of the lagged columns of one panel.
+
+    A linear form is a coefficient vector over the centered columns
+    (``const`` first); :meth:`column` gives the form of one raw column.
+    ``second`` is E[d d'] and ``fourth`` is E[p p'] for the centered
+    columns d and their pair products p_ij = d_i d_j, i <= j.
+    """
+
+    index: dict
+    n: int
+    basis: np.ndarray      # column j: the centered form of raw column j
+    second: np.ndarray
+    fourth: np.ndarray
+    pairs: tuple
+    pair_weight: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.index:
+            raise ValidationError(
+                f"panel has no series {_parse_name(name)[0]!r}",
+                field="instruments")
+        return self.basis[:, self.index[name]]
+
+    def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """E[(a'd)(b'd)]; columns of matrix arguments are separate forms."""
+        return a.T @ self.second @ b
+
+    def se(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Standard error of the mean of (a'd)(b'd): its sample standard
+        deviation (ddof 1) over sqrt(n)."""
+        if self.n <= 1:
+            return float("nan")
+        outer = np.outer(a, b)
+        w = (outer + outer.T)[self.pairs] * self.pair_weight
+        var = w @ self.fourth @ w - float(self.cross(a, b)) ** 2
+        return float(np.sqrt(max(var, 0.0) / (self.n - 1)))
+
+
+def _accumulate_moments(panel, lags: int) -> _CrossMoments:
+    """One blocked pass over the panel; periods t >= ``lags``."""
+    t_len = panel.spec.n_periods - lags
+    names, sources = ["const"], []
+    for series, arr in _series_map(panel).items():
+        for lag in range(lags + 1):
+            names.append(f"{series}_lag{lag}")
+            sources.append(arr[:, lags - lag:arr.shape[1] - lag])
+    k = len(names)
+    means = [float(src.mean()) for src in sources]
+    rows, cols = np.triu_indices(k)
+    second = np.zeros((k, k))
+    fourth = np.zeros((rows.size, rows.size))
+    n_firms = sources[0].shape[0]
+    step = max(1, _BLOCK_ROWS // t_len)
+    for lo in range(0, n_firms, step):
+        hi = min(lo + step, n_firms)
+        d = np.empty((k, (hi - lo) * t_len))
+        d[0] = 1.0
+        for j, (src, mean) in enumerate(zip(sources, means), start=1):
+            d[j] = (src[lo:hi] - mean).ravel()
+        p = np.empty((rows.size, d.shape[1]))
+        start = 0
+        for i in range(k):
+            np.multiply(d[i], d[i:], out=p[start:start + k - i])
+            start += k - i
+        second += d @ d.T
+        fourth += p @ p.T
+    n = n_firms * t_len
+    basis = np.eye(k)
+    basis[0, 1:] = means
+    return _CrossMoments(
+        index={name: j for j, name in enumerate(names)}, n=n, basis=basis,
+        second=second / n, fourth=fourth / n, pairs=(rows, cols),
+        pair_weight=np.where(rows == cols, 0.5, 1.0))
+
+
+def _cross_moments(panel, lags: int) -> _CrossMoments:
+    """The panel's cross-moments at lag depth ``lags``, computed once."""
+    cache = panel._moment_cache
+    if lags not in cache:
+        cache[lags] = _accumulate_moments(panel, lags)
+    return cache[lags]
+
+
+def _iv_block(mom: _CrossMoments, dep, X, Z, report):
+    """Just-identified IV of the form ``dep`` on the forms X (columns) with
+    instruments Z, then the moments of each ``report`` form against the
+    residual with influence-function standard errors.
+
+    The standard error carries the first-step noise: the influence function
+    of E[c r] is (c - Z v) r with v = A'^{-1} E[X c] and A = E[Z X'].
+    Returns (coefficients, moments, standard errors).
+    """
+    A = mom.cross(Z, X)
+    coef = _checked_solve(mom.n * A, mom.n * mom.cross(Z, dep))
+    r = dep - X @ coef
+    moments = mom.cross(report, r)
+    V = np.linalg.solve(A.T, mom.cross(X, report))
+    ses = np.array([mom.se(report[:, j] - Z @ V[:, j], r)
+                    for j in range(report.shape[1])])
+    return coef, moments, ses
+
+
 @dataclass
 class ConcentratedBeta:
     """Result of concentrating (alpha, rho) out of the moment at a fixed
@@ -321,38 +446,24 @@ class ConcentratedBeta:
 def beta_scan_evaluator(panel):
     """Callable evaluating the concentrated moment at candidate slopes.
 
-    The panel's lagged views are materialized once, so repeated calls (a
-    grid scan plus bisection refinements) avoid re-slicing 200k-element
-    arrays at every point.
+    The panel's cross-moments are accumulated once (see the module
+    docstring), so repeated calls (a grid scan plus bisection refinements)
+    cost small dense algebra, not a pass over the panel.
     """
-    y, x = panel.y, panel.x
-    y0, y1, y2 = y[:, 2:].ravel(), y[:, 1:-1].ravel(), y[:, :-2].ravel()
-    x0, x1, x2 = x[:, 2:].ravel(), x[:, 1:-1].ravel(), x[:, :-2].ravel()
-    n = y0.size
+    mom = _cross_moments(panel, 2)
+    one = mom.column("const")
+    y = np.column_stack([mom.column(f"y_lag{k}") for k in range(3)])
+    x = np.column_stack([mom.column(f"x_lag{k}") for k in range(3)])
 
     def evaluate(beta_tilde: float) -> ConcentratedBeta:
-        w0 = y0 - beta_tilde * x0
-        w1 = y1 - beta_tilde * x1
-        w2 = y2 - beta_tilde * x2
-        s1, s2 = w1.sum(), w2.sum()
-        zx = np.array([[float(n), s1], [s2, w2 @ w1]])
-        zy = np.array([w0.sum(), w2 @ w0])
-        c, rho = _checked_solve(zx, zy)
-        r = (y0 - rho * y1) - c - beta_tilde * (x0 - rho * x1)
-        prod = x1 * r
-        moment = float(prod.mean())
-        # sampling se of the concentrated moment: the influence function
-        # carries the first-step (c, rho) estimation noise through
-        # -b' A^{-1} z_i e_i with b = d m / d (c, rho)
-        step1_resid = w0 - c - rho * w1
-        b = np.array([x1.mean(), (x1 * w1).mean()])
-        v = np.linalg.solve((zx / n).T, b)
-        psi = prod - (v[0] + v[1] * w2) * step1_resid
-        se = float(psi.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+        w0, w1, w2 = (y - beta_tilde * x).T
+        (c, rho), moment, se = _iv_block(
+            mom, w0, np.column_stack([one, w1]), np.column_stack([one, w2]),
+            x[:, 1:2])
         alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else float("nan")
         return ConcentratedBeta(beta=beta_tilde, alpha=float(alpha),
-                                rho=float(rho), moment=moment, moment_se=se,
-                                n_obs=n)
+                                rho=float(rho), moment=float(moment[0]),
+                                moment_se=float(se[0]), n_obs=mom.n)
 
     return evaluate
 
@@ -415,49 +526,33 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
         raise ValidationError(
             "not enough periods for the requested instrument lags",
             field="n_periods")
-    t_len = panel.spec.n_periods - t_min
-    series = _series_map(panel)
+    mom = _cross_moments(panel, t_min)
 
-    def level_and_lag(arr):
-        lev = arr[:, t_min:].ravel()
-        lag = arr[:, t_min - 1:-1].ravel()
-        return lev, lag
+    def quasi_diff(series):
+        return (mom.column(f"{series}_lag0")
+                - rho_tilde * mom.column(f"{series}_lag1"))
 
-    y0, y1 = level_and_lag(panel.y)
-    x0, x1 = level_and_lag(panel.x)
-    n = y0.size
-    dep = y0 - rho_tilde * y1
-    cols = [(1.0 - rho_tilde) * np.ones(n), x0 - rho_tilde * x1]
+    cols = [(1.0 - rho_tilde) * mom.column("const"), quasi_diff("x")]
     names = ["alpha", "beta"]
     if family == "multi_input":
-        z0, z1 = level_and_lag(panel.z)
-        cols.append(z0 - rho_tilde * z1)
+        cols.append(quasi_diff("z"))
         names.append("gamma")
     if len(solve_instruments) != len(cols):
         raise ValidationError(
             f"need {len(cols)} solving instruments, got "
             f"{len(solve_instruments)}", field="solve_instruments")
-    Z = np.column_stack(
-        [_column(series, nm, t_min, t_len) for nm in solve_instruments])
-    X = np.column_stack(cols)
-    fit = two_sls(dep, X, Z, names=tuple(names))
-    r = fit.residuals
-    A = fit.zx / n
-    moments, ses = [], []
-    for name in report_instruments:
-        col = _column(series, name, t_min, t_len)
-        prod = col * r
-        moments.append(prod.mean())
-        # influence function includes the solved linear block's noise
-        b = X.T @ col / n
-        v = np.linalg.solve(A.T, b)
-        psi = prod - (Z @ v) * r
-        ses.append(psi.std(ddof=1) / np.sqrt(n))
+
+    def forms(instruments):
+        return np.column_stack([mom.column(nm) for nm in instruments])
+
+    coef, moments, ses = _iv_block(
+        mom, quasi_diff("y"), np.column_stack(cols),
+        forms(solve_instruments), forms(report_instruments))
     return ConcentratedRho(
         rho=rho_tilde,
-        coefficients=dict(zip(names, (float(v) for v in fit.coefficients))),
-        moment_names=tuple(report_instruments), moments=np.array(moments),
-        moment_ses=np.array(ses), n_obs=n)
+        coefficients=dict(zip(names, (float(v) for v in coef))),
+        moment_names=tuple(report_instruments), moments=moments,
+        moment_ses=ses, n_obs=mom.n)
 
 
 def _fmt(value) -> str:

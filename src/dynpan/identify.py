@@ -306,7 +306,8 @@ def _predetermined_point(panel) -> ParamPoint:
     With x_t admissible as an instrument the linear block is solved from
     {1, x_t} at each candidate rho and the x_{t-1} moment is driven to
     zero by bisection; among candidate roots the one with the smallest
-    joint over-identification score wins.
+    joint over-identification score wins.  A bracket whose bisection hits
+    a failed fit (a pole) yields no candidate, as in :func:`find_zeros`.
     """
     solve = ("const", "x_lag0")
     report = ("x_lag1", "x_lag2", "y_lag2")
@@ -328,16 +329,19 @@ def _predetermined_point(panel) -> ParamPoint:
         a, b = vals[i], vals[i + 1]
         if np.isfinite(a) and np.isfinite(b) and a * b < 0:
             lo, hi, flo = grid[i], grid[i + 1], a
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = at(mid).moments[0]
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if np.sign(fm) == np.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
+            try:
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    fm = at(mid).moments[0]
+                    if fm == 0.0:
+                        lo = hi = mid
+                        break
+                    if np.sign(fm) == np.sign(flo):
+                        lo, flo = mid, fm
+                    else:
+                        hi = mid
+            except DynpanError:
+                continue
             candidates.append(0.5 * (lo + hi))
     if not candidates:
         candidates = [float(grid[np.nanargmin(np.abs(vals))])]

@@ -164,6 +164,11 @@ class PanelData:
             arr = getattr(self, name)
             if arr is not None:
                 arr.flags.writeable = False
+        # statistics derived from the frozen arrays (the estimators' pooled
+        # cross-moments), keyed by their parameters; an attribute rather
+        # than a field, so ``dataclasses.fields`` lists only the data and
+        # ``dataclasses.replace`` starts with an empty cache
+        object.__setattr__(self, "_moment_cache", {})
 
     @property
     def n_obs(self) -> int:
@@ -326,14 +331,15 @@ def draw_panel(spec: DgpSpec) -> PanelData:
                      xi=xi, u=u, eta=eta)
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips the double."""
-    return repr(float(value))
+#: Firms whose rows are converted to Python floats at once; bounds the
+#: memory of the conversion.
+_CSV_BLOCK_FIRMS = 2048
 
 
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write one row per (firm, period): firm,period,y,x[,z],omega,kappa,
-    xi,u,eta[,eps].  UTF-8, LF line endings, full double precision."""
+    xi,u,eta[,eps].  UTF-8, LF line endings, full double precision (the
+    shortest decimal that round-trips each double)."""
     cols = [("y", panel.y), ("x", panel.x)]
     if panel.z is not None:
         cols.append(("z", panel.z))
@@ -342,10 +348,12 @@ def write_panel_csv(panel: PanelData, path) -> None:
     if panel.eps is not None:
         cols.append(("eps", panel.eps))
     header = "firm,period," + ",".join(name for name, _ in cols)
-    n, t = panel.spec.n_firms, panel.spec.n_periods
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(n):
-            for j in range(t):
-                vals = ",".join(_fmt(arr[i, j]) for _, arr in cols)
-                fh.write(f"{i + 1},{j + 1},{vals}\n")
+        for lo in range(0, panel.spec.n_firms, _CSV_BLOCK_FIRMS):
+            block = np.stack([arr[lo:lo + _CSV_BLOCK_FIRMS]
+                              for _, arr in cols], axis=-1)
+            fh.write("".join(
+                f"{i},{j},{','.join(map(repr, row))}\n"
+                for i, firm in enumerate(block.tolist(), start=lo + 1)
+                for j, row in enumerate(firm, start=1)))

@@ -4,7 +4,9 @@ These runs use small panels via flag overrides; location accuracy at the
 full default size is the acceptance suite's job.
 """
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,16 @@ class TestEstimateCommand:
         (rej_beta,) = rejected.values()
         assert sel_beta < rej_beta
         assert abs(sel_beta - 0.6) < 0.25
+
+    def test_no_unclosed_files(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = run_cli("estimate", "--seed", "2", "--n-firms", "2000",
+                           "--out-dir", str(tmp_path))
+            gc.collect()
+        assert code == 0
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -6,11 +6,16 @@ moment checks use the 200k-observation panels from conftest; tolerances
 sit at 4-5 sigma of the measured sampling noise.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULTS, make_spec
+from dynpan import estimate
 from dynpan.errors import RankDeficiencyError, ValidationError
+from dynpan.identify import scan_curve
 from dynpan.model import ParamPoint, forward_map, pseudo_point
 from dynpan.simulate import draw_panel
 from dynpan.estimate import (
@@ -20,6 +25,7 @@ from dynpan.estimate import (
     InstrumentSpec,
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
+    beta_scan_evaluator,
     concentrate_beta,
     concentrate_rho,
     double_diff_residual,
@@ -33,6 +39,7 @@ from dynpan.estimate import (
     write_iv_fit_csv,
     write_moment_report_csv,
 )
+from dynpan.estimate import _checked_solve
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 PSEUDO = pseudo_point(DEFAULTS)  # (1.0, 1.6, 0.5)
@@ -335,3 +342,214 @@ class TestInstrumentSpec:
             InstrumentSpec(("w_lag1",))
         with pytest.raises(ValidationError):
             InstrumentSpec(("x_lagX",))
+
+
+# --- the cross-moment engine against the raw-array formulas ---------------
+#
+# The two oracles below are the per-evaluation formulas the concentrated
+# kernels used before they moved onto the cached cross-moments: each pools
+# the raw lagged columns of the panel and takes every mean directly.
+
+
+def oracle_beta(panel, beta_tilde):
+    """(alpha, rho, moment, se) of the concentrated beta moment."""
+    y, x = panel.y, panel.x
+    y0, y1, y2 = y[:, 2:].ravel(), y[:, 1:-1].ravel(), y[:, :-2].ravel()
+    x0, x1, x2 = x[:, 2:].ravel(), x[:, 1:-1].ravel(), x[:, :-2].ravel()
+    n = y0.size
+    w0 = y0 - beta_tilde * x0
+    w1 = y1 - beta_tilde * x1
+    w2 = y2 - beta_tilde * x2
+    zx = np.array([[float(n), w1.sum()], [w2.sum(), w2 @ w1]])
+    zy = np.array([w0.sum(), w2 @ w0])
+    c, rho = _checked_solve(zx, zy)
+    r = (y0 - rho * y1) - c - beta_tilde * (x0 - rho * x1)
+    prod = x1 * r
+    step1_resid = w0 - c - rho * w1
+    b = np.array([x1.mean(), (x1 * w1).mean()])
+    v = np.linalg.solve((zx / n).T, b)
+    psi = prod - (v[0] + v[1] * w2) * step1_resid
+    alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else np.nan
+    return np.array([alpha, rho, prod.mean(), psi.std(ddof=1) / np.sqrt(n)])
+
+
+def oracle_rho(panel, rho_tilde, family, solve, report):
+    """(coefficients, moments, ses) of the rho-concentrated moments."""
+    t_min = max(1, InstrumentSpec(solve + report).max_lag)
+    t_len = panel.spec.n_periods - t_min
+    series = {"y": panel.y, "x": panel.x, "z": panel.z}
+
+    def column(name):
+        if name == "const":
+            return np.ones(panel.spec.n_firms * t_len)
+        kind, lag = name.split("_lag")
+        lo = t_min - int(lag)
+        return series[kind][:, lo:lo + t_len].ravel()
+
+    def qd(kind):
+        return column(f"{kind}_lag0") - rho_tilde * column(f"{kind}_lag1")
+
+    n = panel.spec.n_firms * t_len
+    X = [(1.0 - rho_tilde) * np.ones(n), qd("x")]
+    if family == "multi_input":
+        X.append(qd("z"))
+    X = np.column_stack(X)
+    Z = np.column_stack([column(nm) for nm in solve])
+    dep = qd("y")
+    coef = _checked_solve(Z.T @ X, Z.T @ dep)
+    r = dep - X @ coef
+    A = Z.T @ X / n
+    moments, ses = [], []
+    for name in report:
+        col = column(name)
+        prod = col * r
+        moments.append(prod.mean())
+        v = np.linalg.solve(A.T, X.T @ col / n)
+        psi = prod - (Z @ v) * r
+        ses.append(psi.std(ddof=1) / np.sqrt(n))
+    return coef, np.array(moments), np.array(ses)
+
+
+def assert_rel(got, want, scale=None, rtol=1e-10):
+    """Agreement within rtol of each value, or of ``scale`` when given;
+    NaN only where the oracle has NaN."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    bound = rtol * (np.abs(want[ok]) if scale is None else scale)
+    assert np.all(np.abs(got[ok] - want[ok]) <= bound), \
+        np.max(np.abs(got[ok] - want[ok]) / np.maximum(bound / rtol, 1e-300))
+
+
+FIXTURE_PANELS = ("bench200k", "bench200k_eta0", "fe200k", "multi200k",
+                  "pred200k", "equal_rho_200k")
+
+#: (family, solving instruments, reported instruments); None: defaults.
+RHO_SETS = (
+    ("quasi_diff", ("const", "x_lag1"), ("x_lag2", "y_lag2")),
+    ("quasi_diff", ("const", "x_lag0"), ("x_lag1", "x_lag2", "y_lag2")),
+    ("multi_input", ("const", "x_lag1", "z_lag1"),
+     ("x_lag2", "y_lag2", "z_lag2")),
+)
+
+
+def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13)):
+    fast = beta_scan_evaluator(panel)
+    got, want = [], []
+    for b in grid:
+        try:
+            want.append(oracle_beta(panel, b))
+        except RankDeficiencyError:
+            want.append(np.full(4, np.nan))
+            with pytest.raises(RankDeficiencyError):
+                fast(b)
+            got.append(np.full(4, np.nan))
+            continue
+        cb = fast(b)
+        assert cb.n_obs == panel.spec.n_firms * (panel.spec.n_periods - 2)
+        got.append([cb.alpha, cb.rho, cb.moment, cb.moment_se])
+    got, want = np.array(got), np.array(want)
+    assert_rel(got[:, 0], want[:, 0])
+    assert_rel(got[:, 1], want[:, 1])
+    assert_rel(got[:, 2], want[:, 2], scale=np.nanmax(np.abs(want[:, 2])))
+    assert_rel(got[:, 3], want[:, 3])
+
+
+def check_rho_scan(panel, family, solve, report,
+                   grid=np.linspace(-0.9, 0.9, 10)):
+    got_m, want_m = [], []
+    for rho in grid:
+        coef, moments, ses = oracle_rho(panel, rho, family, solve, report)
+        cr = concentrate_rho(panel, rho, family=family,
+                             solve_instruments=solve,
+                             report_instruments=report)
+        assert_rel(list(cr.coefficients.values()), coef)
+        assert_rel(cr.moment_ses, ses)
+        got_m.append(cr.moments)
+        want_m.append(moments)
+    want_m = np.array(want_m)
+    assert_rel(np.array(got_m), want_m, scale=np.max(np.abs(want_m)))
+
+
+class TestCrossMomentEngine:
+    @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
+    def test_beta_scan_matches_raw_formulas(self, fixture, request):
+        check_beta_scan(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
+    def test_rho_concentration_matches_raw_formulas(self, fixture, request):
+        panel = request.getfixturevalue(fixture)
+        for family, solve, report in RHO_SETS:
+            if family == "multi_input" and panel.z is None:
+                continue
+            check_rho_scan(panel, family, solve, report)
+
+    def test_block_remainder(self):
+        panel = draw_panel(make_spec("multi_input", n_firms=6001))
+        per_block = estimate._BLOCK_ROWS // 3
+        assert panel.spec.n_firms > per_block
+        assert panel.spec.n_firms % per_block != 0
+        check_beta_scan(panel)
+        check_rho_scan(panel, *RHO_SETS[2])
+
+    def test_zero_noise_rho_rank_error(self):
+        panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
+                                     sigma_eta=0.0, n_firms=100))
+        with pytest.raises(RankDeficiencyError):
+            concentrate_rho(panel, 0.5)
+
+    def test_cache_reused_on_panel_not_on_firm_prefix(self, monkeypatch):
+        panel = draw_panel(make_spec(n_firms=3000))
+        passes = []
+        original = estimate._accumulate_moments
+
+        def counting(p, lags):
+            passes.append((p, lags))
+            return original(p, lags)
+
+        monkeypatch.setattr(estimate, "_accumulate_moments", counting)
+        concentrate_beta(panel, 0.6)
+        concentrate_beta(panel, 1.6)
+        concentrate_rho(panel, 0.5)
+        assert passes == [(panel, 2)]
+        k = 1000
+        prefix = dataclasses.replace(
+            panel, spec=dataclasses.replace(panel.spec, n_firms=k),
+            **{f.name: getattr(panel, f.name)[:k]
+               for f in dataclasses.fields(panel)
+               if f.name != "spec" and getattr(panel, f.name) is not None})
+        cb = concentrate_beta(prefix, 0.6)
+        assert len(passes) == 2 and passes[1][0] is prefix
+        assert cb.n_obs == k * 3
+        assert_rel([cb.alpha, cb.rho, cb.moment_se],
+                   oracle_beta(prefix, 0.6)[[0, 1, 3]])
+
+
+def permute_firms(panel, order):
+    return dataclasses.replace(
+        panel, **{f.name: getattr(panel, f.name)[order]
+                  for f in dataclasses.fields(panel)
+                  if f.name != "spec" and getattr(panel, f.name) is not None})
+
+
+@pytest.fixture(scope="module")
+def multi6k():
+    # three accumulation blocks, the last one partial
+    return draw_panel(make_spec("multi_input", n_firms=6001, seed=5))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(order_seed=st.integers(0, 2 ** 32 - 1))
+def test_firm_permutation_leaves_scans_unchanged(multi6k, order_seed):
+    order = np.random.default_rng(order_seed).permutation(
+        multi6k.spec.n_firms)
+    permuted = permute_firms(multi6k, order)
+    for axis, grid, family in (("beta", np.linspace(0.0, 2.0, 21),
+                                "quasi_diff"),
+                               ("rho", np.linspace(-0.9, 0.9, 19),
+                                "multi_input")):
+        want = scan_curve(multi6k, axis, grid, family=family)
+        got = scan_curve(permuted, axis, grid, family=family)
+        assert_rel(got.m, want.m, scale=np.nanmax(np.abs(want.m)),
+                   rtol=1e-12)
+        assert_rel(got.ses, want.ses, rtol=1e-12)

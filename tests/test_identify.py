@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
-from dynpan.errors import InternalConsistencyError, ValidationError
+from dynpan import identify
+from dynpan.errors import (
+    InternalConsistencyError,
+    RankDeficiencyError,
+    ValidationError,
+)
+from dynpan.estimate import concentrate_rho
 from dynpan.model import (
     StructuralParams,
     forward_map,
@@ -215,6 +221,25 @@ class TestWarmStart:
         assert ws.point.beta == pytest.approx(0.6, abs=0.1)
         assert ws.point.rho == pytest.approx(0.7, abs=0.1)
         assert ws.point.alpha == pytest.approx(1.0, abs=0.15)
+
+    def test_failed_fit_inside_one_bracket_drops_only_that_candidate(
+            self, pred200k, monkeypatch):
+        # this panel's x_{t-1} moment changes sign in (-0.25, -0.2) and
+        # near 0.7; a failed fit inside the first bracket must not abort
+        # the warm start, whose winner comes from the second
+        want = warm_start_pipeline(pred200k, "predetermined_start")
+        injected = []
+
+        def failing(panel, rho, **kwargs):
+            if -0.25 < rho < -0.2:
+                injected.append(rho)
+                raise RankDeficiencyError("injected failure")
+            return concentrate_rho(panel, rho, **kwargs)
+
+        monkeypatch.setattr(identify, "concentrate_rho", failing)
+        ws = warm_start_pipeline(pred200k, "predetermined_start")
+        assert injected
+        assert ws.point == want.point
 
     def test_strategy_mismatch_is_flagged(self, bench200k):
         ws = warm_start_pipeline(bench200k, "predetermined_start")

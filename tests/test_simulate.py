@@ -1,6 +1,7 @@
 """Tests for panel generation: determinism, equation fidelity, exports."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ class TestCsvExport:
         write_panel_csv(panel, out)
         header = open(out).readline().strip().split(",")
         assert header[-1] == "eps"
+
+    def test_bytes_match_per_element_formatting(self, tmp_path):
+        # z and eps both present, and more firms than one block of rows
+        panel = draw_panel(spec_for("multi_input", n_firms=2100,
+                                    n_periods=4))
+        panel = dataclasses.replace(panel, eps=-panel.u)
+        out = tmp_path / "p.csv"
+        write_panel_csv(panel, out)
+        cols = [panel.y, panel.x, panel.z, panel.omega, panel.kappa,
+                panel.xi, panel.u, panel.eta, panel.eps]
+        want = ["firm,period,y,x,z,omega,kappa,xi,u,eta,eps\n"]
+        for i in range(panel.spec.n_firms):
+            for j in range(panel.spec.n_periods):
+                vals = ",".join(repr(float(arr[i, j])) for arr in cols)
+                want.append(f"{i + 1},{j + 1},{vals}\n")
+        assert out.read_bytes() == "".join(want).encode("utf-8")
 
     def test_lf_line_endings(self, tmp_path):
         panel = draw_panel(spec_for("benchmark", n_firms=2, n_periods=4))
