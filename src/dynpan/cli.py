@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DynpanError, ValidationError
+from .estimate import _fmt
 from .model import ParamPoint, StructuralParams, pseudo_point
 from .simulate import (
     DgpSpec,
@@ -270,10 +271,6 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
         _atomic_via(
             lambda path, rep=report: write_diagnostic_csv(rep, path),
             out.path(name))
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _cmd_figure(cfg: dict, out: _Outputs) -> None:

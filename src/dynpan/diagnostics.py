@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimate import two_sls
+from .estimate import _fmt, two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint
 
@@ -41,8 +41,8 @@ class DiagnosticReport:
                 f"rule: {self.rule_applied}")
 
     def csv_rows(self):
-        return (("statistic", repr(float(self.statistic))),
-                ("standard_error", repr(float(self.standard_error))),
+        return (("statistic", _fmt(self.statistic)),
+                ("standard_error", _fmt(self.standard_error)),
                 ("verdict", self.verdict),
                 ("rule_applied", self.rule_applied))
 

@@ -377,29 +377,30 @@ def _accumulate_moments(panel, lags: int) -> _CrossMoments:
     k = len(names)
     means = [float(src.mean()) for src in sources]
     rows, cols = np.triu_indices(k)
-    second = np.zeros((k, k))
     fourth = np.zeros((rows.size, rows.size))
     n_firms = sources[0].shape[0]
     step = max(1, _BLOCK_ROWS // t_len)
     for lo in range(0, n_firms, step):
         hi = min(lo + step, n_firms)
-        d = np.empty((k, (hi - lo) * t_len))
-        d[0] = 1.0
+        # the pairs (0, j) come first and column 0 is the constant 1, so
+        # rows 0..k-1 of the pair products are the centered columns d, and
+        # E[d d'] is the leading k x k block of E[p p']
+        p = np.empty((rows.size, (hi - lo) * t_len))
+        p[0] = 1.0
         for j, (src, mean) in enumerate(zip(sources, means), start=1):
-            d[j] = (src[lo:hi] - mean).ravel()
-        p = np.empty((rows.size, d.shape[1]))
-        start = 0
-        for i in range(k):
-            np.multiply(d[i], d[i:], out=p[start:start + k - i])
+            np.subtract(src[lo:hi], mean, out=p[j].reshape(hi - lo, t_len))
+        start = k
+        for i in range(1, k):
+            np.multiply(p[i], p[i:k], out=p[start:start + k - i])
             start += k - i
-        second += d @ d.T
         fourth += p @ p.T
     n = n_firms * t_len
+    fourth /= n
     basis = np.eye(k)
     basis[0, 1:] = means
     return _CrossMoments(
         index={name: j for j, name in enumerate(names)}, n=n, basis=basis,
-        second=second / n, fourth=fourth / n, pairs=(rows, cols),
+        second=fourth[:k, :k].copy(), fourth=fourth, pairs=(rows, cols),
         pair_weight=np.where(rows == cols, 0.5, 1.0))
 
 
@@ -556,6 +557,8 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
 
 
 def _fmt(value) -> str:
+    """The float format of every CSV the package writes: the shortest
+    decimal that round-trips the double."""
     return repr(float(value))
 
 

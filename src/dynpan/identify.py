@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DynpanError, InternalConsistencyError, ValidationError
 from .estimate import (
+    _fmt,
     beta_scan_evaluator,
     concentrate_rho,
     fit_reduced_form,
@@ -385,10 +386,6 @@ def warm_start_pipeline(panel, strategy: str,
     raise ValidationError(
         "strategy must be predetermined_start or reduced_form_start",
         field="strategy")
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def write_curve_csv(curve: ObjectiveCurve, path, rescale: float = 1.0) -> None:

@@ -26,11 +26,15 @@ omega and on the persistent market factors kappa and wp:
                           x_t = pi + theta*rho_omega*omega_{t-1} + kappa_{t-1}
 
 Randomness is a Philox (counter-based) stream per (seed, shock label); each
-label is drawn exactly once as a matrix whose rows are firms, so output is
-independent of any parallel schedule and the first k rows of a larger panel
-equal the panel simulated with k firms.  Linear AR states start from their
-exact stationary distribution; the nonlinear-kappa recursions are burned in
-for ``BURN_IN`` discarded periods from zero.
+label is read once, row-major with rows as firms, so output is independent
+of any parallel schedule and the first k rows of a larger panel equal the
+panel simulated with k firms.  Linear AR states start from their exact
+stationary distribution; the nonlinear-kappa recursions are burned in for
+``BURN_IN`` discarded periods from zero.  Their ``u`` is the same one
+sequential stream, drawn ``_BLOCK_FIRMS`` firms at a time and run through
+the recursion block by block, so the draw holds O(n_firms * n_periods)
+outputs plus one block of BURN_IN + n_periods shocks, never the whole
+n_firms x (BURN_IN + n_periods) matrix.
 """
 
 from __future__ import annotations
@@ -175,11 +179,20 @@ class PanelData:
         return self.spec.n_firms * self.spec.n_periods
 
 
+#: Firms handled at once by the blocked loops (the nonlinear-kappa draw and
+#: the CSV conversion); bounds their working memory.
+_BLOCK_FIRMS = 2048
+
+
+def _stream(seed: int, label: str) -> np.random.Generator:
+    """The (seed, label) Philox sub-stream; the key is (seed, label id)."""
+    key = np.array([seed, _LABEL_IDS[label]], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _normal(seed: int, label: str, shape, scale: float = 1.0) -> np.ndarray:
     """Standard-normal draw from the (seed, label) Philox sub-stream."""
-    key = np.array([seed, _LABEL_IDS[label]], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    draw = gen.standard_normal(shape)
+    draw = _stream(seed, label).standard_normal(shape)
     return draw * scale if scale != 1.0 else draw
 
 
@@ -220,16 +233,23 @@ def reversed_persistence(kappa: np.ndarray) -> np.ndarray:
 def _nonlinear_kappa(seed, factor_fn, sigma, n, t):
     """Nonlinear kappa recursion k_t = f(k_{t-1})*k_{t-1} + u_t, burned in
     for BURN_IN periods from zero; returns (states, shocks) for the last
-    ``t`` periods."""
-    total = BURN_IN + t
-    shocks = _normal(seed, "u", (n, total), sigma)
-    k = np.zeros(n)
+    ``t`` periods.  The (n, BURN_IN + t) shock rows are read from the "u"
+    stream one firm block at a time (see the module docstring)."""
+    gen = _stream(seed, "u")
     states = np.empty((n, t))
-    for j in range(total):
-        k = factor_fn(k) * k + shocks[:, j]
-        if j >= BURN_IN:
-            states[:, j - BURN_IN] = k
-    return states, shocks[:, BURN_IN:]
+    kept = np.empty((n, t))
+    for lo in range(0, n, _BLOCK_FIRMS):
+        hi = min(lo + _BLOCK_FIRMS, n)
+        shocks = gen.standard_normal((hi - lo, BURN_IN + t))
+        if sigma != 1.0:
+            shocks *= sigma
+        k = np.zeros(hi - lo)
+        for j in range(BURN_IN + t):
+            k = factor_fn(k) * k + shocks[:, j]
+            if j >= BURN_IN:
+                states[lo:hi, j - BURN_IN] = k
+        kept[lo:hi] = shocks[:, BURN_IN:]
+    return states, kept
 
 
 def _ar2_kappa(seed, rho1, rho2, sigma, n, t):
@@ -331,11 +351,6 @@ def draw_panel(spec: DgpSpec) -> PanelData:
                      xi=xi, u=u, eta=eta)
 
 
-#: Firms whose rows are converted to Python floats at once; bounds the
-#: memory of the conversion.
-_CSV_BLOCK_FIRMS = 2048
-
-
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write one row per (firm, period): firm,period,y,x[,z],omega,kappa,
     xi,u,eta[,eps].  UTF-8, LF line endings, full double precision (the
@@ -350,8 +365,8 @@ def write_panel_csv(panel: PanelData, path) -> None:
     header = "firm,period," + ",".join(name for name, _ in cols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, panel.spec.n_firms, _CSV_BLOCK_FIRMS):
-            block = np.stack([arr[lo:lo + _CSV_BLOCK_FIRMS]
+        for lo in range(0, panel.spec.n_firms, _BLOCK_FIRMS):
+            block = np.stack([arr[lo:lo + _BLOCK_FIRMS]
                               for _, arr in cols], axis=-1)
             fh.write("".join(
                 f"{i},{j},{','.join(map(repr, row))}\n"

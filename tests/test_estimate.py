@@ -492,6 +492,19 @@ class TestCrossMomentEngine:
         check_beta_scan(panel)
         check_rho_scan(panel, *RHO_SETS[2])
 
+    def test_second_moments_match_centered_gram(self):
+        # E[d d'] is read off the pair products' Gram matrix; compare it
+        # with the Gram matrix of the centered columns taken directly
+        panel = draw_panel(make_spec("multi_input", n_firms=6001))
+        mom = estimate._cross_moments(panel, 2)
+        cols = [panel.y, panel.x, panel.z]
+        d = [np.ones(panel.spec.n_firms * 3)] + [
+            arr[:, 2 - lag:5 - lag].ravel() for arr in cols
+            for lag in range(3)]
+        d = np.array([d[0]] + [c - c.mean() for c in d[1:]])
+        want = d @ d.T / d.shape[1]
+        assert_rel(mom.second, want, scale=np.max(np.abs(want)), rtol=1e-12)
+
     def test_zero_noise_rho_rank_error(self):
         panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
                                      sigma_eta=0.0, n_firms=100))

@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynpan import simulate
 from dynpan.errors import ValidationError
 from dynpan.model import StructuralParams
 from dynpan.simulate import (
+    BURN_IN,
     DgpSpec,
     VariantParams,
     draw_panel,
@@ -62,10 +65,87 @@ class TestDeterminism:
             assert np.array_equal(getattr(big, name)[:16],
                                   getattr(small, name)), name
 
+    @pytest.mark.parametrize("variant", ["logistic_kappa",
+                                         "reversed_curvature"])
+    def test_firm_prefix_stability_across_blocks(self, variant,
+                                                 monkeypatch):
+        # the nonlinear-kappa shocks are read in firm blocks; a block
+        # boundary inside the prefix (at 5, 10, 15) changes nothing
+        monkeypatch.setattr(simulate, "_BLOCK_FIRMS", 5)
+        ext = VariantParams(theta2=0.5)
+        big = draw_panel(spec_for(variant, n_firms=64, ext=ext))
+        small = draw_panel(spec_for(variant, n_firms=16, ext=ext))
+        for name in ("y", "x", "omega", "kappa", "xi", "u", "eta"):
+            assert np.array_equal(getattr(big, name)[:16],
+                                  getattr(small, name)), name
+
     def test_arrays_are_frozen(self):
         panel = draw_panel(spec_for("benchmark"))
         with pytest.raises(ValueError):
             panel.y[0, 0] = 0.0
+
+
+def full_matrix_kappa(seed, factor_fn, sigma, n, t):
+    """Reference nonlinear-kappa draw: the whole (n, BURN_IN + t) shock
+    matrix at once, then the recursion over all firms together."""
+    key = np.array([seed, 2], dtype=np.uint64)   # the "u" label
+    gen = np.random.Generator(np.random.Philox(key=key))
+    shocks = gen.standard_normal((n, BURN_IN + t))
+    if sigma != 1.0:
+        shocks = shocks * sigma
+    k = np.zeros(n)
+    states = np.empty((n, t))
+    for j in range(BURN_IN + t):
+        k = factor_fn(k) * k + shocks[:, j]
+        if j >= BURN_IN:
+            states[:, j - BURN_IN] = k
+    return states, shocks[:, BURN_IN:]
+
+
+NONLINEAR_CASES = [("logistic_kappa", VariantParams(theta2=0.5)),
+                   ("reversed_curvature", VariantParams())]
+
+
+class TestBlockedNonlinearKappa:
+    BLOCK = 4
+
+    @pytest.mark.parametrize("sigma_u", [1.0, 1.7, 0.0])
+    @pytest.mark.parametrize("n_firms", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                         3 * BLOCK + 2])
+    @pytest.mark.parametrize("variant,ext", NONLINEAR_CASES,
+                             ids=[c[0] for c in NONLINEAR_CASES])
+    def test_matches_full_matrix_draw(self, variant, ext, n_firms, sigma_u,
+                                      monkeypatch):
+        s = dataclasses.replace(BENCH, sigma_u=sigma_u)
+        spec = spec_for(variant, n_firms=n_firms, ext=ext, s=s)
+        monkeypatch.setattr(simulate, "_BLOCK_FIRMS", self.BLOCK)
+        blocked = draw_panel(spec)
+        monkeypatch.setattr(simulate, "_nonlinear_kappa", full_matrix_kappa)
+        whole = draw_panel(spec)
+        for f in dataclasses.fields(whole):
+            want = getattr(whole, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(getattr(blocked, f.name), want), f.name
+
+    @pytest.mark.parametrize("variant,ext", NONLINEAR_CASES,
+                             ids=[c[0] for c in NONLINEAR_CASES])
+    def test_shocks_own_their_data(self, variant, ext):
+        panel = draw_panel(spec_for(variant, n_firms=7, n_periods=5, ext=ext))
+        assert panel.u.shape == (7, 5)
+        assert panel.u.base is None and panel.u.flags.owndata
+
+    def test_draw_never_holds_the_burn_in_matrix(self):
+        # 40,000 x 205 shocks would take 65.6 MB; the panel itself is seven
+        # 40,000 x 5 arrays (11.2 MB)
+        spec = spec_for("logistic_kappa", n_firms=40_000,
+                        ext=VariantParams(theta2=0.5))
+        tracemalloc.start()
+        try:
+            draw_panel(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, peak
 
 
 class TestZeroNoise:
