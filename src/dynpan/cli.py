@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -396,6 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads argv with, built once per process
+    (parsing leaves it unchanged); :func:`build_parser` stays fresh."""
+    return build_parser()
+
+
 def _overrides_from_args(args) -> dict:
     flags = {"seed": "dgp.seed", "out_dir": "out.dir", "grid": "scan.grid",
              "sign_theta": "estimate.sign", "which": "figure.which",
@@ -414,7 +422,7 @@ def _overrides_from_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         file_values = {}
         if args.config:

@@ -26,12 +26,20 @@ quantity they report is a product of two linear forms in the lagged columns
 panel accumulates the pooled second cross-moments of those columns and the
 fourth cross-moments (the Gram matrix of their pairwise products), pooled
 over periods t >= L.  The IV solve, the moment and its influence-function
-standard error are then k x k and (k(k+1)/2)^2 algebra, k <= 10 for L = 2.
+standard error are then k x k and k^2 x k^2 algebra, k <= 10 for L = 2.
 The result is cached on the (frozen, read-only) panel per L.  The pass
 holds one block of about ``_BLOCK_ROWS`` rows and their pair products at a
 time, never an n x k^2 matrix.  Columns are centered by their pooled mean
 before accumulating, so the fourth-moment variances do not cancel; linear
 forms in raw columns are mapped onto the centered ones.
+
+Next to the cross-moments the panel caches one plan per rho-concentration
+instrument set (family, solving and reported names): the parsed instrument
+forms and the lag-0 and lag-1 forms of y, x and z, so an evaluation only
+forms ``lag0 - rho * lag1``.  Each evaluation factors its rank-checked
+cross-product once (one SVD gives the check, the coefficients and the
+first-step correction) and takes the standard errors of all reported
+moments from one quadratic form in the fourth moments.
 """
 
 from __future__ import annotations
@@ -145,15 +153,30 @@ class IvFit:
         return np.sqrt(np.diag(cov))
 
 
-def _checked_solve(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """Solve zx @ coef = zy after verifying zx is numerically full rank."""
-    pivots = np.linalg.svd(zx, compute_uv=False)
+def _checked_inverse(zx: np.ndarray) -> np.ndarray:
+    """Inverse of a square cross-product zx, after verifying that zx is
+    numerically full rank.
+
+    The pivots judged are the singular values of zx with its columns scaled
+    to unit length, so a change of data units in a regressor cannot make a
+    well-posed system look singular.  The inverse is read off the same SVD,
+    zx diag(1/d) = u diag(s) vt with d the column norms, so one
+    factorisation serves every solve with zx or its transpose.
+    """
+    d = np.sqrt((zx * zx).sum(axis=0))
+    d[d == 0.0] = 1.0
+    u, pivots, vt = np.linalg.svd(zx / d)
     smallest = pivots[-1] if pivots.size else 0.0
     if smallest <= 1e-10 * max(pivots[0] if pivots.size else 0.0, 1.0):
         raise RankDeficiencyError(
             f"singular instrument-regressor cross-product; smallest pivot "
             f"{smallest:.3e}", smallest_pivot=smallest)
-    return np.linalg.solve(zx, zy)
+    return (vt.T / pivots) @ u.T / d[:, None]
+
+
+def _checked_solve(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """Solve zx @ coef = zy after verifying zx is numerically full rank."""
+    return _checked_inverse(zx) @ zy
 
 
 def two_sls(dep: np.ndarray, regressors: np.ndarray,
@@ -332,8 +355,9 @@ class _CrossMoments:
 
     A linear form is a coefficient vector over the centered columns
     (``const`` first); :meth:`column` gives the form of one raw column.
-    ``second`` is E[d d'] and ``fourth`` is E[p p'] for the centered
-    columns d and their pair products p_ij = d_i d_j, i <= j.
+    ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
+    E[q q'] for their k^2 ordered products q = vec(d d'), so the variance of
+    (a'd)(b'd) is a quadratic form in vec(a b').
     """
 
     index: dict
@@ -341,8 +365,6 @@ class _CrossMoments:
     basis: np.ndarray      # column j: the centered form of raw column j
     second: np.ndarray
     fourth: np.ndarray
-    pairs: tuple
-    pair_weight: np.ndarray
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.index:
@@ -355,15 +377,17 @@ class _CrossMoments:
         """E[(a'd)(b'd)]; columns of matrix arguments are separate forms."""
         return a.T @ self.second @ b
 
-    def se(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Standard error of the mean of (a'd)(b'd): its sample standard
-        deviation (ddof 1) over sqrt(n)."""
+    def ses(self, a: np.ndarray, b: np.ndarray,
+            means: np.ndarray) -> np.ndarray:
+        """Standard errors of the means of (a_j'd)(b'd), one per column a_j
+        of ``a``, given those means: each product's sample standard
+        deviation (ddof 1) over sqrt(n), all from one quadratic form in the
+        fourth moments."""
         if self.n <= 1:
-            return float("nan")
-        outer = np.outer(a, b)
-        w = (outer + outer.T)[self.pairs] * self.pair_weight
-        var = w @ self.fourth @ w - float(self.cross(a, b)) ** 2
-        return float(np.sqrt(max(var, 0.0) / (self.n - 1)))
+            return np.full(a.shape[1], np.nan)
+        w = np.multiply.outer(b, a).reshape(b.size * a.shape[0], -1)
+        var = (w.T @ self.fourth @ w).diagonal() - means * means
+        return np.sqrt(np.maximum(var, 0.0) / (self.n - 1))
 
 
 def _accumulate_moments(panel, lags: int) -> _CrossMoments:
@@ -396,12 +420,15 @@ def _accumulate_moments(panel, lags: int) -> _CrossMoments:
         fourth += p @ p.T
     n = n_firms * t_len
     fourth /= n
+    # spread the i <= j pairs over all k^2 ordered products
+    pair = np.empty((k, k), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    ordered = pair.ravel()
     basis = np.eye(k)
     basis[0, 1:] = means
     return _CrossMoments(
         index={name: j for j, name in enumerate(names)}, n=n, basis=basis,
-        second=fourth[:k, :k].copy(), fourth=fourth, pairs=(rows, cols),
-        pair_weight=np.where(rows == cols, 0.5, 1.0))
+        second=fourth[:k, :k].copy(), fourth=fourth[np.ix_(ordered, ordered)])
 
 
 def _cross_moments(panel, lags: int) -> _CrossMoments:
@@ -412,23 +439,26 @@ def _cross_moments(panel, lags: int) -> _CrossMoments:
     return cache[lags]
 
 
-def _iv_block(mom: _CrossMoments, dep, X, Z, report):
-    """Just-identified IV of the form ``dep`` on the forms X (columns) with
-    instruments Z, then the moments of each ``report`` form against the
-    residual with influence-function standard errors.
+def _iv_block(mom: _CrossMoments, F, ZR, n_solve: int):
+    """Just-identified IV of the form ``F[:, 0]`` on the forms ``F[:, 1:]``
+    with the instruments ``ZR[:, :n_solve]``, then the moment of each
+    remaining form of ``ZR`` against the residual with influence-function
+    standard errors.
 
     The standard error carries the first-step noise: the influence function
-    of E[c r] is (c - Z v) r with v = A'^{-1} E[X c] and A = E[Z X'].
-    Returns (coefficients, moments, standard errors).
+    of E[c r] is (c - Z v) r with v = A'^{-1} E[X c] and A = E[Z X'], and
+    its mean is E[c r] because E[Z r] = 0.  One rank-checked factorisation
+    of A serves both solves.  Returns (coefficients, moments, standard
+    errors).
     """
-    A = mom.cross(Z, X)
-    coef = _checked_solve(mom.n * A, mom.n * mom.cross(Z, dep))
-    r = dep - X @ coef
-    moments = mom.cross(report, r)
-    V = np.linalg.solve(A.T, mom.cross(X, report))
-    ses = np.array([mom.se(report[:, j] - Z @ V[:, j], r)
-                    for j in range(report.shape[1])])
-    return coef, moments, ses
+    G = mom.cross(ZR, F)
+    inverse = _checked_inverse(G[:n_solve, 1:])
+    coef = inverse @ G[:n_solve, 0]
+    moments = G[n_solve:, 0] - G[n_solve:, 1:] @ coef
+    V = inverse.T @ G[n_solve:, 1:].T
+    r = F[:, 0] - F[:, 1:] @ coef
+    adjusted = ZR[:, n_solve:] - ZR[:, :n_solve] @ V
+    return coef, moments, mom.ses(adjusted, r, moments)
 
 
 @dataclass
@@ -452,15 +482,20 @@ def beta_scan_evaluator(panel):
     cost small dense algebra, not a pass over the panel.
     """
     mom = _cross_moments(panel, 2)
-    one = mom.column("const")
-    y = np.column_stack([mom.column(f"y_lag{k}") for k in range(3)])
-    x = np.column_stack([mom.column(f"x_lag{k}") for k in range(3)])
+    zero = np.zeros(mom.second.shape[0])
+
+    def forms(*names):
+        return np.column_stack([zero if nm is None else mom.column(nm)
+                                for nm in names])
+
+    # w = y - beta x at lags 0..2; the regression (w0 on const, w1 | the
+    # instruments const, w2 | the reported x1) is level - beta * slope
+    level = forms("y_lag0", "const", "y_lag1", "const", "y_lag2", "x_lag1")
+    slope = forms("x_lag0", None, "x_lag1", None, "x_lag2", None)
 
     def evaluate(beta_tilde: float) -> ConcentratedBeta:
-        w0, w1, w2 = (y - beta_tilde * x).T
-        (c, rho), moment, se = _iv_block(
-            mom, w0, np.column_stack([one, w1]), np.column_stack([one, w2]),
-            x[:, 1:2])
+        W = level - beta_tilde * slope
+        (c, rho), moment, se = _iv_block(mom, W[:, :3], W[:, 3:], 2)
         alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else float("nan")
         return ConcentratedBeta(beta=beta_tilde, alpha=float(alpha),
                                 rho=float(rho), moment=float(moment[0]),
@@ -494,6 +529,71 @@ class ConcentratedRho:
     n_obs: int
 
 
+@dataclass(frozen=True)
+class _RhoPlan:
+    """What :func:`concentrate_rho` needs of one panel and instrument set,
+    as forms over the panel's cross-moments.
+
+    Column j of ``lag0 - rho * lag1`` is the rho quasi-difference of
+    (y, const, x[, z])[j]; the constant is its own lag, so its difference
+    is (1 - rho) * const.  ``instruments`` holds the solving instruments,
+    then the reported ones.
+    """
+
+    mom: _CrossMoments
+    coef_names: tuple
+    report_names: tuple
+    lag0: np.ndarray
+    lag1: np.ndarray
+    instruments: np.ndarray
+
+
+def _rho_plan(panel, family, solve, report) -> _RhoPlan:
+    """The panel's plan for one (family, solve, report) set, built on first
+    use; a set that fails validation is not cached, so it raises on every
+    call."""
+    if family not in ("quasi_diff", "multi_input"):
+        raise ValidationError(
+            "rho concentration supports quasi_diff or multi_input",
+            field="family")
+    if family == "multi_input" and panel.z is None:
+        raise ValidationError("panel has no second input z", field="panel")
+    if solve is None:
+        solve = ("const", "x_lag1") if family == "quasi_diff" \
+            else ("const", "x_lag1", "z_lag1")
+    if report is None:
+        report = ("x_lag2", "y_lag2") if family == "quasi_diff" \
+            else ("x_lag2", "y_lag2", "z_lag2")
+    key = ("rho", family, tuple(solve), tuple(report))
+    if key in panel._moment_cache:
+        return panel._moment_cache[key]
+    solve, report = key[2:]
+    t_min = max(1, InstrumentSpec(solve + report).max_lag)
+    if t_min >= panel.spec.n_periods:
+        raise ValidationError(
+            "not enough periods for the requested instrument lags",
+            field="n_periods")
+    mom = _cross_moments(panel, t_min)
+    inputs = ("x", "z") if family == "multi_input" else ("x",)
+    coef_names = ("alpha", "beta", "gamma")[:1 + len(inputs)]
+    if len(solve) != len(coef_names):
+        raise ValidationError(
+            f"need {len(coef_names)} solving instruments, got {len(solve)}",
+            field="solve_instruments")
+
+    def forms(names):
+        return np.column_stack([mom.column(nm) for nm in names])
+
+    def lagged(lag):
+        return forms([f"y_lag{lag}", "const"]
+                     + [f"{s}_lag{lag}" for s in inputs])
+
+    plan = panel._moment_cache[key] = _RhoPlan(
+        mom=mom, coef_names=coef_names, report_names=report,
+        lag0=lagged(0), lag1=lagged(1), instruments=forms(solve + report))
+    return plan
+
+
 def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
                     solve_instruments: Optional[tuple] = None,
                     report_instruments: Optional[tuple] = None,
@@ -508,52 +608,15 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     persistence.  Pass explicit instrument-name tuples to override either
     the solving subset or the reported moments.
     """
-    if family not in ("quasi_diff", "multi_input"):
-        raise ValidationError(
-            "rho concentration supports quasi_diff or multi_input",
-            field="family")
-    if family == "multi_input" and panel.z is None:
-        raise ValidationError("panel has no second input z", field="panel")
-    if solve_instruments is None:
-        solve_instruments = ("const", "x_lag1") if family == "quasi_diff" \
-            else ("const", "x_lag1", "z_lag1")
-    if report_instruments is None:
-        report_instruments = ("x_lag2", "y_lag2") if family == "quasi_diff" \
-            else ("x_lag2", "y_lag2", "z_lag2")
-    all_spec = InstrumentSpec(tuple(solve_instruments)
-                              + tuple(report_instruments))
-    t_min = max(1, all_spec.max_lag)
-    if t_min >= panel.spec.n_periods:
-        raise ValidationError(
-            "not enough periods for the requested instrument lags",
-            field="n_periods")
-    mom = _cross_moments(panel, t_min)
-
-    def quasi_diff(series):
-        return (mom.column(f"{series}_lag0")
-                - rho_tilde * mom.column(f"{series}_lag1"))
-
-    cols = [(1.0 - rho_tilde) * mom.column("const"), quasi_diff("x")]
-    names = ["alpha", "beta"]
-    if family == "multi_input":
-        cols.append(quasi_diff("z"))
-        names.append("gamma")
-    if len(solve_instruments) != len(cols):
-        raise ValidationError(
-            f"need {len(cols)} solving instruments, got "
-            f"{len(solve_instruments)}", field="solve_instruments")
-
-    def forms(instruments):
-        return np.column_stack([mom.column(nm) for nm in instruments])
-
+    plan = _rho_plan(panel, family, solve_instruments, report_instruments)
     coef, moments, ses = _iv_block(
-        mom, quasi_diff("y"), np.column_stack(cols),
-        forms(solve_instruments), forms(report_instruments))
+        plan.mom, plan.lag0 - rho_tilde * plan.lag1, plan.instruments,
+        len(plan.coef_names))
     return ConcentratedRho(
         rho=rho_tilde,
-        coefficients=dict(zip(names, (float(v) for v in coef))),
-        moment_names=tuple(report_instruments), moments=moments,
-        moment_ses=ses, n_obs=mom.n)
+        coefficients=dict(zip(plan.coef_names, (float(v) for v in coef))),
+        moment_names=plan.report_names, moments=moments, moment_ses=ses,
+        n_obs=plan.mom.n)
 
 
 def _fmt(value) -> str:

@@ -140,14 +140,32 @@ def find_zeros(curve: ObjectiveCurve, zero_tol: Optional[float] = None,
     ``max_iter`` halvings.  Returns the roots and attaches them to the
     curve.  A curve without sign changes yields an empty list.
     """
-    m, grid = curve.m, curve.grid
+    curve.zeros = _refine_zeros(curve.grid, curve.m, curve.evaluator,
+                                zero_tol, max_iter)
+    return curve.zeros
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, 0.0 when empty.  np.median itself imports
+    numpy.ma on first use, about 10 ms of every process that refines a
+    zero."""
+    ordered = np.sort(values)
+    if ordered.size == 0:
+        return 0.0
+    h = ordered.size // 2
+    return float(ordered[h] if ordered.size % 2
+                 else (ordered[h - 1] + ordered[h]) / 2)
+
+
+def _refine_zeros(grid, m, f, zero_tol=None, max_iter=60) -> list[RootInfo]:
+    """The bisection behind :func:`find_zeros`, on a grid, its moments m
+    and the evaluator f (None: interpolate linearly).  A bracket whose
+    bisection hits a failed fit (a pole) ends there with m_value NaN."""
     finite = np.isfinite(m)
     if zero_tol is None:
-        scale = float(np.median(np.abs(m[finite]))) if finite.any() else 0.0
-        zero_tol = 1e-4 * scale
+        zero_tol = 1e-4 * _median(np.abs(m[finite]))
     span = float(grid[-1] - grid[0]) if grid.size > 1 else 1.0
     width_tol = 1e-6 * span
-    f = curve.evaluator
     roots: list[RootInfo] = []
     for i in range(grid.size - 1):
         if not (finite[i] and finite[i + 1]):
@@ -194,7 +212,6 @@ def find_zeros(curve: ObjectiveCurve, zero_tol: Optional[float] = None,
         roots.append(RootInfo(location=float(grid[-1]),
                               bracket=(float(grid[-1]), float(grid[-1])),
                               m_value=0.0, iterations=0, converged=True))
-    curve.zeros = roots
     return roots
 
 
@@ -306,9 +323,10 @@ def _predetermined_point(panel) -> ParamPoint:
 
     With x_t admissible as an instrument the linear block is solved from
     {1, x_t} at each candidate rho and the x_{t-1} moment is driven to
-    zero by bisection; among candidate roots the one with the smallest
-    joint over-identification score wins.  A bracket whose bisection hits
-    a failed fit (a pole) yields no candidate, as in :func:`find_zeros`.
+    zero by the bisection of :func:`find_zeros`, with its stopping rule;
+    among candidate roots the one with the smallest joint
+    over-identification score wins.  A bracket whose bisection hits a
+    failed fit (a pole) yields no candidate.
     """
     solve = ("const", "x_lag0")
     report = ("x_lag1", "x_lag2", "y_lag2")
@@ -325,25 +343,8 @@ def _predetermined_point(panel) -> ParamPoint:
             vals[i] = at(rho).moments[0]
         except DynpanError:
             pass
-    candidates = []
-    for i in range(grid.size - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isfinite(a) and np.isfinite(b) and a * b < 0:
-            lo, hi, flo = grid[i], grid[i + 1], a
-            try:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    fm = at(mid).moments[0]
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if np.sign(fm) == np.sign(flo):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-            except DynpanError:
-                continue
-            candidates.append(0.5 * (lo + hi))
+    roots = _refine_zeros(grid, vals, lambda rho: at(rho).moments[0])
+    candidates = [r.location for r in roots if np.isfinite(r.m_value)]
     if not candidates:
         candidates = [float(grid[np.nanargmin(np.abs(vals))])]
     best, best_score = None, np.inf

@@ -287,9 +287,12 @@ def draw_panel(spec: DgpSpec) -> PanelData:
                                         s.rho_omega, s.sigma_xi, n, t + 1)
         kappa_all, u_all = _ar1_states(seed, "u", "kappa_init",
                                        s.rho_x, s.sigma_u, n, t + 1)
-        omega, xi = omega_all[:, 1:], xi_all[:, 1:]
-        kappa, u = kappa_all[:, 1:], u_all[:, 1:]
         x = s.pi + s.theta * s.rho_omega * omega_all[:, :-1] + kappa_all[:, :-1]
+        # owned (n, t) copies; each (n, t + 1) array is released in turn
+        omega, omega_all = omega_all[:, 1:].copy(), None
+        kappa, kappa_all = kappa_all[:, 1:].copy(), None
+        xi, xi_all = xi_all[:, 1:].copy(), None
+        u, u_all = u_all[:, 1:].copy(), None
         y = s.alpha + s.beta * x + omega + eta
         return PanelData(spec=spec, y=y, x=x, omega=omega, kappa=kappa,
                          xi=xi, u=u, eta=eta)

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dynpan import cli
 from dynpan.cli import main, parse_config_text, parse_grid, resolve_config
 from dynpan.errors import ValidationError
 
@@ -191,3 +192,28 @@ class TestCommandMismatch:
         code = run_cli("simulate", "--config", str(cfg), "--out-dir",
                        str(tmp_path))
         assert code == 1
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        built, original = [], cli.build_parser
+
+        def counting():
+            built.append(original())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._main_parser.cache_clear()
+        try:
+            for k in range(3):
+                assert run_cli("simulate", "--n-firms", "20", "--seed",
+                               str(k), "--out-dir",
+                               str(tmp_path / str(k))) == 0
+            assert len(built) == 1
+        finally:
+            cli._main_parser.cache_clear()
+        assert (tmp_path / "2" / "panel.csv").read_text() != \
+            (tmp_path / "1" / "panel.csv").read_text()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

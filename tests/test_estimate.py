@@ -566,3 +566,87 @@ def test_firm_permutation_leaves_scans_unchanged(multi6k, order_seed):
         assert_rel(got.m, want.m, scale=np.nanmax(np.abs(want.m)),
                    rtol=1e-12)
         assert_rel(got.ses, want.ses, rtol=1e-12)
+
+
+# --- the per-panel plan of each rho-concentration instrument set ----------
+
+OVERRIDES = (
+    dict(),
+    dict(solve_instruments=("const", "x_lag0"),
+         report_instruments=("x_lag1", "x_lag2", "y_lag2")),
+    dict(report_instruments=("y_lag2",)),
+    dict(solve_instruments=("const", "x_lag2"),
+         report_instruments=("x_lag1", "y_lag3")),
+)
+
+
+def rho_result(cr):
+    return (list(cr.coefficients.items()), cr.moment_names, cr.moments,
+            cr.moment_ses, cr.n_obs)
+
+
+def assert_same_result(got, want):
+    for g, w in zip(rho_result(got), rho_result(want)):
+        if isinstance(w, np.ndarray):
+            assert np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+class TestRhoPlanCache:
+    def test_overrides_on_one_panel_match_fresh_panels(self):
+        panel = draw_panel(make_spec(n_firms=2000, seed=4))
+        for rho in (0.3, 0.7):
+            for kwargs in OVERRIDES + OVERRIDES[::-1]:
+                got = concentrate_rho(panel, rho, **kwargs)
+                fresh = dataclasses.replace(panel)
+                assert fresh._moment_cache == {}
+                assert_same_result(got, concentrate_rho(fresh, rho,
+                                                        **kwargs))
+
+    def test_list_arguments_match_tuples(self, multi200k):
+        want = concentrate_rho(multi200k, 0.5, family="multi_input",
+                               solve_instruments=("const", "x_lag1",
+                                                  "z_lag1"),
+                               report_instruments=("y_lag2", "z_lag2"))
+        got = concentrate_rho(multi200k, 0.5, family="multi_input",
+                              solve_instruments=["const", "x_lag1", "z_lag1"],
+                              report_instruments=["y_lag2", "z_lag2"])
+        assert got.moment_names == ("y_lag2", "z_lag2")
+        assert_same_result(got, want)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(solve_instruments=("const",)), "solve_instruments"),
+        (dict(solve_instruments=("const", "x_lag1", "x_lag2")),
+         "solve_instruments"),
+        (dict(report_instruments=("w_lag2",)), "instruments"),
+        (dict(report_instruments=("z_lag2",)), "instruments"),
+        (dict(report_instruments=("x_lag5",)), "n_periods"),
+        (dict(family="multi_input"), "panel"),
+        (dict(family="double_diff"), "family"),
+    ])
+    def test_bad_calls_raise_every_time(self, kwargs, field):
+        panel = draw_panel(make_spec(n_firms=500, seed=2))
+        want = concentrate_rho(panel, 0.5)
+        for _ in range(3):
+            with pytest.raises(ValidationError) as err:
+                concentrate_rho(panel, 0.5, **kwargs)
+            assert err.value.field == field
+        assert_same_result(concentrate_rho(panel, 0.5), want)
+
+
+# --- units: the rank check judges column-equilibrated pivots --------------
+
+def test_solve_and_rank_check_ignore_column_units():
+    rng = np.random.default_rng(3)
+    zx, zy = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    scale = np.array([1e-9, 1.0, 1e7])
+    want = np.linalg.solve(zx, zy)
+    assert_rel(_checked_solve(zx, zy), want, rtol=1e-12)
+    assert_rel(_checked_solve(zx * scale, zy), want / scale, rtol=1e-12)
+    singular = zx.copy()
+    singular[:, 2] = 2.0 * singular[:, 0]
+    with pytest.raises(RankDeficiencyError):
+        _checked_solve(singular * scale, zy)
+    with pytest.raises(RankDeficiencyError):
+        _checked_solve(np.zeros((2, 2)), zy[:2])

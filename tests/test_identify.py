@@ -5,6 +5,11 @@ moderate panels; the strict location tolerances live in the acceptance
 suite.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,7 @@ from dynpan.errors import (
 )
 from dynpan.estimate import concentrate_rho
 from dynpan.model import (
+    ParamPoint,
     StructuralParams,
     forward_map,
     invert_reduced_form,
@@ -109,6 +115,24 @@ class TestFindZeros:
         curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
                                ses=np.ones(4))
         assert find_zeros(curve) == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 181])
+    def test_tolerance_median_matches_numpy(self, n):
+        values = np.abs(np.random.default_rng(n).standard_normal(n)) ** 3
+        want = float(np.median(values)) if n else 0.0
+        assert identify._median(values) == want
+
+    def test_refinement_does_not_import_numpy_ma(self):
+        # np.median would import numpy.ma, about 10 ms of a fresh process
+        code = ("import sys, numpy as np\n"
+                "from dynpan.identify import ObjectiveCurve, find_zeros\n"
+                "g = np.linspace(0.0, 2.0, 21)\n"
+                "c = ObjectiveCurve('beta', g, g - 1.05, (g - 1.05) ** 2,\n"
+                "                   np.ones(21), evaluator=lambda b: b - 1.05)\n"
+                "assert find_zeros(c)[0].converged\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_bracket_width_invariant(self, bench200k):
         curve = scan_curve(bench200k, "beta", BETA_GRID)
@@ -241,6 +265,40 @@ class TestWarmStart:
         assert injected
         assert ws.point == want.point
 
+    def test_warm_start_stops_at_the_find_zeros_rule(self, pred200k,
+                                                     monkeypatch):
+        # about 69 evaluations (37 grid points, two brackets, two scores)
+        # where 60 halvings per bracket took 146; the point moves by far
+        # less than the bracket width
+        want = sixty_halving_warm_start(pred200k)
+        calls = []
+
+        def counting(panel, rho, **kwargs):
+            calls.append(rho)
+            return concentrate_rho(panel, rho, **kwargs)
+
+        monkeypatch.setattr(identify, "concentrate_rho", counting)
+        ws = warm_start_pipeline(pred200k, "predetermined_start")
+        assert len(calls) <= 90
+        for name in ("alpha", "beta", "rho"):
+            assert abs(getattr(ws.point, name) - getattr(want, name)) < 2e-6
+
+    def test_warm_start_root_is_a_find_zeros_root(self, pred200k):
+        # the warm start and find_zeros share one bisection: refining the
+        # warm start's own grid with find_zeros lands on the chosen rho
+        grid = np.linspace(-0.9, 0.9, 37)
+
+        def moment(rho):
+            return concentrate_rho(pred200k, rho, **PREDETERMINED).moments[0]
+
+        m = np.array([moment(r) for r in grid])
+        curve = ObjectiveCurve(axis="rho", grid=grid, m=m, msq=m * m,
+                               ses=np.ones(grid.size), evaluator=moment)
+        roots = find_zeros(curve)
+        assert all(r.converged for r in roots)
+        ws = warm_start_pipeline(pred200k, "predetermined_start")
+        assert ws.point.rho in [r.location for r in roots]
+
     def test_strategy_mismatch_is_flagged(self, bench200k):
         ws = warm_start_pipeline(bench200k, "predetermined_start")
         assert ws.flagged
@@ -249,6 +307,64 @@ class TestWarmStart:
     def test_unknown_strategy(self, bench200k):
         with pytest.raises(ValidationError):
             warm_start_pipeline(bench200k, "cold_start")
+
+
+PREDETERMINED = dict(solve_instruments=("const", "x_lag0"),
+                     report_instruments=("x_lag1", "x_lag2", "y_lag2"))
+
+
+def sixty_halving_warm_start(panel):
+    """The predetermined warm start as it was before it shared find_zeros'
+    stopping rule: 60 halvings per bracket, the final bracket's midpoint."""
+
+    def at(rho):
+        return concentrate_rho(panel, rho, **PREDETERMINED)
+
+    grid = np.linspace(-0.9, 0.9, 37)
+    vals = np.array([at(r).moments[0] for r in grid])
+    candidates = []
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+        lo, hi, flo = grid[i], grid[i + 1], vals[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = at(mid).moments[0]
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if np.sign(fm) == np.sign(flo):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        candidates.append(0.5 * (lo + hi))
+    scored = [at(r) for r in candidates]
+    best = min(scored, key=lambda cr: np.sum((cr.moments / cr.moment_ses)
+                                             ** 2))
+    return ParamPoint(alpha=best.coefficients["alpha"],
+                      beta=best.coefficients["beta"], rho=best.rho)
+
+
+def test_joint_rescaling_of_y_and_x_changes_nothing(bench200k):
+    # a change of units must not look like a singular system: at 1e-6
+    # the unequilibrated rank check turned every grid point into NaN and
+    # made the two-step estimator raise
+    scaled = dataclasses.replace(bench200k, y=bench200k.y * 1e-6,
+                                 x=bench200k.x * 1e-6)
+    grid = np.round(np.arange(0.0, 2.0001, 0.05), 10)
+    width = 1e-6 * (grid[-1] - grid[0])
+    want = find_zeros(scan_curve(bench200k, "beta", grid))
+    curve = scan_curve(scaled, "beta", grid)
+    got = find_zeros(curve)
+    assert not np.isnan(curve.m).any()
+    assert [r.converged for r in got] == [r.converged for r in want]
+    assert len([r for r in got if r.converged]) == 2
+    for g, w in zip(got, want):
+        assert abs(g.location - w.location) < width
+    want, got = two_step_estimator(bench200k), two_step_estimator(scaled)
+    for branch in ("chosen", "rejected"):
+        p, q = getattr(got, branch).params, getattr(want, branch).params
+        for name in ("beta", "rho_omega", "rho_x"):
+            assert getattr(p, name) == pytest.approx(getattr(q, name),
+                                                     rel=1e-8, abs=1e-8)
 
 
 class TestCsvOutputs:

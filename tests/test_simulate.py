@@ -264,6 +264,24 @@ class TestEquationFidelity:
             + panel.kappa[:, :-1]
         assert np.array_equal(rebuilt, panel.x[:, 1:])
 
+    def test_predetermined_latents_own_their_data(self):
+        # the latents carry a leading pre-sample period that the panel drops;
+        # each kept array is an owned copy equal to the last n_periods
+        # columns of the (n, n_periods + 1) recursion
+        spec = spec_for("predetermined", n_firms=7, n_periods=5)
+        panel = draw_panel(spec)
+        s = spec.structural
+        omega, xi = simulate._ar1_states(spec.seed, "xi", "omega_init",
+                                         s.rho_omega, s.sigma_xi, 7, 6)
+        kappa, u = simulate._ar1_states(spec.seed, "u", "kappa_init",
+                                        s.rho_x, s.sigma_u, 7, 6)
+        for name, full in (("omega", omega), ("xi", xi), ("kappa", kappa),
+                           ("u", u)):
+            arr = getattr(panel, name)
+            assert arr.shape == (7, 5), name
+            assert arr.base is None and arr.flags.c_contiguous, name
+            assert np.array_equal(arr, full[:, 1:]), name
+
 
 class TestValidation:
     def test_unknown_variant(self):
