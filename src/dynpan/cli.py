@@ -155,16 +155,10 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _atomic_write(path, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_via(write, path)
 
 
 class _Outputs:
@@ -409,11 +403,8 @@ def _overrides_from_args(args) -> dict:
              "sign_theta": "estimate.sign", "which": "figure.which",
              "n_firms": "dgp.n_firms", "n_periods": "dgp.n_periods",
              "variant": "dgp.variant", "out": "out.file"}
-    out = {}
-    for attr, key in flags.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
+    out = {key: getattr(args, attr) for attr, key in flags.items()
+           if getattr(args, attr, None) is not None}
     if getattr(args, "sign_theta", None) is not None:
         out["diagnose.sign"] = args.sign_theta
     if getattr(args, "method", None) is not None:

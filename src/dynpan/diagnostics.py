@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimate import _fmt, two_sls
+from .estimate import _design, _fmt, two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint
 
@@ -69,18 +69,17 @@ def residual_sign_test(panel, p: ParamPoint,
     errors (about 1/sqrt(n)) is flagged.
     """
     want = _sign_name(declared_theta_sign)
-    e = panel.y - p.alpha - p.beta * panel.x
-    x = panel.x.ravel()
-    e = e.ravel()
-    n = x.size
-    sx, se_ = x.std(), e.std()
+    e = (panel.y - p.alpha - p.beta * panel.x).ravel()
+    e -= e.mean()
+    x = panel.x.ravel() - panel.x.mean()
+    sxx, see = float(x @ x), float(e @ e)
     rule = (f"corr(x, y - alpha - beta x) should carry the declared theta "
             f"sign; flag when it contradicts by > {SIGN_TEST_BAND:.0f} se")
-    if sx == 0.0 or se_ == 0.0:
+    if sxx == 0.0 or see == 0.0:
         return DiagnosticReport(float("nan"), float("nan"), "inconclusive",
                                 rule + " (degenerate: zero variance)")
-    corr = float(np.corrcoef(x, e)[0, 1])
-    stderr = 1.0 / np.sqrt(n)
+    corr = float(np.clip((x @ e) / np.sqrt(sxx * see), -1.0, 1.0))
+    stderr = 1.0 / np.sqrt(x.size)
     signed = corr * want
     if signed < -SIGN_TEST_BAND * stderr:
         verdict = "pseudo_suspected"
@@ -100,11 +99,12 @@ def moment_inequality(panel, p: ParamPoint,
     pseudo-solution; it cannot by itself confirm a candidate.
     """
     want = _sign_name(declared_theta_sign)
-    e = panel.y - p.alpha - p.beta * panel.x
-    prod = (panel.x * e).ravel()
-    n = prod.size
+    prod = (panel.y - p.alpha - p.beta * panel.x).ravel()
+    prod *= panel.x.ravel()
     stat = float(prod.mean())
-    stderr = float(prod.std(ddof=1) / np.sqrt(n)) if prod.std() > 0 \
+    prod -= stat
+    ss, n = float(prod @ prod), prod.size
+    stderr = float(np.sqrt(ss / (n - 1)) / np.sqrt(n)) if ss > 0 \
         else float("nan")
     rule = ("one-sided: mean(x * residual) signed by theta must not be "
             f"below -{SIGN_TEST_BAND:.0f} se")
@@ -130,15 +130,12 @@ def ar_order_test(panel) -> DiagnosticReport:
     AR_TEST_FLAT warns that the persistences look equal, in between is
     inconclusive.
     """
-    x = panel.x
     if panel.spec.n_periods < 3:
         raise ValidationError("need at least 3 periods", field="n_periods")
-    x0 = x[:, 2:].ravel()
-    x1 = x[:, 1:-1].ravel()
-    x2 = x[:, :-2].ravel()
-    n = x0.size
-    X = np.column_stack([np.ones(n), x1, x2])
-    fit = two_sls(x0, X, X, names=("const", "x_lag1", "x_lag2"))
+    names = ("const", "x_lag1", "x_lag2")
+    D = _design(panel, ("x_lag0",) + names, 2)
+    X = D[:, 1:]
+    fit = two_sls(D[:, 0], X, X, names=names)
     coef2 = float(fit.coefficients[2])
     se2 = float(fit.std_errors()[2])
     t = abs(coef2) / se2 if se2 > 0 else float("inf")

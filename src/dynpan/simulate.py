@@ -193,7 +193,7 @@ def _stream(seed: int, label: str) -> np.random.Generator:
 def _normal(seed: int, label: str, shape, scale: float = 1.0) -> np.ndarray:
     """Standard-normal draw from the (seed, label) Philox sub-stream."""
     draw = _stream(seed, label).standard_normal(shape)
-    return draw * scale if scale != 1.0 else draw
+    return np.multiply(draw, scale, out=draw) if scale != 1.0 else draw
 
 
 def stationary_ar1_init(rho: float, sigma: float,
@@ -213,8 +213,20 @@ def _ar1_states(seed, label_shock, label_init, rho, sigma, n, t):
     states[:, 0] = stationary_ar1_init(rho, sigma,
                                        _normal(seed, label_init, n))
     for j in range(1, t):
-        states[:, j] = rho * states[:, j - 1] + shocks[:, j]
+        np.multiply(states[:, j - 1], rho, out=states[:, j])
+        states[:, j] += shocks[:, j]
     return states, shocks
+
+
+def _combine(const, *terms) -> np.ndarray:
+    """const + c_1 a_1 + c_2 a_2 + ... for ``terms`` (c_i, a_i), built in
+    place and summed left to right: the plain expression's bits exactly."""
+    (c, a), rest = terms[0], terms[1:]
+    out = np.multiply(a, c)
+    out += const
+    for c, a in rest:
+        out += a if c == 1.0 else c * a
+    return out
 
 
 def logistic_persistence(kappa: np.ndarray, theta2: float) -> np.ndarray:
@@ -277,81 +289,69 @@ def _ar2_kappa(seed, rho1, rho2, sigma, n, t):
 def draw_panel(spec: DgpSpec) -> PanelData:
     """Simulate one panel; a pure function of the spec (seed included)."""
     spec.validate()
-    s, ext = spec.structural, spec.ext
+    s, ext, variant = spec.structural, spec.ext, spec.variant
     n, t, seed = spec.n_firms, spec.n_periods, spec.seed
     eta = _normal(seed, "eta", (n, t), s.sigma_eta)
+    alpha, z = s.alpha, None
+    wp = v = eps = fe_alpha = fe_pi = None
 
-    if spec.variant == "predetermined":
+    if variant == "predetermined":
         # latents carry one leading pre-sample period so x_1 is defined
         omega_all, xi_all = _ar1_states(seed, "xi", "omega_init",
                                         s.rho_omega, s.sigma_xi, n, t + 1)
         kappa_all, u_all = _ar1_states(seed, "u", "kappa_init",
                                        s.rho_x, s.sigma_u, n, t + 1)
-        x = s.pi + s.theta * s.rho_omega * omega_all[:, :-1] + kappa_all[:, :-1]
+        x = _combine(s.pi, (s.theta * s.rho_omega, omega_all[:, :-1]),
+                     (1.0, kappa_all[:, :-1]))
         # owned (n, t) copies; each (n, t + 1) array is released in turn
         omega, omega_all = omega_all[:, 1:].copy(), None
         kappa, kappa_all = kappa_all[:, 1:].copy(), None
         xi, xi_all = xi_all[:, 1:].copy(), None
         u, u_all = u_all[:, 1:].copy(), None
-        y = s.alpha + s.beta * x + omega + eta
-        return PanelData(spec=spec, y=y, x=x, omega=omega, kappa=kappa,
-                         xi=xi, u=u, eta=eta)
-
-    omega, xi = _ar1_states(seed, "xi", "omega_init",
-                            s.rho_omega, s.sigma_xi, n, t)
-
-    if spec.variant == "logistic_kappa":
+    else:
+        omega, xi = _ar1_states(seed, "xi", "omega_init",
+                                s.rho_omega, s.sigma_xi, n, t)
+    if variant == "logistic_kappa":
         kappa, u = _nonlinear_kappa(
             seed, lambda k: logistic_persistence(k, ext.theta2),
             s.sigma_u, n, t)
-    elif spec.variant == "reversed_curvature":
+    elif variant == "reversed_curvature":
         kappa, u = _nonlinear_kappa(seed, reversed_persistence, s.sigma_u, n, t)
-    elif spec.variant == "ar2_kappa":
+    elif variant == "ar2_kappa":
         kappa, u = _ar2_kappa(seed, ext.rho1_x, ext.rho2_x, s.sigma_u, n, t)
-    else:
+    elif variant != "predetermined":
         kappa, u = _ar1_states(seed, "u", "kappa_init",
                                s.rho_x, s.sigma_u, n, t)
 
-    if spec.variant == "multi_input":
+    if variant == "multi_input":
         wp, v = _ar1_states(seed, "v", "wp_init", ext.rho_z, ext.sigma_v, n, t)
-        x = (s.pi + ext.theta_omega * omega + ext.theta_kappa * kappa
-             + ext.theta_wp * wp)
-        z = (ext.pi_z + ext.delta_omega * omega + ext.delta_kappa * kappa
-             + ext.delta_wp * wp)
-        y = s.alpha + s.beta * x + ext.gamma * z + omega + eta
-        return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
-                         wp=wp, xi=xi, u=u, eta=eta, v=v)
-
-    if spec.variant == "dynamic_input":
-        z_dev, v = _ar1_states(seed, "v", "z_init", ext.rho_z, ext.sigma_v,
-                               n, t)
-        z = ext.pi_z + z_dev
-        x = s.pi + s.theta * omega + ext.theta_z * z + kappa
-        y = s.alpha + s.beta * x + ext.gamma * z + omega + eta
-        return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
-                         xi=xi, u=u, eta=eta, v=v)
-
-    if spec.variant == "fixed_effects":
+        x = _combine(s.pi, (ext.theta_omega, omega), (ext.theta_kappa, kappa),
+                     (ext.theta_wp, wp))
+        z = _combine(ext.pi_z, (ext.delta_omega, omega),
+                     (ext.delta_kappa, kappa), (ext.delta_wp, wp))
+    elif variant == "dynamic_input":
+        z, v = _ar1_states(seed, "v", "z_init", ext.rho_z, ext.sigma_v, n, t)
+        z += ext.pi_z
+        x = _combine(s.pi, (s.theta, omega), (ext.theta_z, z), (1.0, kappa))
+    elif variant == "fixed_effects":
         fe_alpha = s.alpha + _normal(seed, "fe_alpha", n, ext.sigma_alpha_fe)
         fe_pi = s.pi + _normal(seed, "fe_pi", n, ext.sigma_pi_fe)
-        x = fe_pi[:, None] + s.theta * omega + kappa
-        y = fe_alpha[:, None] + s.beta * x + omega + eta
-        return PanelData(spec=spec, y=y, x=x, omega=omega, kappa=kappa,
-                         xi=xi, u=u, eta=eta, fe_alpha=fe_alpha, fe_pi=fe_pi)
-
-    if spec.variant == "nonlinear_omega_input":
-        x = s.pi + s.theta * omega + ext.theta2 * omega ** 2 + kappa
-    elif spec.variant == "arma_x":
+        alpha = fe_alpha[:, None]
+        x = _combine(fe_pi[:, None], (s.theta, omega), (1.0, kappa))
+    elif variant == "nonlinear_omega_input":
+        x = _combine(s.pi, (s.theta, omega), (ext.theta2, omega ** 2),
+                     (1.0, kappa))
+    elif variant == "arma_x":
         eps = _normal(seed, "eps", (n, t), ext.sigma_eps)
-        x = s.pi + s.theta * omega + kappa + eps
-        y = s.alpha + s.beta * x + omega + eta
-        return PanelData(spec=spec, y=y, x=x, omega=omega, kappa=kappa,
-                         xi=xi, u=u, eta=eta, eps=eps)
-    else:  # benchmark, logistic_kappa, ar2_kappa, reversed_curvature
-        x = s.pi + s.theta * omega + kappa
-    y = s.alpha + s.beta * x + omega + eta
-    return PanelData(spec=spec, y=y, x=x, omega=omega, kappa=kappa,
-                     xi=xi, u=u, eta=eta)
+        x = _combine(s.pi, (s.theta, omega), (1.0, kappa), (1.0, eps))
+    elif variant != "predetermined":
+        # benchmark, logistic_kappa, ar2_kappa, reversed_curvature
+        x = _combine(s.pi, (s.theta, omega), (1.0, kappa))
+    gamma_z = () if z is None else ((ext.gamma, z),)
+    y = _combine(alpha, (s.beta, x), *gamma_z, (1.0, omega), (1.0, eta))
+    return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
+                     xi=xi, u=u, eta=eta, wp=wp, eps=eps, v=v,
+                     fe_alpha=fe_alpha, fe_pi=fe_pi)
 
 
 def write_panel_csv(panel: PanelData, path) -> None:

@@ -283,6 +283,109 @@ class TestEquationFidelity:
             assert np.array_equal(arr, full[:, 1:]), name
 
 
+def old_draw(spec):
+    """Every array of the panel by the plain expressions draw_panel used
+    before it built them in place: ``_normal`` as draw * scale, the AR(1)
+    step as a new array assigned to its column, x and y (and z) summed in
+    one expression each."""
+    s, ext, v = spec.structural, spec.ext, spec.variant
+    n, t, seed = spec.n_firms, spec.n_periods, spec.seed
+
+    def normal(label, shape, scale=1.0):
+        draw = simulate._stream(seed, label).standard_normal(shape)
+        return draw * scale if scale != 1.0 else draw
+
+    def ar1(shock, init, rho, sigma, t):
+        shocks = normal(shock, (n, t), sigma)
+        states = np.empty((n, t))
+        states[:, 0] = stationary_ar1_init(rho, sigma, normal(init, n))
+        for j in range(1, t):
+            states[:, j] = rho * states[:, j - 1] + shocks[:, j]
+        return states, shocks
+
+    out = {"eta": normal("eta", (n, t), s.sigma_eta)}
+    eta = out["eta"]
+    if v == "predetermined":
+        omega_all, xi_all = ar1("xi", "omega_init", s.rho_omega, s.sigma_xi,
+                                t + 1)
+        kappa_all, u_all = ar1("u", "kappa_init", s.rho_x, s.sigma_u, t + 1)
+        x = s.pi + s.theta * s.rho_omega * omega_all[:, :-1] \
+            + kappa_all[:, :-1]
+        omega = omega_all[:, 1:]
+        out.update(omega=omega, xi=xi_all[:, 1:], kappa=kappa_all[:, 1:],
+                   u=u_all[:, 1:], x=x, y=s.alpha + s.beta * x + omega + eta)
+        return out
+    omega, xi = ar1("xi", "omega_init", s.rho_omega, s.sigma_xi, t)
+    if v == "logistic_kappa":
+        kappa, u = simulate._nonlinear_kappa(
+            seed, lambda k: logistic_persistence(k, ext.theta2), s.sigma_u,
+            n, t)
+    elif v == "reversed_curvature":
+        kappa, u = simulate._nonlinear_kappa(seed, reversed_persistence,
+                                             s.sigma_u, n, t)
+    elif v == "ar2_kappa":
+        kappa, u = simulate._ar2_kappa(seed, ext.rho1_x, ext.rho2_x,
+                                       s.sigma_u, n, t)
+    else:
+        kappa, u = ar1("u", "kappa_init", s.rho_x, s.sigma_u, t)
+    out.update(omega=omega, xi=xi, kappa=kappa, u=u)
+    if v == "multi_input":
+        wp, out["v"] = ar1("v", "wp_init", ext.rho_z, ext.sigma_v, t)
+        x = (s.pi + ext.theta_omega * omega + ext.theta_kappa * kappa
+             + ext.theta_wp * wp)
+        z = (ext.pi_z + ext.delta_omega * omega + ext.delta_kappa * kappa
+             + ext.delta_wp * wp)
+        y = s.alpha + s.beta * x + ext.gamma * z + omega + eta
+        out.update(wp=wp, z=z)
+    elif v == "dynamic_input":
+        z_dev, out["v"] = ar1("v", "z_init", ext.rho_z, ext.sigma_v, t)
+        z = ext.pi_z + z_dev
+        x = s.pi + s.theta * omega + ext.theta_z * z + kappa
+        y = s.alpha + s.beta * x + ext.gamma * z + omega + eta
+        out["z"] = z
+    elif v == "fixed_effects":
+        fe_alpha = s.alpha + normal("fe_alpha", n, ext.sigma_alpha_fe)
+        fe_pi = s.pi + normal("fe_pi", n, ext.sigma_pi_fe)
+        x = fe_pi[:, None] + s.theta * omega + kappa
+        y = fe_alpha[:, None] + s.beta * x + omega + eta
+        out.update(fe_alpha=fe_alpha, fe_pi=fe_pi)
+    else:
+        if v == "nonlinear_omega_input":
+            x = s.pi + s.theta * omega + ext.theta2 * omega ** 2 + kappa
+        elif v == "arma_x":
+            out["eps"] = normal("eps", (n, t), ext.sigma_eps)
+            x = s.pi + s.theta * omega + kappa + out["eps"]
+        else:
+            x = s.pi + s.theta * omega + kappa
+        y = s.alpha + s.beta * x + omega + eta
+    out.update(x=x, y=y)
+    return out
+
+
+#: Non-unit scales and loadings, so that no term of an expression is exact.
+ODD_SCALES = dataclasses.replace(BENCH, pi=0.3, sigma_xi=0.7, sigma_u=1.3,
+                                 sigma_eta=0.9)
+ODD_EXT = VariantParams(theta2=0.4, rho1_x=0.45, rho2_x=0.25, sigma_eps=0.6,
+                        gamma=0.35, theta_omega=1.1, theta_kappa=0.9,
+                        theta_wp=0.55, delta_omega=0.8, delta_kappa=0.45,
+                        delta_wp=1.2, rho_z=0.35, sigma_v=1.15, theta_z=0.6,
+                        pi_z=0.2, sigma_alpha_fe=0.8, sigma_pi_fe=1.25)
+
+
+class TestInPlaceDraw:
+    @pytest.mark.parametrize("variant", simulate.VARIANTS)
+    @pytest.mark.parametrize("n_firms", [1, 601])
+    def test_matches_plain_expressions(self, variant, n_firms):
+        spec = spec_for(variant, n_firms=n_firms, ext=ODD_EXT, s=ODD_SCALES)
+        panel = draw_panel(spec)
+        want = old_draw(spec)
+        for f in dataclasses.fields(panel):
+            got = getattr(panel, f.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want.pop(f.name)), f.name
+        assert not want
+
+
 class TestValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValidationError, match="variant"):
