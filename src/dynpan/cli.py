@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -148,17 +149,13 @@ def parse_grid(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValidationError(f"grid must be lo:hi:step, got {text!r}",
                               field="scan.grid") from exc
+    if not np.isfinite((lo, hi, step)).all():
+        raise ValidationError(f"grid bounds and step must be finite, got "
+                              f"{text!r}", field="scan.grid")
     if step <= 0 or hi <= lo:
         raise ValidationError("grid needs hi > lo and step > 0",
                               field="scan.grid")
     return np.round(np.arange(lo, hi + 0.5 * step, step), 10)
-
-
-def _atomic_write(path, content: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-    _atomic_via(write, path)
 
 
 class _Outputs:
@@ -184,8 +181,8 @@ class _Outputs:
             with open(os.path.join(self.out_dir, name), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"# sha256 {name} {digest}")
-        _atomic_write(os.path.join(self.out_dir, "run.manifest"),
-                      "\n".join(lines) + "\n")
+        _atomic_via(_lines_writer(lines),
+                    os.path.join(self.out_dir, "run.manifest"))
 
 
 def _atomic_via(writer, final_path) -> None:
@@ -200,6 +197,13 @@ def _atomic_via(writer, final_path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _lines_writer(lines):
+    """A path-taking writer of ``lines`` as LF-terminated UTF-8 text."""
+    text = "".join(f"{line}\n" for line in lines)
+    return lambda path: pathlib.Path(path).write_text(
+        text, encoding="utf-8", newline="\n")
 
 
 def _cmd_simulate(cfg: dict, out: _Outputs) -> None:
@@ -327,8 +331,7 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
         for (label, curve), factor in zip(curves, factors):
             cells.append(_fmt(curve.msq[i] * factor))
         rows.append(",".join(cells))
-    _atomic_write(out.path(f"figure{which}_plot.csv"),
-                  "\n".join(rows) + "\n")
+    _atomic_via(_lines_writer(rows), out.path(f"figure{which}_plot.csv"))
 
     # zeros/minima summary, including rejected sub-models
     lines = ["sub_model,status,zeros,minima"]
@@ -340,8 +343,8 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
         zeros = ";".join(_fmt(z.location) for z in curve.zeros if z.converged)
         minima = ";".join(_fmt(m.location) for m in curve.minima)
         lines.append(f"{label},{status_by_label[label]},{zeros},{minima}")
-    _atomic_write(out.path(f"figure{which}_summary.csv"),
-                  "\n".join(lines) + "\n")
+    _atomic_via(_lines_writer(lines),
+                out.path(f"figure{which}_summary.csv"))
 
 
 _COMMANDS = {
@@ -417,8 +420,12 @@ def main(argv=None) -> int:
     try:
         file_values = {}
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = parse_config_text(fh.read())
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    file_values = parse_config_text(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{args.config} is not UTF-8 text: "
+                                      f"{exc}", field="config") from exc
         cfg = resolve_config(file_values, _overrides_from_args(args))
         if cfg["command"] and cfg["command"] != args.command:
             raise ValidationError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimate import _design, _fmt, two_sls
+from .estimate import _cross_moments, _design, _fmt, two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint
 
@@ -57,6 +57,23 @@ def _sign_name(declared_theta_sign: str) -> float:
         field="declared_theta_sign")
 
 
+def _level_forms(panel, p: ParamPoint):
+    """The panel's all-period cross-moments with the forms of x and of the
+    level residual y - alpha - beta x; both checks on a panel share them."""
+    mom = _cross_moments(panel, 0)
+    const, y, x = mom.forms(("const", "y_lag0", "x_lag0")).T
+    return mom, x, y - p.alpha * const - p.beta * x
+
+
+def _signed_verdict(signed: float, stderr: float) -> str:
+    """The verdict on a statistic signed by the declared theta sign."""
+    if signed < -SIGN_TEST_BAND * stderr:
+        return "pseudo_suspected"
+    if signed > SIGN_TEST_BAND * stderr:
+        return "consistent_with_truth"
+    return "inconclusive"
+
+
 def residual_sign_test(panel, p: ParamPoint,
                        declared_theta_sign: str = "theta_positive",
                        ) -> DiagnosticReport:
@@ -69,25 +86,19 @@ def residual_sign_test(panel, p: ParamPoint,
     errors (about 1/sqrt(n)) is flagged.
     """
     want = _sign_name(declared_theta_sign)
-    e = (panel.y - p.alpha - p.beta * panel.x).ravel()
-    e -= e.mean()
-    x = panel.x.ravel() - panel.x.mean()
-    sxx, see = float(x @ x), float(e @ e)
+    mom, x, e = _level_forms(panel, p)
+    centered = np.column_stack([x, e])
+    centered[0] = 0.0  # drop the constant: the forms' deviations from mean
+    (sxx, sxe), (_, see) = mom.cross(centered, centered)
     rule = (f"corr(x, y - alpha - beta x) should carry the declared theta "
             f"sign; flag when it contradicts by > {SIGN_TEST_BAND:.0f} se")
-    if sxx == 0.0 or see == 0.0:
+    if sxx <= 0.0 or see <= 0.0:
         return DiagnosticReport(float("nan"), float("nan"), "inconclusive",
                                 rule + " (degenerate: zero variance)")
-    corr = float(np.clip((x @ e) / np.sqrt(sxx * see), -1.0, 1.0))
-    stderr = 1.0 / np.sqrt(x.size)
-    signed = corr * want
-    if signed < -SIGN_TEST_BAND * stderr:
-        verdict = "pseudo_suspected"
-    elif signed > SIGN_TEST_BAND * stderr:
-        verdict = "consistent_with_truth"
-    else:
-        verdict = "inconclusive"
-    return DiagnosticReport(corr, stderr, verdict, rule)
+    corr = float(np.clip(sxe / np.sqrt(sxx * see), -1.0, 1.0))
+    stderr = 1.0 / np.sqrt(mom.n)
+    return DiagnosticReport(corr, stderr, _signed_verdict(corr * want, stderr),
+                            rule)
 
 
 def moment_inequality(panel, p: ParamPoint,
@@ -99,26 +110,16 @@ def moment_inequality(panel, p: ParamPoint,
     pseudo-solution; it cannot by itself confirm a candidate.
     """
     want = _sign_name(declared_theta_sign)
-    prod = (panel.y - p.alpha - p.beta * panel.x).ravel()
-    prod *= panel.x.ravel()
-    stat = float(prod.mean())
-    prod -= stat
-    ss, n = float(prod @ prod), prod.size
-    stderr = float(np.sqrt(ss / (n - 1)) / np.sqrt(n)) if ss > 0 \
-        else float("nan")
+    mom, x, e = _level_forms(panel, p)
+    stat = float(mom.cross(x, e))
+    stderr = float(mom.ses(x[:, None], e, np.array([stat]))[0])
     rule = ("one-sided: mean(x * residual) signed by theta must not be "
             f"below -{SIGN_TEST_BAND:.0f} se")
-    if not np.isfinite(stderr):
-        return DiagnosticReport(stat, stderr, "inconclusive",
+    if not stderr > 0.0:
+        return DiagnosticReport(stat, float("nan"), "inconclusive",
                                 rule + " (degenerate: zero variance)")
-    signed = stat * want
-    if signed < -SIGN_TEST_BAND * stderr:
-        verdict = "pseudo_suspected"
-    elif signed > SIGN_TEST_BAND * stderr:
-        verdict = "consistent_with_truth"
-    else:
-        verdict = "inconclusive"
-    return DiagnosticReport(stat, stderr, verdict, rule)
+    return DiagnosticReport(stat, stderr, _signed_verdict(stat * want, stderr),
+                            rule)
 
 
 def ar_order_test(panel) -> DiagnosticReport:

@@ -20,18 +20,20 @@ measurement error.
 Sufficient statistics
 ---------------------
 The concentrated kernels (:func:`beta_scan_evaluator`,
-:func:`concentrate_rho`) never re-read the panel per evaluation.  Every
-quantity they report is a product of two linear forms in the lagged columns
-``const`` and ``<series>_lag<k>``, k = 0..L, so one blocked pass over the
-panel accumulates the pooled second cross-moments of those columns and the
-fourth cross-moments (the Gram matrix of their pairwise products), pooled
-over periods t >= L.  The IV solve, the moment and its influence-function
-standard error are then k x k and k^2 x k^2 algebra, k <= 10 for L = 2.
-The result is cached on the (frozen, read-only) panel per L.  The pass
-holds one block of about ``_BLOCK_ROWS`` rows and their pair products at a
-time, never an n x k^2 matrix.  Columns are centered by their pooled mean
-before accumulating, so the fourth-moment variances do not cancel; linear
-forms in raw columns are mapped onto the centered ones.
+:func:`concentrate_rho`), :func:`gmm_objective` and the level diagnostics
+(``residual_sign_test``, ``moment_inequality``) never re-read the panel per
+evaluation.  Every quantity they report is a product of two linear forms in
+the lagged columns ``const`` and ``<series>_lag<k>``, k = 0..L, so one
+blocked pass over the panel accumulates the pooled second cross-moments of
+those columns and the fourth cross-moments (the Gram matrix of their
+pairwise products), pooled over periods t >= L.  The IV solve, the moment
+and its influence-function standard error are then k x k and k^2 x k^2
+algebra, k <= 10 for L = 2.  The result is cached on the (frozen, read-only)
+panel per L.  The pass holds one block of about ``_BLOCK_ROWS`` rows and
+their pair products at a time, never an n x k^2 matrix.  Columns are
+centered by their pooled mean before accumulating, so the fourth-moment
+variances do not cancel; linear forms in raw columns are mapped onto the
+centered ones.
 
 Next to the cross-moments the panel caches one plan per rho-concentration
 instrument set (family, solving and reported names): the parsed instrument
@@ -41,10 +43,17 @@ cross-product once (one SVD gives the check, the coefficients and the
 first-step correction) and takes the standard errors of all reported
 moments from one quadratic form in the fourth moments.
 
-Raw-data fits: :func:`two_sls` and its callers build each pooled design
-once, column-major, straight from the (n_firms, n_periods) arrays, and form
-Z'X and Z'Z from dot products of its contiguous columns, because OpenBLAS
-takes 1.5-3x as long for a 3 x 3 GEMM over 120,000 rows as for its nine dots.
+Each GMM residual is such a form: ``_lagged_forms`` (shared with the rho
+plans) gives (y, const, x[, z]) at one lag, and a quasi-difference is lag 0
+minus rho times lag 1.  The level diagnostics share one all-period pass
+(L = 0) per panel.
+
+Raw-data fits: :func:`two_sls`, :func:`fit_reduced_form` and
+``ar_order_test`` still read the raw arrays, because the benchmark's span
+tracing binds them by name.  They build each pooled design once,
+column-major, straight from the (n_firms, n_periods) arrays, and form Z'X
+and Z'Z from dot products of its contiguous columns, because OpenBLAS takes
+1.5-3x as long for a 3 x 3 GEMM over 120,000 rows as for its nine dots.
 """
 
 from __future__ import annotations
@@ -126,16 +135,6 @@ def _design(panel, names, t_min: int) -> np.ndarray:
         out[:, j].reshape(n_firms, t_len)[...] = (
             1.0 if kind == "const" else series[kind][:, lo:lo + t_len])
     return out
-
-
-def instrument_matrix(panel, spec: InstrumentSpec, t_min: int) -> np.ndarray:
-    """Stacked instrument columns for residuals starting at period t_min
-    (0-based)."""
-    if spec.max_lag > t_min:
-        raise ValidationError(
-            f"instrument lag {spec.max_lag} exceeds the first usable "
-            f"period {t_min}; increase n_periods", field="instruments")
-    return _design(panel, spec.names, t_min)
 
 
 @dataclass
@@ -250,89 +249,6 @@ def multi_input_residual(panel, alpha: float, beta: float, gamma: float,
             - gamma * (z[:, 1:] - rho * z[:, :-1]))
 
 
-def _family_residual(panel, family: str, params) -> tuple[np.ndarray, int]:
-    """Residual matrix plus the 0-based period of its first column."""
-    if family == "quasi_diff":
-        if not isinstance(params, ParamPoint):
-            params = ParamPoint(*params)
-        return quasi_diff_residual(panel, params), 1
-    if family == "double_diff":
-        beta, rho = params
-        return double_diff_residual(panel, beta, rho), 2
-    if family == "multi_input":
-        alpha, beta, gamma, rho = params
-        return multi_input_residual(panel, alpha, beta, gamma, rho), 1
-    raise ValidationError(f"unknown moment family {family!r}", field="family")
-
-
-@dataclass
-class MomentReport:
-    """Sample moments, their quadratic-form objective, and scale info."""
-
-    names: tuple[str, ...]
-    moments: np.ndarray
-    objective: float
-    weighting: str
-    n_obs: int
-    std_errors: np.ndarray
-
-    @property
-    def t_stats(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.moments / self.std_errors
-
-
-def moment_stats(Z: np.ndarray, r: np.ndarray, weighting: str = "identity"):
-    """Sample moments of instrument-residual products.
-
-    Returns (m, objective, se) with m = Z'r / n and objective = m' W m,
-    where W is the identity or the inverse of the uncentered outer-product
-    of the per-observation moments (invariant to rescaling columns of Z).
-    """
-    n = r.size
-    zr = Z * r[:, None]
-    m = zr.sum(axis=0) / n
-    S = zr.T @ zr / n
-    centered = S - np.outer(m, m)
-    se = np.sqrt(np.clip(np.diag(centered), 0.0, None) / n)
-    if weighting == "identity":
-        objective = float(m @ m)
-    else:
-        try:
-            objective = float(m @ np.linalg.solve(S, m))
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(
-                "moment outer-product is singular; two-step weighting "
-                "unavailable") from exc
-    return m, objective, se
-
-
-def gmm_objective(panel, family: str, params,
-                  instruments: Optional[InstrumentSpec] = None,
-                  weighting: str = "identity") -> MomentReport:
-    """Evaluate m = (1/n) sum z_t r_t and the objective m' W m.
-
-    ``weighting`` is ``identity`` or ``two_step``; the two-step weight is
-    the inverse of the moment outer-product at the evaluated point, which
-    makes the objective invariant to rescaling instrument columns.
-    """
-    if weighting not in ("identity", "two_step"):
-        raise ValidationError("weighting must be identity or two_step",
-                              field="weighting")
-    spec = instruments if instruments is not None else _FAMILY_DEFAULTS[family]
-    resid, offset = _family_residual(panel, family, params)
-    t_min = max(offset, spec.max_lag)
-    if t_min >= panel.spec.n_periods:
-        raise ValidationError(
-            "not enough periods for the requested instrument lags",
-            field="n_periods")
-    r = resid[:, t_min - offset:].ravel()
-    Z = instrument_matrix(panel, spec, t_min)
-    m, objective, se = moment_stats(Z, r, weighting)
-    return MomentReport(names=spec.names, moments=m, objective=objective,
-                        weighting=weighting, n_obs=r.size, std_errors=se)
-
-
 def fit_reduced_form(panel):
     """IV fit of y_t and x_t on (1, y_{t-1}, x_{t-1}).
 
@@ -385,20 +301,29 @@ class _CrossMoments:
                 field="instruments")
         return self.basis[:, self.index[name]]
 
+    def forms(self, names) -> np.ndarray:
+        """The forms of the raw columns ``names``, one column each."""
+        return np.column_stack([self.column(nm) for nm in names])
+
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """E[(a'd)(b'd)]; columns of matrix arguments are separate forms."""
         return a.T @ self.second @ b
+
+    def product_moments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """E[(a_i'd)(b'd)(a_j'd)(b'd)] over the columns a_i, a_j of ``a``:
+        the uncentered second moments of the products with the form b, one
+        quadratic form in the fourth moments."""
+        w = np.multiply.outer(b, a).reshape(b.size * a.shape[0], -1)
+        return w.T @ self.fourth @ w
 
     def ses(self, a: np.ndarray, b: np.ndarray,
             means: np.ndarray) -> np.ndarray:
         """Standard errors of the means of (a_j'd)(b'd), one per column a_j
         of ``a``, given those means: each product's sample standard
-        deviation (ddof 1) over sqrt(n), all from one quadratic form in the
-        fourth moments."""
+        deviation (ddof 1) over sqrt(n)."""
         if self.n <= 1:
             return np.full(a.shape[1], np.nan)
-        w = np.multiply.outer(b, a).reshape(b.size * a.shape[0], -1)
-        var = (w.T @ self.fourth @ w).diagonal() - means * means
+        var = self.product_moments(a, b).diagonal() - means * means
         return np.sqrt(np.maximum(var, 0.0) / (self.n - 1))
 
 
@@ -560,6 +485,26 @@ class _RhoPlan:
     instruments: np.ndarray
 
 
+def _moments_from(panel, first: int, spec: InstrumentSpec) -> _CrossMoments:
+    """The cross-moments over the periods where a residual defined from
+    period ``first`` on meets every instrument of ``spec``."""
+    t_min = max(first, spec.max_lag)
+    if t_min >= panel.spec.n_periods:
+        raise ValidationError(
+            "not enough periods for the requested instrument lags",
+            field="n_periods")
+    return _cross_moments(panel, t_min)
+
+
+def _lagged_forms(mom: _CrossMoments, inputs, lag: int) -> np.ndarray:
+    """Forms of (y, const, *inputs) dated ``lag`` periods back; the constant
+    is its own lag, so ``_lagged_forms(.., lag) - rho * _lagged_forms(..,
+    lag + 1)`` is the rho quasi-difference of each, (1 - rho) * const for
+    the constant."""
+    return mom.forms([f"y_lag{lag}", "const"]
+                     + [f"{s}_lag{lag}" for s in inputs])
+
+
 def _rho_plan(panel, family, solve, report) -> _RhoPlan:
     """The panel's plan for one (family, solve, report) set, built on first
     use; a set that fails validation is not cached, so it raises on every
@@ -580,29 +525,17 @@ def _rho_plan(panel, family, solve, report) -> _RhoPlan:
     if key in panel._moment_cache:
         return panel._moment_cache[key]
     solve, report = key[2:]
-    t_min = max(1, InstrumentSpec(solve + report).max_lag)
-    if t_min >= panel.spec.n_periods:
-        raise ValidationError(
-            "not enough periods for the requested instrument lags",
-            field="n_periods")
-    mom = _cross_moments(panel, t_min)
+    mom = _moments_from(panel, 1, InstrumentSpec(solve + report))
     inputs = ("x", "z") if family == "multi_input" else ("x",)
     coef_names = ("alpha", "beta", "gamma")[:1 + len(inputs)]
     if len(solve) != len(coef_names):
         raise ValidationError(
             f"need {len(coef_names)} solving instruments, got {len(solve)}",
             field="solve_instruments")
-
-    def forms(names):
-        return np.column_stack([mom.column(nm) for nm in names])
-
-    def lagged(lag):
-        return forms([f"y_lag{lag}", "const"]
-                     + [f"{s}_lag{lag}" for s in inputs])
-
     plan = panel._moment_cache[key] = _RhoPlan(
         mom=mom, coef_names=coef_names, report_names=report,
-        lag0=lagged(0), lag1=lagged(1), instruments=forms(solve + report))
+        lag0=_lagged_forms(mom, inputs, 0), lag1=_lagged_forms(mom, inputs, 1),
+        instruments=mom.forms(solve + report))
     return plan
 
 
@@ -631,34 +564,85 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
         n_obs=plan.mom.n)
 
 
+@dataclass
+class MomentReport:
+    """Sample moments, their quadratic-form objective, and scale info."""
+
+    names: tuple[str, ...]
+    moments: np.ndarray
+    objective: float
+    weighting: str
+    n_obs: int
+    std_errors: np.ndarray
+
+    @property
+    def t_stats(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.moments / self.std_errors
+
+
+def gmm_objective(panel, family: str, params,
+                  instruments: Optional[InstrumentSpec] = None,
+                  weighting: str = "identity") -> MomentReport:
+    """Evaluate m = (1/n) sum z_t r_t and the objective m' W m.
+
+    ``params`` is a :class:`ParamPoint` or (alpha, beta, rho) for
+    ``quasi_diff``, (beta, rho) for ``double_diff`` and (alpha, beta, gamma,
+    rho) for ``multi_input``.  ``weighting`` is ``identity`` or
+    ``two_step``; the two-step weight is the inverse of the uncentered
+    moment outer-product at the evaluated point, which makes the objective
+    invariant to rescaling instrument columns.  The residual is a linear
+    form over the panel's cached cross-moments, so m, the outer-product and
+    the standard errors (ddof 0) are small dense algebra.
+    """
+    if weighting not in ("identity", "two_step"):
+        raise ValidationError("weighting must be identity or two_step",
+                              field="weighting")
+    if family not in _FAMILY_DEFAULTS:
+        raise ValidationError(f"unknown moment family {family!r}",
+                              field="family")
+    if family == "double_diff":
+        beta, rho = params
+        coef = (0.0, beta)  # the difference removes the intercept
+    elif family == "multi_input":
+        alpha, beta, gamma, rho = params
+        coef = (alpha, beta, gamma)
+        if panel.z is None:
+            raise ValidationError("panel has no second input z",
+                                  field="panel")
+    else:
+        p = params if isinstance(params, ParamPoint) else ParamPoint(*params)
+        coef, rho = (p.alpha, p.beta), p.rho
+    spec = instruments if instruments is not None else _FAMILY_DEFAULTS[family]
+    first = 2 if family == "double_diff" else 1
+    mom = _moments_from(panel, first, spec)
+    Z = mom.forms(spec.names)
+    inputs = ("x", "z")[:len(coef) - 1]
+
+    def quasi_diff(lag):
+        return (_lagged_forms(mom, inputs, lag)
+                - rho * _lagged_forms(mom, inputs, lag + 1))
+
+    D = quasi_diff(0) - quasi_diff(1) if first == 2 else quasi_diff(0)
+    r = D[:, 0] - D[:, 1:] @ np.array(coef)
+    m = mom.cross(Z, r)
+    S = mom.product_moments(Z, r)
+    se = np.sqrt(np.clip(S.diagonal() - m * m, 0.0, None) / mom.n)
+    if weighting == "identity":
+        objective = float(m @ m)
+    else:
+        try:
+            objective = float(m @ _checked_solve(S, m))
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(
+                "moment outer-product is singular; two-step weighting "
+                "unavailable", smallest_pivot=exc.smallest_pivot) from exc
+    return MomentReport(names=spec.names, moments=m, objective=objective,
+                        weighting=weighting, n_obs=mom.n, std_errors=se)
+
+
 def _fmt(value) -> str:
     """The float format of every CSV the package writes: the shortest
     decimal that round-trips the double."""
     return repr(float(value))
 
-
-def write_moment_report_csv(report: MomentReport, path) -> None:
-    """name,value rows; moments labeled by instrument name."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,value\n")
-        for name, m in zip(report.names, report.moments):
-            fh.write(f"moment[{name}],{_fmt(m)}\n")
-        for name, s in zip(report.names, report.std_errors):
-            fh.write(f"se[{name}],{_fmt(s)}\n")
-        fh.write(f"objective,{_fmt(report.objective)}\n")
-        fh.write(f"weighting,{report.weighting}\n")
-        fh.write(f"n_obs,{report.n_obs}\n")
-
-
-def write_iv_fit_csv(fit: IvFit, path) -> None:
-    """name,value rows for coefficients and their standard errors."""
-    names = fit.names or tuple(
-        f"coef{i}" for i in range(len(fit.coefficients)))
-    ses = fit.std_errors()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,value\n")
-        for name, c in zip(names, fit.coefficients):
-            fh.write(f"coef[{name}],{_fmt(c)}\n")
-        for name, s in zip(names, ses):
-            fh.write(f"se[{name}],{_fmt(s)}\n")
-        fh.write(f"n_obs,{fit.n_obs}\n")

@@ -102,6 +102,20 @@ class TestScanCommand:
         assert record["error"] == "ValidationError"
         assert "grid" in record["message"]
 
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.5",
+                                      "-inf:1:0.1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_grid_is_an_error_record(self, grid, tmp_path,
+                                                capsys):
+        with pytest.raises(ValidationError) as err:
+            parse_grid(grid)
+        assert err.value.field == "scan.grid"
+        code = run_cli("scan", "--seed", "3", "--n-firms", "100",
+                       f"--grid={grid}", "--out-dir", str(tmp_path))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("scan.grid:")
+
 
 class TestEstimateCommand:
     def test_estimate_csv_selects_lower_beta(self, tmp_path):
@@ -192,6 +206,19 @@ class TestCommandMismatch:
         code = run_cli("simulate", "--config", str(cfg), "--out-dir",
                        str(tmp_path))
         assert code == 1
+
+    def test_config_that_is_not_utf8_is_an_error_record(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes("dgp.variant = benchmark\ndgp.seed = 1 # caf\xe9\n"
+                        .encode("latin-1"))
+        code = run_cli("simulate", "--config", str(cfg), "--out-dir",
+                       str(tmp_path / "out"))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("config:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

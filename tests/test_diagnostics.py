@@ -42,6 +42,11 @@ class TestResidualSignTest:
                                      sigma_eta=0.0, n_firms=50))
         rep = residual_sign_test(panel, TRUTH)
         assert rep.verdict == "inconclusive"
+        assert rep.rule_applied.endswith("(degenerate: zero variance)")
+        rep = moment_inequality(panel, TRUTH)
+        assert rep.statistic == 0.0 and np.isnan(rep.standard_error)
+        assert rep.verdict == "inconclusive"
+        assert rep.rule_applied.endswith("(degenerate: zero variance)")
 
     def test_bad_sign_label_rejected(self, bench200k):
         with pytest.raises(ValidationError):

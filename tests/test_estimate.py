@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULTS, make_spec
 from dynpan import estimate
+from dynpan.diagnostics import moment_inequality, residual_sign_test
 from dynpan.errors import RankDeficiencyError, ValidationError
 from dynpan.identify import scan_curve
 from dynpan.model import ParamPoint, forward_map, pseudo_point
@@ -31,13 +32,9 @@ from dynpan.estimate import (
     double_diff_residual,
     fit_reduced_form,
     gmm_objective,
-    instrument_matrix,
-    moment_stats,
     multi_input_residual,
     quasi_diff_residual,
     two_sls,
-    write_iv_fit_csv,
-    write_moment_report_csv,
 )
 from dynpan.estimate import _checked_solve
 
@@ -187,16 +184,21 @@ class TestGmmObjective:
         assert np.max(np.abs(rep.t_stats)) < 4.0
 
     def test_two_step_scaling_invariance(self, bench200k):
-        r = quasi_diff_residual(bench200k, TRUTH)[:, 1:].ravel()
-        Z = instrument_matrix(bench200k, BENCHMARK_INSTRUMENTS, 2)
-        _, obj, _ = moment_stats(Z, r, "two_step")
-        scaled = Z * np.array([1.0, 50.0, 1.0, 0.02])
-        _, obj2, _ = moment_stats(scaled, r, "two_step")
-        assert obj2 == pytest.approx(obj, rel=1e-8)
-        # identity weighting is not scale invariant; sanity-check contrast
-        _, obj_id, _ = moment_stats(Z, r, "identity")
-        _, obj_id2, _ = moment_stats(scaled, r, "identity")
-        assert obj_id2 != pytest.approx(obj_id, rel=1e-3)
+        # x in other units: the slope takes the inverse units, the residual
+        # stays, and the x-instrument moments scale by c
+        c = 50.0
+        scaled = dataclasses.replace(bench200k, x=c * bench200k.x)
+        point = ParamPoint(TRUTH.alpha, TRUTH.beta / c, TRUTH.rho)
+        for spec in (BENCHMARK_INSTRUMENTS, PREDETERMINED_INSTRUMENTS):
+            want = gmm_objective(bench200k, "quasi_diff", TRUTH, spec,
+                                 "two_step")
+            got = gmm_objective(scaled, "quasi_diff", point, spec,
+                                "two_step")
+            assert got.objective == pytest.approx(want.objective, rel=1e-8)
+            # identity weighting is not scale invariant; sanity-check contrast
+            want = gmm_objective(bench200k, "quasi_diff", TRUTH, spec)
+            got = gmm_objective(scaled, "quasi_diff", point, spec)
+            assert got.objective != pytest.approx(want.objective, rel=1e-3)
 
     def test_insufficient_periods(self):
         panel = draw_panel(make_spec(n_firms=100, n_periods=4))
@@ -205,8 +207,35 @@ class TestGmmObjective:
                           instruments=InstrumentSpec(("const", "x_lag4")))
 
     def test_bad_weighting_rejected(self, bench200k):
-        with pytest.raises(ValidationError, match="weighting"):
+        with pytest.raises(ValidationError, match="weighting") as err:
             gmm_objective(bench200k, "quasi_diff", TRUTH, weighting="ridge")
+        assert err.value.field == "weighting"
+
+    @pytest.mark.parametrize("args,kwargs,field", [
+        (("levels", TRUTH), {}, "family"),
+        (("levels", TRUTH), dict(instruments=BENCHMARK_INSTRUMENTS),
+         "family"),
+        (("quasi_diff", TRUTH),
+         dict(instruments=InstrumentSpec(("const", "x_lag5"))), "n_periods"),
+        (("double_diff", (0.6, 0.7)),
+         dict(instruments=InstrumentSpec(("const", "x_lag5"))), "n_periods"),
+        (("multi_input", (1.0, 0.6, 0.3, 0.7)), {}, "panel"),
+        (("quasi_diff", TRUTH), dict(instruments=MULTI_INPUT_INSTRUMENTS),
+         "instruments"),
+    ])
+    def test_bad_calls_name_their_field(self, args, kwargs, field):
+        panel = draw_panel(make_spec(n_firms=200, seed=1))
+        with pytest.raises(ValidationError) as err:
+            gmm_objective(panel, *args, **kwargs)
+        assert err.value.field == field
+
+    def test_zero_residual_has_no_two_step_weight(self):
+        panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
+                                     sigma_eta=0.0, n_firms=50))
+        rep = gmm_objective(panel, "quasi_diff", TRUTH)
+        assert rep.objective == 0.0 and not rep.std_errors.any()
+        with pytest.raises(RankDeficiencyError, match="two-step"):
+            gmm_objective(panel, "quasi_diff", TRUTH, weighting="two_step")
 
 
 class TestFitReducedForm:
@@ -302,25 +331,6 @@ class TestConcentrateRho:
     def test_unknown_family_rejected(self, bench200k):
         with pytest.raises(ValidationError, match="family"):
             concentrate_rho(bench200k, 0.5, family="double_diff")
-
-
-class TestCsvExports:
-    def test_moment_report_rows(self, bench200k, tmp_path):
-        rep = gmm_objective(bench200k, "quasi_diff", TRUTH)
-        out = tmp_path / "mom.csv"
-        write_moment_report_csv(rep, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "name,value"
-        assert lines[1].startswith("moment[const],")
-        assert any(line.startswith("objective,") for line in lines)
-
-    def test_iv_fit_rows(self, bench200k, tmp_path):
-        _, fit_y, _ = fit_reduced_form(bench200k)
-        out = tmp_path / "fit.csv"
-        write_iv_fit_csv(fit_y, out)
-        lines = out.read_text().splitlines()
-        assert lines[1].startswith("coef[const],")
-        assert any(line.startswith("se[y_lag1],") for line in lines)
 
 
 class TestInstrumentSpec:
@@ -566,6 +576,57 @@ def test_firm_permutation_leaves_scans_unchanged(multi6k, order_seed):
         assert_rel(got.m, want.m, scale=np.nanmax(np.abs(want.m)),
                    rtol=1e-12)
         assert_rel(got.ses, want.ses, rtol=1e-12)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(c=st.floats(-100.0, 100.0))
+def test_location_shift_in_y_moves_only_alpha(multi6k, c):
+    shifted = dataclasses.replace(multi6k, y=multi6k.y + c)
+    # the beta scan and rho concentration: same moments, alpha moves by c
+    for b in (0.6, 1.1, 1.6):
+        want = beta_scan_evaluator(multi6k)(b)
+        got = beta_scan_evaluator(shifted)(b)
+        assert_rel(got.moment, want.moment, rtol=1e-8, scale=want.moment_se)
+        assert_rel([got.moment_se, got.rho], [want.moment_se, want.rho],
+                   rtol=1e-8)
+        assert_rel(got.alpha, want.alpha + c, rtol=1e-8,
+                   scale=max(abs(c), 1.0))
+    for family in ("quasi_diff", "multi_input"):
+        for rho in (0.3, 0.5, 0.7):
+            want = concentrate_rho(multi6k, rho, family=family)
+            got = concentrate_rho(shifted, rho, family=family)
+            assert_rel(got.moments, want.moments, rtol=1e-8,
+                       scale=np.max(want.moment_ses))
+            assert_rel(got.moment_ses, want.moment_ses, rtol=1e-8)
+            coef = dict(want.coefficients, alpha=want.coefficients["alpha"]
+                        + c)
+            assert_rel(list(got.coefficients.values()), list(coef.values()),
+                       rtol=1e-8, scale=max(abs(c), 1.0))
+    # gmm_objective at alpha + c: the residual is the same, so is every
+    # moment but those of y instruments, which gain c times E[r]
+    for family, params, shift in (
+            ("quasi_diff", (1.0, 0.6, 0.7), (c, 0.0, 0.0)),
+            ("double_diff", (0.6, 0.7), (0.0, 0.0)),
+            ("multi_input", (1.0, 0.6, 0.3, 0.7), (c, 0.0, 0.0, 0.0))):
+        for spec in (estimate._FAMILY_DEFAULTS[family],
+                     PREDETERMINED_INSTRUMENTS):
+            want = gmm_objective(multi6k, family, params, spec)
+            got = gmm_objective(shifted, family,
+                                np.add(params, shift).tolist(), spec)
+            mean_r = want.moments[spec.names.index("const")]
+            on_y = np.array([nm.startswith("y_") for nm in spec.names])
+            assert_rel(got.moments, want.moments + c * mean_r * on_y,
+                       rtol=1e-8, scale=np.max(want.std_errors))
+            assert_rel(got.std_errors[~on_y], want.std_errors[~on_y],
+                       rtol=1e-8)
+    # the level diagnostics at alpha + c: same statistic
+    point = ParamPoint(1.0, 0.6, 0.7)
+    for check in (residual_sign_test, moment_inequality):
+        want = check(multi6k, point)
+        got = check(shifted, dataclasses.replace(point, alpha=1.0 + c))
+        assert_rel(got.statistic, want.statistic, rtol=1e-8,
+                   scale=want.standard_error)
+        assert_rel(got.standard_error, want.standard_error, rtol=1e-8)
 
 
 # --- the per-panel plan of each rho-concentration instrument set ----------

@@ -1,19 +1,22 @@
-"""The raw-data fits against the formulas they replaced.
+"""The fits and moment reports against the raw-data formulas they replaced.
 
 ``two_sls`` forms its cross-products from dot products of the columns of a
-column-major design, and the diagnostics take their moments from centered
-dot products.  The oracles below are the earlier formulas: full-length GEMMs
-(``Z.T @ X``) on ``column_stack`` designs, ``np.corrcoef`` and a two-pass
-standard deviation.  On every conftest panel the fits must agree with them
-to 1e-10 relative.
+column-major design.  ``gmm_objective`` and the two level diagnostics
+(``residual_sign_test``, ``moment_inequality``) read the panel only through
+its cached cross-moments: each residual is a linear form in the lagged
+columns, so its moments, their outer-product and the standard errors are
+small dense algebra.  The oracles below are the earlier formulas, which
+pool the raw arrays: full-length GEMMs (``Z.T @ X``) on ``column_stack``
+designs, the per-period residual matrices with ``moment_stats``,
+``np.corrcoef`` and a two-pass standard deviation.  On every conftest panel
+the fits and reports must agree with them to 1e-10 relative.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import DEFAULTS
+from conftest import DEFAULTS, make_spec
+from dynpan import estimate
 from dynpan.diagnostics import (
     ar_order_test,
     moment_inequality,
@@ -22,14 +25,20 @@ from dynpan.diagnostics import (
 from dynpan.errors import RankDeficiencyError, ValidationError
 from dynpan.estimate import (
     BENCHMARK_INSTRUMENTS,
+    CONCENTRATED_BETA_INSTRUMENTS,
     FIXED_EFFECTS_INSTRUMENTS,
+    InstrumentSpec,
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
+    double_diff_residual,
     fit_reduced_form,
-    instrument_matrix,
+    gmm_objective,
+    multi_input_residual,
+    quasi_diff_residual,
     two_sls,
 )
 from dynpan.model import ParamPoint, pseudo_point
+from dynpan.simulate import PanelData
 from test_estimate import FIXTURE_PANELS, assert_rel
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
@@ -80,6 +89,39 @@ def stacked_instruments(panel, names, t_min):
     return np.column_stack(cols)
 
 
+def family_residual(panel, family, params):
+    """Residual matrix plus the 0-based period of its first column."""
+    if family == "quasi_diff":
+        return quasi_diff_residual(panel, params), 1
+    if family == "double_diff":
+        return double_diff_residual(panel, *params), 2
+    return multi_input_residual(panel, *params), 1
+
+
+def moment_stats(Z, r, weighting):
+    """(m, objective, se): m = Z'r / n, objective m' W m with W the identity
+    or the inverse uncentered outer-product, ddof-0 standard errors."""
+    n = r.size
+    zr = Z * r[:, None]
+    m = zr.sum(axis=0) / n
+    S = zr.T @ zr / n
+    se = np.sqrt(np.clip(np.diag(S - np.outer(m, m)), 0.0, None) / n)
+    if weighting == "identity":
+        return m, float(m @ m), se
+    try:
+        return m, float(m @ np.linalg.solve(S, m)), se
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("singular outer-product") from exc
+
+
+def stacked_gmm(panel, family, params, spec, weighting):
+    resid, offset = family_residual(panel, family, params)
+    t_min = max(offset, spec.max_lag)
+    r = resid[:, t_min - offset:].ravel()
+    Z = stacked_instruments(panel, spec.names, t_min)
+    return moment_stats(Z, r, weighting) + (r.size,)
+
+
 def corrcoef_sign(panel, p):
     e = (panel.y - p.alpha - p.beta * panel.x).ravel()
     return float(np.corrcoef(panel.x.ravel(), e)[0, 1])
@@ -118,19 +160,76 @@ def test_ar_order_matches_stacked_gemm(fixture, request):
     assert_rel([rep.statistic, rep.standard_error], stacked_ar_order(panel))
 
 
+GMM_SPECS = (BENCHMARK_INSTRUMENTS, FIXED_EFFECTS_INSTRUMENTS,
+             PREDETERMINED_INSTRUMENTS, MULTI_INPUT_INSTRUMENTS,
+             CONCENTRATED_BETA_INSTRUMENTS)
+
+
 @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
 def test_instrument_matrix_matches_column_stack(fixture, request):
+    # the instruments are forms over the cross-moments: their means and
+    # Gram matrix are those of the stacked raw columns
     panel = request.getfixturevalue(fixture)
-    for spec in (BENCHMARK_INSTRUMENTS, FIXED_EFFECTS_INSTRUMENTS,
-                 PREDETERMINED_INSTRUMENTS, MULTI_INPUT_INSTRUMENTS):
-        if spec.needs_z() and panel.z is None:
-            with pytest.raises(ValidationError, match="no series 'z'"):
-                instrument_matrix(panel, spec, spec.max_lag)
-            continue
+    for spec in GMM_SPECS:
         for t_min in range(max(spec.max_lag, 1), panel.spec.n_periods):
-            got = instrument_matrix(panel, spec, t_min)
-            assert np.array_equal(
-                got, stacked_instruments(panel, spec.names, t_min))
+            mom = estimate._cross_moments(panel, t_min)
+            if spec.needs_z() and panel.z is None:
+                with pytest.raises(ValidationError, match="no series 'z'"):
+                    mom.forms(spec.names)
+                continue
+            Z = mom.forms(spec.names)
+            want = stacked_instruments(panel, spec.names, t_min)
+            assert mom.n == want.shape[0]
+            assert_rel(mom.cross(Z, mom.column("const")), want.mean(axis=0),
+                       scale=np.max(np.abs(want.mean(axis=0))))
+            gram = want.T @ want / mom.n
+            assert_rel(mom.cross(Z, Z), gram, scale=np.max(np.abs(gram)))
+
+
+GMM_POINTS = {
+    "quasi_diff": POINTS,
+    "double_diff": ((0.6, 0.7), (1.6, 0.5), (1.1, 0.6)),
+    "multi_input": ((1.0, 0.6, 0.3, 0.7), (1.0, 2.6, -0.7, 0.5),
+                    (0.5, 1.1, 0.2, 0.6)),
+}
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_PANELS)
+def test_gmm_objective_matches_raw_oracle(fixture, request):
+    panel = request.getfixturevalue(fixture)
+    for family, points in GMM_POINTS.items():
+        for spec in GMM_SPECS:
+            if panel.z is None and (family == "multi_input"
+                                    or spec.needs_z()):
+                with pytest.raises(ValidationError) as err:
+                    gmm_objective(panel, family, points[0], spec)
+                assert err.value.field == ("panel" if family == "multi_input"
+                                           else "instruments")
+                continue
+            for params in points:
+                for weighting in ("identity", "two_step"):
+                    rep = gmm_objective(panel, family, params, spec,
+                                        weighting)
+                    m, objective, se, n = stacked_gmm(
+                        panel, family, params, spec, weighting)
+                    assert (rep.names, rep.weighting, rep.n_obs) == \
+                        (spec.names, weighting, n)
+                    assert_rel(rep.moments, m)
+                    assert_rel(rep.objective, objective)
+                    assert_rel(rep.std_errors, se)
+
+
+def test_singular_two_step_outer_product_raises_like_oracle(bench200k):
+    spec = InstrumentSpec(("const", "x_lag1", "x_lag1"))
+    with pytest.raises(RankDeficiencyError):
+        stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step")
+    with pytest.raises(RankDeficiencyError, match="two-step"):
+        gmm_objective(bench200k, "quasi_diff", TRUTH, spec, "two_step")
+    rep = gmm_objective(bench200k, "quasi_diff", TRUTH, spec)
+    _, objective, se, _ = stacked_gmm(bench200k, "quasi_diff", TRUTH, spec,
+                                      "identity")
+    assert_rel(rep.objective, objective)
+    assert_rel(rep.std_errors, se)
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
@@ -202,7 +301,11 @@ def test_same_regressors_and_instruments_keep_separate_products():
 # --- the sign test's degenerate and boundary cases ------------------------
 
 def linear_panel(x, y):
-    return SimpleNamespace(x=x, y=y)
+    """A panel holding only the observables x and y."""
+    zeros = np.zeros_like(x)
+    return PanelData(make_spec(n_firms=x.shape[0], n_periods=x.shape[1]),
+                     y=y, x=x, omega=zeros, kappa=zeros, xi=zeros, u=zeros,
+                     eta=zeros)
 
 
 @pytest.mark.parametrize("case", ["constant_x", "exact_fit"])
