@@ -143,6 +143,10 @@ def config_to_spec(cfg: dict) -> DgpSpec:
                    seed=cfg["dgp.seed"], ext=ext)
 
 
+#: Largest grid a scan accepts; each point is one moment evaluation.
+MAX_GRID_POINTS = 1_000_000
+
+
 def parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
@@ -155,6 +159,9 @@ def parse_grid(text: str) -> np.ndarray:
     if step <= 0 or hi <= lo:
         raise ValidationError("grid needs hi > lo and step > 0",
                               field="scan.grid")
+    if (hi - lo) / step + 0.5 > MAX_GRID_POINTS:
+        raise ValidationError(f"grid {text!r} has more than "
+                              f"{MAX_GRID_POINTS} points", field="scan.grid")
     return np.round(np.arange(lo, hi + 0.5 * step, step), 10)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimate import _cross_moments, _design, _fmt, two_sls
+from .estimate import _cross_moments, _fmt, two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint
 
@@ -131,14 +131,9 @@ def ar_order_test(panel) -> DiagnosticReport:
     AR_TEST_FLAT warns that the persistences look equal, in between is
     inconclusive.
     """
-    if panel.spec.n_periods < 3:
-        raise ValidationError("need at least 3 periods", field="n_periods")
     names = ("const", "x_lag1", "x_lag2")
-    D = _design(panel, ("x_lag0",) + names, 2)
-    X = D[:, 1:]
-    fit = two_sls(D[:, 0], X, X, names=names)
-    coef2 = float(fit.coefficients[2])
-    se2 = float(fit.std_errors()[2])
+    fit = two_sls(panel, "x_lag0", names, names)
+    coef2, se2 = float(fit.coefficients[2]), float(fit.std_errors[2])
     t = abs(coef2) / se2 if se2 > 0 else float("inf")
     rule = (f"x on (1, x_lag1, x_lag2): second-lag |t| > "
             f"{AR_TEST_REJECT:.0f} supports unequal persistence; |t| < "

@@ -19,21 +19,19 @@ measurement error.
 
 Sufficient statistics
 ---------------------
-The concentrated kernels (:func:`beta_scan_evaluator`,
-:func:`concentrate_rho`), :func:`gmm_objective` and the level diagnostics
-(``residual_sign_test``, ``moment_inequality``) never re-read the panel per
-evaluation.  Every quantity they report is a product of two linear forms in
-the lagged columns ``const`` and ``<series>_lag<k>``, k = 0..L, so one
-blocked pass over the panel accumulates the pooled second cross-moments of
-those columns and the fourth cross-moments (the Gram matrix of their
-pairwise products), pooled over periods t >= L.  The IV solve, the moment
-and its influence-function standard error are then k x k and k^2 x k^2
-algebra, k <= 10 for L = 2.  The result is cached on the (frozen, read-only)
-panel per L.  The pass holds one block of about ``_BLOCK_ROWS`` rows and
-their pair products at a time, never an n x k^2 matrix.  Columns are
-centered by their pooled mean before accumulating, so the fourth-moment
-variances do not cancel; linear forms in raw columns are mapped onto the
-centered ones.
+Every estimator and diagnostic reads the panel only through its cached
+cross-moments: every quantity they report is a product of two linear forms
+in the lagged columns ``const`` and ``<series>_lag<k>``, k = 0..L, pooled
+over periods t >= L.  The panel caches one period Gram, the second moments
+over firms of its (series, period) columns with each series centered by its
+overall mean, accumulated in firm blocks.  The window means and pooled
+second moments of every lag depth are averages along its diagonals, so an
+IV fit such as :func:`two_sls` is k x k algebra.  The fourth cross-moments
+(the Gram matrix of the pairwise products of the columns, centered by their
+pooled means so that the variances do not cancel), which the
+influence-function standard errors need, take one blocked pass per lag
+depth on first use.  It holds about ``_BLOCK_ROWS`` rows and their pair
+products at a time, never an n x k^2 matrix.
 
 Next to the cross-moments the panel caches one plan per rho-concentration
 instrument set (family, solving and reported names): the parsed instrument
@@ -45,21 +43,15 @@ moments from one quadratic form in the fourth moments.
 
 Each GMM residual is such a form: ``_lagged_forms`` (shared with the rho
 plans) gives (y, const, x[, z]) at one lag, and a quasi-difference is lag 0
-minus rho times lag 1.  The level diagnostics share one all-period pass
-(L = 0) per panel.
-
-Raw-data fits: :func:`two_sls`, :func:`fit_reduced_form` and
-``ar_order_test`` still read the raw arrays, because the benchmark's span
-tracing binds them by name.  They build each pooled design once,
-column-major, straight from the (n_firms, n_periods) arrays, and form Z'X
-and Z'Z from dot products of its contiguous columns, because OpenBLAS takes
-1.5-3x as long for a 3 x 3 GEMM over 120,000 rows as for its nine dots.
+minus rho times lag 1.  The level diagnostics share the all-period depth
+(L = 0) of a panel, the reduced form and the AR-order test depth 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -114,6 +106,8 @@ _FAMILY_DEFAULTS = {
     "double_diff": FIXED_EFFECTS_INSTRUMENTS,
     "multi_input": MULTI_INPUT_INSTRUMENTS,
 }
+
+
 def _series_map(panel):
     out = {"y": panel.y, "x": panel.x}
     if panel.z is not None:
@@ -121,39 +115,14 @@ def _series_map(panel):
     return out
 
 
-def _design(panel, names, t_min: int) -> np.ndarray:
-    """Pooled columns ``names`` over periods t >= t_min, column-major: each
-    column is written once, straight from its (n_firms, n_periods) series."""
-    series = _series_map(panel)
-    n_firms, t_len = panel.y.shape[0], panel.spec.n_periods - t_min
-    out = np.empty((n_firms * t_len, len(names)), order="F")
-    for j, (kind, lag) in enumerate(map(_parse_name, names)):
-        if kind != "const" and kind not in series:
-            raise ValidationError(f"panel has no series {kind!r}",
-                                  field="instruments")
-        lo = t_min - lag
-        out[:, j].reshape(n_firms, t_len)[...] = (
-            1.0 if kind == "const" else series[kind][:, lo:lo + t_len])
-    return out
-
-
 @dataclass
 class IvFit:
-    """Just-identified IV fit with retained cross-products for diagnostics."""
+    """Just-identified IV fit on named panel columns."""
 
     coefficients: np.ndarray
-    residuals: np.ndarray
+    std_errors: np.ndarray  # large-sample homoskedastic (diagnostic only)
     n_obs: int
-    zx: np.ndarray     # instruments' cross-product with regressors
-    zz: np.ndarray     # instruments' Gram matrix
-    names: tuple[str, ...] = ()
-
-    def std_errors(self) -> np.ndarray:
-        """Large-sample homoskedastic IV standard errors (diagnostic only)."""
-        sigma2 = float(self.residuals @ self.residuals) / self.n_obs
-        zxi = np.linalg.inv(self.zx)
-        cov = sigma2 * zxi @ self.zz @ zxi.T
-        return np.sqrt(np.diag(cov))
+    names: tuple[str, ...]
 
 
 def _checked_inverse(zx: np.ndarray) -> np.ndarray:
@@ -182,38 +151,31 @@ def _checked_solve(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
     return _checked_inverse(zx) @ zy
 
 
-def _columns(a) -> np.ndarray:
-    """A float input as an F-ordered matrix; a 1-D input is one column."""
-    a = np.asarray(a, dtype=float)
-    return np.asfortranarray(a[:, None] if a.ndim == 1 else a)
+def two_sls(panel, dep: str, regressors: Sequence[str],
+            instruments: Sequence[str]) -> IvFit:
+    """Just-identified IV on named panel columns: coefficients =
+    E[Z X']^{-1} E[Z y], pooled over the periods t >= L, L the largest lag
+    named; for example ``two_sls(panel, "x_lag0", ("const", "x_lag1"),
+    ("const", "x_lag2"))``.
 
-
-def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A'B from dot products of the contiguous columns of F-ordered A, B."""
-    return np.array([[a @ b for b in B.T] for a in A.T], ndmin=2)
-
-
-def two_sls(dep: np.ndarray, regressors: np.ndarray,
-            instruments: np.ndarray, names: Sequence[str] = ()) -> IvFit:
-    """Just-identified IV: coefficients = (Z'X)^{-1} Z'y.
-
-    Requires as many instruments as regressors (a 1-D input is one column)
-    and equal rows in ``dep``, the regressors and the instruments; a
-    numerically singular Z'X raises :class:`RankDeficiencyError` naming the
-    smallest pivot.
+    Reads the panel only through its cached cross-moments.  Needs as many
+    instruments as regressors; a numerically singular E[Z X'] raises
+    :class:`RankDeficiencyError` naming the smallest pivot.
     """
-    y, X = _columns(dep), _columns(regressors)
-    Z = X if instruments is regressors else _columns(instruments)
-    if X.ndim != 2 or X.shape != Z.shape or y.shape != (X.shape[0], 1):
+    regressors, instruments = tuple(regressors), tuple(instruments)
+    if not regressors or len(regressors) != len(instruments):
         raise ValidationError(
-            f"need a just-identified system: instruments {Z.shape} vs "
-            f"regressors {X.shape}, one dependent column {y.shape} and "
-            "equal rows", field="instruments")
-    zx = _cross(Z, X)
-    coef = _checked_solve(zx, Z.T @ y[:, 0])
-    return IvFit(coefficients=coef, residuals=y[:, 0] - X @ coef,
-                 n_obs=y.shape[0], zx=zx,
-                 zz=zx.copy() if Z is X else _cross(Z, Z), names=tuple(names))
+            f"need a just-identified system: {len(instruments)} instruments "
+            f"for {len(regressors)} regressors", field="instruments")
+    mom = _moments_from(panel, 0,
+                        InstrumentSpec((dep,) + regressors + instruments))
+    y, X, Z = mom.column(dep), mom.forms(regressors), mom.forms(instruments)
+    inverse = _checked_inverse(mom.cross(Z, X))
+    coef = inverse @ mom.cross(Z, y)
+    r = y - X @ coef
+    cov = mom.cross(r, r) * inverse @ mom.cross(Z, Z) @ inverse.T
+    return IvFit(coefficients=coef, std_errors=np.sqrt(cov.diagonal() / mom.n),
+                 n_obs=mom.n, names=regressors)
 
 
 def quasi_diff_residual(panel, p: ParamPoint) -> np.ndarray:
@@ -257,14 +219,10 @@ def fit_reduced_form(panel):
     instruments itself.  Pools all firms and periods t >= 3.  Returns
     (ReducedFormParams, y-equation fit, x-equation fit).
     """
-    if panel.spec.n_periods < 3:
-        raise ValidationError("reduced form needs at least 3 periods",
-                              field="n_periods")
     names = ("const", "y_lag1", "x_lag1")
-    D = _design(panel, ("y_lag0", "x_lag0") + names, 2)
-    Z = _design(panel, ("const", "y_lag2", "x_lag1"), 2)
-    fit_y = two_sls(D[:, 0], D[:, 2:], Z, names=names)
-    fit_x = two_sls(D[:, 1], D[:, 2:], Z, names=names)
+    instruments = ("const", "y_lag2", "x_lag1")
+    fit_y = two_sls(panel, "y_lag0", names, instruments)
+    fit_x = two_sls(panel, "x_lag0", names, instruments)
     params = ReducedFormParams(
         pi_y0=fit_y.coefficients[0], pi_yy=fit_y.coefficients[1],
         pi_yx=fit_y.coefficients[2], pi_x0=fit_x.coefficients[0],
@@ -285,14 +243,19 @@ class _CrossMoments:
     (``const`` first); :meth:`column` gives the form of one raw column.
     ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
     E[q q'] for their k^2 ordered products q = vec(d d'), so the variance of
-    (a'd)(b'd) is a quadratic form in vec(a b').
+    (a'd)(b'd) is a quadratic form in vec(a b').  ``pair_pass`` computes
+    ``fourth`` on first use.
     """
 
     index: dict
     n: int
     basis: np.ndarray      # column j: the centered form of raw column j
     second: np.ndarray
-    fourth: np.ndarray
+    pair_pass: Callable[[], np.ndarray]
+
+    @cached_property
+    def fourth(self) -> np.ndarray:
+        return self.pair_pass()
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.index:
@@ -327,26 +290,72 @@ class _CrossMoments:
         return np.sqrt(np.maximum(var, 0.0) / (self.n - 1))
 
 
+def _period_gram(panel):
+    """(m, G, s) for the panel's (series, period) columns c, each series
+    centered by its overall mean m: G = E[c c'] and s = E[c] over firms.
+    One pass in firm blocks, cached on the panel."""
+    cache = panel._moment_cache
+    if "gram" not in cache:
+        arrays = list(_series_map(panel).values())
+        n_firms = arrays[0].shape[0]
+        means = np.array([a.mean() for a in arrays])
+        width = sum(a.shape[1] for a in arrays)
+        gram, sums = np.zeros((width, width)), np.zeros(width)
+        block = np.empty((width, min(_BLOCK_ROWS, n_firms)))
+        for lo in range(0, n_firms, _BLOCK_ROWS):
+            b = block[:, :min(_BLOCK_ROWS, n_firms - lo)]
+            for arr, mean, rows in zip(arrays, means,
+                                       np.split(b, len(arrays))):
+                np.subtract(arr[lo:lo + b.shape[1]].T, mean, out=rows)
+            gram += b @ b.T
+            sums += b.sum(axis=1)
+        cache["gram"] = (means, gram / n_firms, sums / n_firms)
+    return cache["gram"]
+
+
 def _accumulate_moments(panel, lags: int) -> _CrossMoments:
-    """One blocked pass over the panel; periods t >= ``lags``."""
-    t_len = panel.spec.n_periods - lags
-    names, sources = ["const"], []
-    for series, arr in _series_map(panel).items():
+    """The cross-moments of ``const`` and each series at lags 0..``lags``,
+    pooled over periods t >= ``lags``, read off the period Gram: a window
+    mean and a pooled second moment are averages along its diagonals."""
+    means, gram, shift = _period_gram(panel)
+    n_periods = panel.spec.n_periods
+    names, sources, cols = ["const"], [], []
+    for s, (series, arr) in enumerate(_series_map(panel).items()):
         for lag in range(lags + 1):
             names.append(f"{series}_lag{lag}")
-            sources.append(arr[:, lags - lag:arr.shape[1] - lag])
+            sources.append(arr[:, lags - lag:n_periods - lag])
+            # the Gram columns of this lagged column, one per pooled period
+            cols.append(range(s * n_periods + lags - lag,
+                              (s + 1) * n_periods - lag))
+    cols = np.array(cols)
+    offset = shift[cols].mean(axis=1)  # window mean minus overall mean
     k = len(names)
-    means = [float(src.mean()) for src in sources]
+    second = np.eye(k)  # the constant and its zero cross-moments
+    second[1:, 1:] = (gram[cols[:, None], cols[None, :]].mean(axis=2)
+                      - np.outer(offset, offset))
+    basis = np.eye(k)
+    basis[0, 1:] = np.repeat(means, lags + 1) + offset
+    return _CrossMoments(
+        index={name: j for j, name in enumerate(names)},
+        n=sources[0].size, basis=basis, second=second,
+        pair_pass=partial(_pair_moments, sources, basis[0, 1:]))
+
+
+def _pair_moments(sources, means) -> np.ndarray:
+    """E[q q'] for the ordered products q = vec(d d') of the centered
+    columns d = (1, sources - means): one blocked pass over the products of
+    the i <= j pairs, spread over all k^2 ordered pairs."""
+    k = len(sources) + 1
+    n_firms, t_len = sources[0].shape
     rows, cols = np.triu_indices(k)
     fourth = np.zeros((rows.size, rows.size))
-    n_firms = sources[0].shape[0]
     step = max(1, _BLOCK_ROWS // t_len)
+    block = np.empty((rows.size, min(step, n_firms) * t_len))
     for lo in range(0, n_firms, step):
         hi = min(lo + step, n_firms)
         # the pairs (0, j) come first and column 0 is the constant 1, so
-        # rows 0..k-1 of the pair products are the centered columns d, and
-        # E[d d'] is the leading k x k block of E[p p']
-        p = np.empty((rows.size, (hi - lo) * t_len))
+        # rows 0..k-1 of the pair products are the centered columns d
+        p = block[:, :(hi - lo) * t_len]
         p[0] = 1.0
         for j, (src, mean) in enumerate(zip(sources, means), start=1):
             np.subtract(src[lo:hi], mean, out=p[j].reshape(hi - lo, t_len))
@@ -355,17 +364,10 @@ def _accumulate_moments(panel, lags: int) -> _CrossMoments:
             np.multiply(p[i], p[i:k], out=p[start:start + k - i])
             start += k - i
         fourth += p @ p.T
-    n = n_firms * t_len
-    fourth /= n
-    # spread the i <= j pairs over all k^2 ordered products
+    fourth /= n_firms * t_len
     pair = np.empty((k, k), dtype=np.intp)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    ordered = pair.ravel()
-    basis = np.eye(k)
-    basis[0, 1:] = means
-    return _CrossMoments(
-        index={name: j for j, name in enumerate(names)}, n=n, basis=basis,
-        second=fourth[:k, :k].copy(), fourth=fourth[np.ix_(ordered, ordered)])
+    return fourth[np.ix_(pair.ravel(), pair.ravel())]
 
 
 def _cross_moments(panel, lags: int) -> _CrossMoments:
@@ -412,11 +414,17 @@ class ConcentratedBeta:
 
 
 def beta_scan_evaluator(panel):
-    """Callable evaluating the concentrated moment at candidate slopes.
+    """Callable evaluating the concentrated single-instrument moment at
+    candidate slopes.
 
-    The panel's cross-moments are accumulated once (see the module
-    docstring), so repeated calls (a grid scan plus bisection refinements)
-    cost small dense algebra, not a pass over the panel.
+    At a candidate beta_tilde, step 1 forms w_t = y_t - beta_tilde x_t and
+    fits w_t = alpha (1 - rho) + rho w_{t-1} by IV, instrumenting w_{t-1}
+    with w_{t-2}.  Step 2 evaluates the quasi-differenced residual at
+    (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}.
+    Both steps pool periods t >= 3.  The panel's cross-moments are
+    accumulated once (see the module docstring), so repeated calls (a grid
+    scan plus bisection refinements) cost small dense algebra, not a pass
+    over the panel.
     """
     mom = _cross_moments(panel, 2)
     zero = np.zeros(mom.second.shape[0])
@@ -439,18 +447,6 @@ def beta_scan_evaluator(panel):
                                 moment_se=float(se[0]), n_obs=mom.n)
 
     return evaluate
-
-
-def concentrate_beta(panel, beta_tilde: float) -> ConcentratedBeta:
-    """Concentrated single-instrument moment at a candidate slope.
-
-    Step 1 forms w_t = y_t - beta_tilde x_t and fits
-    w_t = alpha (1 - rho) + rho w_{t-1} by IV, instrumenting w_{t-1} with
-    w_{t-2}.  Step 2 evaluates the quasi-differenced residual at
-    (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}.
-    Both steps pool periods t >= 3.
-    """
-    return beta_scan_evaluator(panel)(beta_tilde)
 
 
 @dataclass

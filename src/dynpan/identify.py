@@ -287,7 +287,7 @@ def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
     the equal-persistence diagnosis is reported instead of an estimate.
     """
     rf, _, fit_x = fit_reduced_form(panel)
-    se_pi_xy = float(fit_x.std_errors()[1])
+    se_pi_xy = float(fit_x.std_errors[1])
     disc = rf.discriminant()
     if disc <= 0.0 or abs(rf.pi_xy) < PI_XY_GUARD_SE * se_pi_xy:
         reason = ("estimated discriminant is non-positive"

@@ -2,10 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dynpan.model import StructuralParams
-from dynpan.simulate import DgpSpec, VariantParams, draw_panel
+from dynpan.simulate import DgpSpec, PanelData, VariantParams, draw_panel
 
 #: Default benchmark parameters used across the test suite.
 DEFAULTS = StructuralParams(beta=0.6, theta=1.0, rho_omega=0.7, rho_x=0.5,
@@ -19,6 +20,14 @@ def make_spec(variant="benchmark", n_firms=40_000, n_periods=5, seed=0,
     return DgpSpec(variant=variant, structural=s, n_firms=n_firms,
                    n_periods=n_periods, seed=seed,
                    ext=ext or VariantParams())
+
+
+def linear_panel(x, y):
+    """A panel holding only the observables x and y."""
+    zeros = np.zeros_like(x)
+    return PanelData(make_spec(n_firms=x.shape[0], n_periods=x.shape[1]),
+                     y=y, x=x, omega=zeros, kappa=zeros, xi=zeros, u=zeros,
+                     eta=zeros)
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,20 @@ class TestScanCommand:
         assert record["message"].startswith("scan.grid:")
 
 
+    @pytest.mark.parametrize("grid", ["0:1e20:1e-5", "0:1e9:1e-3"])
+    def test_overlong_grid_is_an_error_record(self, grid, tmp_path, capsys):
+        # counted before np.arange: no traceback, nothing allocated
+        with pytest.raises(ValidationError, match="more than") as err:
+            parse_grid(grid)
+        assert err.value.field == "scan.grid"
+        code = run_cli("scan", "--seed", "3", "--n-firms", "100",
+                       f"--grid={grid}", "--out-dir", str(tmp_path))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("scan.grid:")
+
+
 class TestEstimateCommand:
     def test_estimate_csv_selects_lower_beta(self, tmp_path):
         code = run_cli("estimate", "--seed", "2", "--n-firms", "20000",

@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEFAULTS, make_spec
+from conftest import DEFAULTS, linear_panel, make_spec
 from dynpan import estimate
-from dynpan.diagnostics import moment_inequality, residual_sign_test
+from dynpan.diagnostics import (
+    ar_order_test,
+    moment_inequality,
+    residual_sign_test,
+)
 from dynpan.errors import RankDeficiencyError, ValidationError
-from dynpan.identify import scan_curve
+from dynpan.identify import scan_curve, two_step_estimator
 from dynpan.model import ParamPoint, forward_map, pseudo_point
 from dynpan.simulate import draw_panel
 from dynpan.estimate import (
@@ -27,7 +31,6 @@ from dynpan.estimate import (
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
     beta_scan_evaluator,
-    concentrate_beta,
     concentrate_rho,
     double_diff_residual,
     fit_reduced_form,
@@ -44,46 +47,67 @@ PSEUDO = pseudo_point(DEFAULTS)  # (1.0, 1.6, 0.5)
 
 class TestTwoSls:
     def test_equals_ols_when_instruments_are_regressors(self):
+        # period 1 of each firm is a row; x_lag1 (period 0) is a regressor
         rng = np.random.default_rng(1)
-        X = np.column_stack([np.ones(500), rng.standard_normal(500)])
-        y = X @ np.array([1.0, 2.0]) + rng.standard_normal(500)
-        fit = two_sls(y, X, X)
-        ols = np.linalg.solve(X.T @ X, X.T @ y)
+        x = rng.standard_normal((500, 2))
+        y = 1.0 + 2.0 * x + rng.standard_normal((500, 2))
+        names = ("const", "x_lag0", "x_lag1")
+        fit = two_sls(linear_panel(x, y), "y_lag0", names, names)
+        X = np.column_stack([np.ones(500), x[:, 1], x[:, 0]])
+        ols = np.linalg.solve(X.T @ X, X.T @ y[:, 1])
         assert fit.coefficients == pytest.approx(ols, abs=1e-12)
+        assert fit.names == names and fit.n_obs == 500
 
     def test_consistency_with_endogenous_regressor(self):
-        # x is endogenous through e; z shifts x but not e
+        # x (period 1) is endogenous through e; z (x in period 0) shifts
+        # x but not e
         rng = np.random.default_rng(2)
         n = 100_000
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
         x = z + 0.8 * e + 0.5 * rng.standard_normal(n)
         y = 2.0 + 3.0 * x + e
-        fit = two_sls(y, np.column_stack([np.ones(n), x]),
-                      np.column_stack([np.ones(n), z]))
+        panel = linear_panel(np.column_stack([z, x]),
+                             np.column_stack([np.zeros(n), y]))
+        fit = two_sls(panel, "y_lag0", ("const", "x_lag0"),
+                      ("const", "x_lag1"))
         assert fit.coefficients == pytest.approx((2.0, 3.0), abs=0.02)
 
     def test_collinear_instruments_raise(self):
+        # the y series is twice the constant: a collinear instrument
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(100)
-        X = np.column_stack([np.ones(100), x])
-        Z = np.column_stack([np.ones(100), np.ones(100) * 2.0])
-        with pytest.raises(RankDeficiencyError, match="pivot"):
-            two_sls(x, X, Z)
+        x = rng.standard_normal((100, 2))
+        panel = linear_panel(x, np.full((100, 2), 2.0))
+        with pytest.raises(RankDeficiencyError, match="pivot") as err:
+            two_sls(panel, "x_lag0", ("const", "x_lag1"),
+                    ("const", "y_lag1"))
+        assert err.value.smallest_pivot < 1e-10
 
     def test_over_identified_shape_rejected(self):
-        with pytest.raises(ValidationError):
-            two_sls(np.ones(10), np.ones((10, 1)), np.ones((10, 2)))
+        panel = linear_panel(np.ones((10, 3)), np.ones((10, 3)))
+        with pytest.raises(ValidationError) as err:
+            two_sls(panel, "y_lag0", ("x_lag1",), ("x_lag1", "x_lag2"))
+        assert err.value.field == "instruments"
+
+    def test_missing_series_rejected(self):
+        rng = np.random.default_rng(4)
+        panel = linear_panel(rng.standard_normal((50, 3)),
+                             rng.standard_normal((50, 3)))
+        with pytest.raises(ValidationError, match="no series 'z'") as err:
+            two_sls(panel, "y_lag0", ("const", "z_lag1"),
+                    ("const", "x_lag1"))
+        assert err.value.field == "instruments"
 
     def test_residual_orthogonality_in_sample(self, bench200k):
         rf, fit_y, fit_x = fit_reduced_form(bench200k)
-        for fit in (fit_y, fit_x):
-            y1 = bench200k.y[:, :-2].ravel()
-            Z = np.column_stack([np.ones(y1.size), y1,
-                                 bench200k.x[:, 1:-1].ravel()])
-            scale = np.abs(Z * fit.residuals[:, None]).mean()
-            assert np.max(np.abs(Z.T @ fit.residuals)) / fit.n_obs \
-                < 1e-8 * scale
+        y, x = bench200k.y, bench200k.x
+        R = np.column_stack([np.ones(y[:, 2:].size), y[:, 1:-1].ravel(),
+                             x[:, 1:-1].ravel()])
+        Z = np.column_stack([R[:, 0], y[:, :-2].ravel(), R[:, 2]])
+        for fit, dep in ((fit_y, y), (fit_x, x)):
+            r = dep[:, 2:].ravel() - R @ fit.coefficients
+            scale = np.abs(Z * r[:, None]).mean()
+            assert np.max(np.abs(Z.T @ r)) / fit.n_obs < 1e-8 * scale
 
 
 class TestResidualIdentities:
@@ -253,12 +277,10 @@ class TestFitReducedForm:
 
     def test_no_measurement_error_makes_ols_match_iv(self, bench200k_eta0):
         rf, _, _ = fit_reduced_form(bench200k_eta0)
-        y, x = bench200k_eta0.y, bench200k_eta0.x
-        n = y.shape[0] * (y.shape[1] - 2)
-        R = np.column_stack([np.ones(n), y[:, 1:-1].ravel(),
-                             x[:, 1:-1].ravel()])
-        ols_y = two_sls(y[:, 2:].ravel(), R, R).coefficients
-        ols_x = two_sls(x[:, 2:].ravel(), R, R).coefficients
+        # OLS pools periods t >= 2, where its largest lag is defined
+        R = ("const", "y_lag1", "x_lag1")
+        ols_y, ols_x = (two_sls(bench200k_eta0, dep, R, R).coefficients
+                        for dep in ("y_lag0", "x_lag0"))
         iv = np.array(rf.as_tuple())
         ols = np.array([ols_y[0], ols_y[1], ols_y[2],
                         ols_x[0], ols_x[1], ols_x[2]])
@@ -282,12 +304,12 @@ class TestFitReducedForm:
 
 class TestConcentrateBeta:
     def test_truth_slope_recovers_output_persistence(self, bench200k):
-        cb = concentrate_beta(bench200k, 0.6)
+        cb = beta_scan_evaluator(bench200k)(0.6)
         assert cb.rho == pytest.approx(0.7, abs=0.02)
         assert abs(cb.moment) < 5.0 * cb.moment_se
 
     def test_pseudo_slope_recovers_input_persistence(self, bench200k):
-        cb = concentrate_beta(bench200k, 1.6)
+        cb = beta_scan_evaluator(bench200k)(1.6)
         assert cb.rho == pytest.approx(0.5, abs=0.02)
         assert abs(cb.moment) < 5.0 * cb.moment_se
 
@@ -295,7 +317,7 @@ class TestConcentrateBeta:
         panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
                                      sigma_eta=0.0, n_firms=100))
         with pytest.raises(RankDeficiencyError):
-            concentrate_beta(panel, 0.6)
+            beta_scan_evaluator(panel)(0.6)
 
 
 class TestConcentrateRho:
@@ -503,7 +525,7 @@ class TestCrossMomentEngine:
         check_rho_scan(panel, *RHO_SETS[2])
 
     def test_second_moments_match_centered_gram(self):
-        # E[d d'] is read off the pair products' Gram matrix; compare it
+        # E[d d'] is read off the diagonals of the period Gram; compare it
         # with the Gram matrix of the centered columns taken directly
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
         mom = estimate._cross_moments(panel, 2)
@@ -531,8 +553,8 @@ class TestCrossMomentEngine:
             return original(p, lags)
 
         monkeypatch.setattr(estimate, "_accumulate_moments", counting)
-        concentrate_beta(panel, 0.6)
-        concentrate_beta(panel, 1.6)
+        beta_scan_evaluator(panel)(0.6)
+        beta_scan_evaluator(panel)(1.6)
         concentrate_rho(panel, 0.5)
         assert passes == [(panel, 2)]
         k = 1000
@@ -541,11 +563,60 @@ class TestCrossMomentEngine:
             **{f.name: getattr(panel, f.name)[:k]
                for f in dataclasses.fields(panel)
                if f.name != "spec" and getattr(panel, f.name) is not None})
-        cb = concentrate_beta(prefix, 0.6)
+        cb = beta_scan_evaluator(prefix)(0.6)
         assert len(passes) == 2 and passes[1][0] is prefix
         assert cb.n_obs == k * 3
         assert_rel([cb.alpha, cb.rho, cb.moment_se],
                    oracle_beta(prefix, 0.6)[[0, 1, 3]])
+
+
+# --- one period Gram per panel; the pair pass only where SEs need it -----
+
+def count_pair_passes(monkeypatch):
+    passes = []
+    original = estimate._pair_moments
+
+    def counting(sources, means):
+        passes.append(len(sources))
+        return original(sources, means)
+
+    monkeypatch.setattr(estimate, "_pair_moments", counting)
+    return passes
+
+
+def test_fits_and_sign_test_skip_the_pair_pass(monkeypatch):
+    passes = count_pair_passes(monkeypatch)
+    panel = draw_panel(make_spec(n_firms=3000, seed=6))
+    fit_reduced_form(panel)
+    ar_order_test(panel)
+    residual_sign_test(panel, TRUTH)
+    two_step_estimator(panel)
+    assert passes == []
+    assert set(panel._moment_cache) == {"gram", 0, 2}
+    # the scans' standard errors and the inequality's do need it, once per
+    # lag depth
+    evaluate = beta_scan_evaluator(panel)
+    assert passes == []
+    evaluate(0.6)
+    evaluate(1.6)
+    moment_inequality(panel, TRUTH)
+    moment_inequality(panel, PSEUDO)
+    assert passes == [6, 2]
+
+
+def test_scans_do_not_depend_on_earlier_fits(multi6k):
+    grids = (("beta", np.linspace(0.0, 2.0, 21), "quasi_diff"),
+             ("rho", np.linspace(-0.9, 0.9, 19), "multi_input"))
+    fresh = dataclasses.replace(multi6k)
+    want = [scan_curve(fresh, axis, grid, family=family)
+            for axis, grid, family in grids]
+    fitted = dataclasses.replace(multi6k)
+    two_step_estimator(fitted)
+    ar_order_test(fitted)
+    for (axis, grid, family), curve in zip(grids, want):
+        got = scan_curve(fitted, axis, grid, family=family)
+        assert np.array_equal(got.m, curve.m)
+        assert np.array_equal(got.ses, curve.ses)
 
 
 def permute_firms(panel, order):

@@ -163,9 +163,10 @@ class TestSimulationMatchesOracle:
             assert g == pytest.approx(w, abs=0.2)
 
     def test_analytic_curve_matches_sampled_moments_pointwise(self, bench200k):
-        from dynpan.estimate import concentrate_beta
+        from dynpan.estimate import beta_scan_evaluator
         gw, gk = ar1_gammas(RHO_W), ar1_gammas(RHO_X)
+        evaluate = beta_scan_evaluator(bench200k)
         for bt in (0.0, 0.3, 0.9, 1.2, 1.9):
-            cb = concentrate_beta(bench200k, bt)
+            cb = evaluate(bt)
             want = population_moment(bt, gw, gk)
             assert cb.moment == pytest.approx(want, abs=6.0 * cb.moment_se)

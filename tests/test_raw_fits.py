@@ -1,21 +1,21 @@
 """The fits and moment reports against the raw-data formulas they replaced.
 
-``two_sls`` forms its cross-products from dot products of the columns of a
-column-major design.  ``gmm_objective`` and the two level diagnostics
-(``residual_sign_test``, ``moment_inequality``) read the panel only through
-its cached cross-moments: each residual is a linear form in the lagged
-columns, so its moments, their outer-product and the standard errors are
-small dense algebra.  The oracles below are the earlier formulas, which
-pool the raw arrays: full-length GEMMs (``Z.T @ X``) on ``column_stack``
-designs, the per-period residual matrices with ``moment_stats``,
-``np.corrcoef`` and a two-pass standard deviation.  On every conftest panel
-the fits and reports must agree with them to 1e-10 relative.
+``two_sls`` and its callers (the reduced form and the AR-order test),
+``gmm_objective`` and the two level diagnostics (``residual_sign_test``,
+``moment_inequality``) read the panel only through its cached
+cross-moments: each residual is a linear form in the lagged columns, so its
+moments, their outer-product and the standard errors are small dense
+algebra.  The oracles below are the earlier formulas, which pool the raw
+arrays: full-length GEMMs (``Z.T @ X``) on ``column_stack`` designs, the
+per-period residual matrices with ``moment_stats``, ``np.corrcoef`` and a
+two-pass standard deviation.  On every conftest panel the fits and reports
+must agree with them to 1e-10 relative.
 """
 
 import numpy as np
 import pytest
 
-from conftest import DEFAULTS, make_spec
+from conftest import DEFAULTS, linear_panel
 from dynpan import estimate
 from dynpan.diagnostics import (
     ar_order_test,
@@ -38,7 +38,6 @@ from dynpan.estimate import (
     two_sls,
 )
 from dynpan.model import ParamPoint, pseudo_point
-from dynpan.simulate import PanelData
 from test_estimate import FIXTURE_PANELS, assert_rel
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
@@ -134,13 +133,10 @@ def two_pass_inequality(panel, p):
 
 # --- agreement on every conftest panel ------------------------------------
 
-def assert_fit(fit, want):
-    coef, r, zx, zz, se = want
-    assert_rel(fit.coefficients, coef)
-    assert_rel(fit.residuals, r, scale=np.max(np.abs(r)))
-    assert_rel(fit.zx, zx, scale=np.max(np.abs(zx)))
-    assert_rel(fit.zz, zz, scale=np.max(np.abs(zz)))
-    assert_rel(fit.std_errors(), se)
+def assert_fit(fit, want, rtol=1e-10):
+    coef, r, _, _, se = want
+    assert_rel(fit.coefficients, coef, rtol=rtol)
+    assert_rel(fit.std_errors, se, rtol=rtol)
     assert fit.n_obs == r.size
 
 
@@ -245,68 +241,67 @@ def test_sign_and_inequality_match_old_formulas(fixture, request):
                    two_pass_inequality(panel, p))
 
 
-# --- two_sls inputs -------------------------------------------------------
+# --- two_sls on small panels ----------------------------------------------
 
-def random_system(n, k, seed=0):
+def random_panel(n, seed=0, order="C"):
+    """Two-period y/x panel: period 0 of x instruments period 1, which is
+    endogenous in y's period 1."""
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, k))
-    X = Z @ rng.standard_normal((k, k)) + rng.standard_normal((n, k))
-    return X @ rng.standard_normal(k) + rng.standard_normal(n), X, Z
+    z, e = rng.standard_normal((2, n))
+    x = np.column_stack([z, z + 0.8 * e + 0.5 * rng.standard_normal(n)])
+    y = np.column_stack([rng.standard_normal(n), 1.0 + 2.0 * x[:, 1] + e])
+    panel = linear_panel(np.asarray(x, order=order),
+                         np.asarray(y, order=order))
+    one = np.ones(n)
+    return (panel, y[:, 1], np.column_stack([one, x[:, 1]]),
+            np.column_stack([one, x[:, 0]]))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_two_sls_agrees_on_c_and_f_inputs(order):
-    dep, X, Z = random_system(5000, 3)
-    fit = two_sls(dep, np.asarray(X, order=order),
-                  np.asarray(Z, order=order))
-    coef, r, zx, zz, se = gemm_two_sls(dep, X, Z)
-    assert_rel(fit.coefficients, coef, rtol=1e-12)
-    assert_rel(fit.residuals, r, scale=np.max(np.abs(r)), rtol=1e-12)
-    assert_rel(fit.zx, zx, scale=np.max(np.abs(zx)), rtol=1e-12)
-    assert_rel(fit.zz, zz, scale=np.max(np.abs(zz)), rtol=1e-12)
-    assert_rel(fit.std_errors(), se, rtol=1e-12)
+    panel, dep, X, Z = random_panel(5000, order=order)
+    fit = two_sls(panel, "y_lag0", ("const", "x_lag0"), ("const", "x_lag1"))
+    assert_fit(fit, gemm_two_sls(dep, X, Z), rtol=1e-12)
 
 
 def test_one_dimensional_inputs_are_one_column():
-    dep, X, Z = random_system(6, 1, seed=4)
-    fit = two_sls(dep, X[:, 0], Z[:, 0])
-    want = two_sls(dep, X, Z)
-    assert fit.zx.shape == (1, 1) and fit.zz.shape == (1, 1)
-    assert fit.residuals.shape == (6,)
-    assert_rel(fit.coefficients, want.coefficients, rtol=1e-12)
-    assert_rel(fit.residuals, want.residuals, rtol=1e-12)
-    assert_rel(fit.coefficients, gemm_two_sls(dep, X, Z)[0], rtol=1e-12)
+    # a one-name sequence is one column; a bare name is a sequence of
+    # characters, which are not column names
+    panel, dep, X, Z = random_panel(6, seed=4)
+    fit = two_sls(panel, "y_lag0", ("x_lag0",), ("x_lag1",))
+    assert fit.names == ("x_lag0",) and fit.coefficients.shape == (1,)
+    assert_fit(fit, gemm_two_sls(dep, X[:, 1:], Z[:, 1:]), rtol=1e-12)
+    with pytest.raises(ValidationError, match="bad instrument name"):
+        two_sls(panel, "y_lag0", "x_lag0", "x_lag1")
 
 
-@pytest.mark.parametrize("shapes", [((5,), (6, 1), (6, 1)),
-                                    ((6,), (5, 1), (6, 1)),
-                                    ((6,), (6, 2), (5, 2)),
-                                    ((6, 2), (6, 1), (6, 1)),
-                                    ((6,), (6, 1, 1), (6, 1, 1))])
+@pytest.mark.parametrize("shapes", [((), ()),
+                                    (("x_lag0",), ()),
+                                    (("x_lag0",), ("x_lag1", "const")),
+                                    (("const", "x_lag0"), ("x_lag1",)),
+                                    (("const", "x_lag0", "y_lag1"),
+                                     ("const", "x_lag1"))])
 def test_mismatched_shapes_rejected(shapes):
-    with pytest.raises(ValidationError):
-        two_sls(*(np.ones(s) for s in shapes))
+    # as many instruments as regressors, and at least one of each
+    panel = random_panel(6)[0]
+    with pytest.raises(ValidationError) as err:
+        two_sls(panel, "y_lag0", *shapes)
+    assert err.value.field == "instruments"
 
 
-def test_same_regressors_and_instruments_keep_separate_products():
-    dep, X, _ = random_system(500, 3, seed=5)
-    fit = two_sls(dep, X, X)
-    assert fit.zz is not fit.zx
+def test_same_regressors_and_instruments_give_ols():
+    panel, dep, X, Z = random_panel(500, seed=5)
+    names = ("const", "x_lag0", "x_lag1")
+    fit = two_sls(panel, "y_lag0", names, names)
+    X = np.column_stack([X, Z[:, 1]])
     assert_rel(fit.coefficients, np.linalg.lstsq(X, dep, rcond=None)[0],
                rtol=1e-12)
+    assert_fit(fit, gemm_two_sls(dep, X, X), rtol=1e-12)
     with pytest.raises(RankDeficiencyError):
-        two_sls(dep, X[:, [0, 0]], X[:, [0, 1]])
+        two_sls(panel, "y_lag0", ("x_lag0", "x_lag0"), ("x_lag0", "x_lag1"))
 
 
 # --- the sign test's degenerate and boundary cases ------------------------
-
-def linear_panel(x, y):
-    """A panel holding only the observables x and y."""
-    zeros = np.zeros_like(x)
-    return PanelData(make_spec(n_firms=x.shape[0], n_periods=x.shape[1]),
-                     y=y, x=x, omega=zeros, kappa=zeros, xi=zeros, u=zeros,
-                     eta=zeros)
-
 
 @pytest.mark.parametrize("case", ["constant_x", "exact_fit"])
 def test_sign_test_reports_zero_variance(case):
