@@ -35,11 +35,6 @@ class DiagnosticReport:
     verdict: str
     rule_applied: str
 
-    def render(self) -> str:
-        return (f"statistic={self.statistic:.6g} "
-                f"se={self.standard_error:.6g} verdict={self.verdict} "
-                f"rule: {self.rule_applied}")
-
     def csv_rows(self):
         return (("statistic", _fmt(self.statistic)),
                 ("standard_error", _fmt(self.standard_error)),

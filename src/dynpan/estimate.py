@@ -87,9 +87,6 @@ class InstrumentSpec:
         return max((_parse_name(n)[1] for n in self.names if n != "const"),
                    default=0)
 
-    def needs_z(self) -> bool:
-        return any(_parse_name(n)[0] == "z" for n in self.names)
-
 
 #: Instrument sets used by the moment families.
 BENCHMARK_INSTRUMENTS = InstrumentSpec(("const", "x_lag1", "x_lag2", "y_lag2"))
@@ -129,26 +126,24 @@ def _checked_inverse(zx: np.ndarray) -> np.ndarray:
     """Inverse of a square cross-product zx, after verifying that zx is
     numerically full rank.
 
-    The pivots judged are the singular values of zx with its columns scaled
-    to unit length, so a change of data units in a regressor cannot make a
-    well-posed system look singular.  The inverse is read off the same SVD,
-    zx diag(1/d) = u diag(s) vt with d the column norms, so one
+    The pivots judged are the singular values of zx with its columns, then
+    its rows, scaled to unit length, so a change of data units in a
+    regressor or an instrument cannot make a well-posed system look
+    singular.  The inverse is read off the same SVD, diag(1/e) zx diag(1/d)
+    = u diag(s) vt with d the column and e the row norms, so one
     factorisation serves every solve with zx or its transpose.
     """
     d = np.sqrt((zx * zx).sum(axis=0))
     d[d == 0.0] = 1.0
-    u, pivots, vt = np.linalg.svd(zx / d)
+    e = np.sqrt(((zx / d) ** 2).sum(axis=1))
+    e[e == 0.0] = 1.0
+    u, pivots, vt = np.linalg.svd(zx / d / e[:, None])
     smallest = pivots[-1] if pivots.size else 0.0
     if smallest <= 1e-10 * max(pivots[0] if pivots.size else 0.0, 1.0):
         raise RankDeficiencyError(
             f"singular instrument-regressor cross-product; smallest pivot "
             f"{smallest:.3e}", smallest_pivot=smallest)
-    return (vt.T / pivots) @ u.T / d[:, None]
-
-
-def _checked_solve(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """Solve zx @ coef = zy after verifying zx is numerically full rank."""
-    return _checked_inverse(zx) @ zy
+    return (vt.T / pivots) @ u.T / d[:, None] / e
 
 
 def two_sls(panel, dep: str, regressors: Sequence[str],
@@ -162,6 +157,11 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     instruments as regressors; a numerically singular E[Z X'] raises
     :class:`RankDeficiencyError` naming the smallest pivot.
     """
+    for field, names in (("regressors", regressors),
+                         ("instruments", instruments)):
+        if isinstance(names, str):
+            raise ValidationError(f"{field} must be a sequence of names, "
+                                  f"not the string {names!r}", field=field)
     regressors, instruments = tuple(regressors), tuple(instruments)
     if not regressors or len(regressors) != len(instruments):
         raise ValidationError(
@@ -511,19 +511,16 @@ def _rho_plan(panel, family, solve, report) -> _RhoPlan:
             field="family")
     if family == "multi_input" and panel.z is None:
         raise ValidationError("panel has no second input z", field="panel")
-    if solve is None:
-        solve = ("const", "x_lag1") if family == "quasi_diff" \
-            else ("const", "x_lag1", "z_lag1")
-    if report is None:
-        report = ("x_lag2", "y_lag2") if family == "quasi_diff" \
-            else ("x_lag2", "y_lag2", "z_lag2")
-    key = ("rho", family, tuple(solve), tuple(report))
-    if key in panel._moment_cache:
-        return panel._moment_cache[key]
-    solve, report = key[2:]
-    mom = _moments_from(panel, 1, InstrumentSpec(solve + report))
     inputs = ("x", "z") if family == "multi_input" else ("x",)
     coef_names = ("alpha", "beta", "gamma")[:1 + len(inputs)]
+    # the family's instruments: one solving instrument per coefficient first
+    defaults = _FAMILY_DEFAULTS[family].names
+    solve = tuple(defaults[:len(coef_names)] if solve is None else solve)
+    report = tuple(defaults[len(coef_names):] if report is None else report)
+    key = ("rho", family, solve, report)
+    if key in panel._moment_cache:
+        return panel._moment_cache[key]
+    mom = _moments_from(panel, 1, InstrumentSpec(solve + report))
     if len(solve) != len(coef_names):
         raise ValidationError(
             f"need {len(coef_names)} solving instruments, got {len(solve)}",
@@ -628,7 +625,7 @@ def gmm_objective(panel, family: str, params,
         objective = float(m @ m)
     else:
         try:
-            objective = float(m @ _checked_solve(S, m))
+            objective = float(m @ (_checked_inverse(S) @ m))
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(
                 "moment outer-product is singular; two-step weighting "

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DynpanError, InternalConsistencyError, ValidationError
 from .estimate import (
+    PREDETERMINED_INSTRUMENTS,
     _fmt,
     beta_scan_evaluator,
     concentrate_rho,
@@ -35,6 +36,9 @@ DEFAULT_BOUNDS = {"beta": (-1.0, 3.0), "rho": (-0.999, 0.999)}
 #: Guard threshold: the reduced form is treated as degenerate when the
 #: y-feedback coefficient is within this many standard errors of zero.
 PI_XY_GUARD_SE = 3.0
+
+#: Halvings after which a bracket's bisection stops unconverged.
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -62,8 +66,9 @@ class ObjectiveCurve:
     """Signed concentrated moment over a grid, plus located features.
 
     ``ses`` holds the per-point sampling standard error of m.  Grid points
-    where the underlying fit failed carry NaN.  ``zeros`` and ``minima``
-    are filled by :func:`find_zeros` / :func:`find_local_minima`.
+    where the underlying fit failed carry NaN.  ``evaluator`` gives m at any
+    point of the axis; ``zeros`` and ``minima`` are filled by
+    :func:`find_zeros` / :func:`find_local_minima`, which refine with it.
     """
 
     axis: str
@@ -71,21 +76,35 @@ class ObjectiveCurve:
     m: np.ndarray
     msq: np.ndarray
     ses: np.ndarray
+    evaluator: Callable[[float], float] = field(repr=False)
     zeros: list = field(default_factory=list)
     minima: list = field(default_factory=list)
-    evaluator: Optional[Callable[[float], float]] = field(
-        default=None, repr=False)
 
 
-def scan_curve(panel, axis: str, grid, family: str = "quasi_diff",
-               bounds: Optional[tuple] = None) -> ObjectiveCurve:
+def _evaluate(axis: str, grid: np.ndarray, point) -> ObjectiveCurve:
+    """The curve of ``point(g) = (m, se)`` over the grid; a point whose fit
+    fails carries NaN.  Its evaluator is the m of ``point``."""
+    m = np.empty(grid.size)
+    ses = np.empty(grid.size)
+    for i, g in enumerate(grid):
+        try:
+            m[i], ses[i] = point(g)
+        except DynpanError:
+            m[i] = ses[i] = np.nan
+    return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m, ses=ses,
+                          evaluator=lambda v: point(v)[0])
+
+
+def scan_curve(panel, axis: str, grid,
+               family: str = "quasi_diff") -> ObjectiveCurve:
     """Evaluate the concentrated moment at each grid point.
 
     ``axis='beta'`` concentrates (alpha, rho) at each candidate slope and
     uses the single instrument x_{t-1}; ``axis='rho'`` concentrates the
     linear block at each candidate persistence and reports the x_{t-2}
-    moment.  Estimation failures at individual points are recorded as NaN,
-    not raised.
+    moment.  The grid must lie within ``DEFAULT_BOUNDS`` of its axis.
+    Estimation failures at individual points are recorded as NaN, not
+    raised.
     """
     if axis not in ("beta", "rho"):
         raise ValidationError("axis must be beta or rho", field="axis")
@@ -95,7 +114,7 @@ def scan_curve(panel, axis: str, grid, family: str = "quasi_diff",
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing",
                               field="grid")
-    lo, hi = bounds if bounds is not None else DEFAULT_BOUNDS[axis]
+    lo, hi = DEFAULT_BOUNDS[axis]
     if grid[0] < lo or grid[-1] > hi:
         raise ValidationError(
             f"grid [{grid[0]}, {grid[-1]}] outside bounds [{lo}, {hi}]",
@@ -116,32 +135,20 @@ def scan_curve(panel, axis: str, grid, family: str = "quasi_diff",
             cr = concentrate_rho(panel, r, family=family)
             return cr.moments[0], cr.moment_ses[0]
 
-    m = np.empty(grid.size)
-    ses = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        try:
-            m[i], ses[i] = point(g)
-        except DynpanError:
-            m[i] = ses[i] = np.nan
-
-    def evaluator(v: float) -> float:
-        return point(v)[0]
-
-    return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m, ses=ses,
-                          evaluator=evaluator)
+    return _evaluate(axis, grid, point)
 
 
-def find_zeros(curve: ObjectiveCurve, zero_tol: Optional[float] = None,
-               max_iter: int = 60) -> list[RootInfo]:
-    """Refine every sign change of the signed moment by bisection.
+def find_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
+    """Refine every sign change of the signed moment by bisection with the
+    curve's evaluator.
 
-    Refinement runs until |m| < zero_tol (default 1e-4 of the median grid
-    |m|) and the bracket is narrower than 1e-6 of the grid span, or
-    ``max_iter`` halvings.  Returns the roots and attaches them to the
-    curve.  A curve without sign changes yields an empty list.
+    Refinement runs until |m| is below 1e-4 of the median grid |m| and the
+    bracket is narrower than 1e-6 of the grid span, or 60 halvings.  A
+    bracket whose bisection hits a failed fit (a pole) ends there,
+    unconverged with m_value NaN.  Returns the roots and attaches them to
+    the curve.  A curve without sign changes yields an empty list.
     """
-    curve.zeros = _refine_zeros(curve.grid, curve.m, curve.evaluator,
-                                zero_tol, max_iter)
+    curve.zeros = _refine_zeros(curve)
     return curve.zeros
 
 
@@ -157,15 +164,13 @@ def _median(values: np.ndarray) -> float:
                  else (ordered[h - 1] + ordered[h]) / 2)
 
 
-def _refine_zeros(grid, m, f, zero_tol=None, max_iter=60) -> list[RootInfo]:
-    """The bisection behind :func:`find_zeros`, on a grid, its moments m
-    and the evaluator f (None: interpolate linearly).  A bracket whose
-    bisection hits a failed fit (a pole) ends there with m_value NaN."""
+def _refine_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
+    """The bisection behind :func:`find_zeros`, without attaching the
+    roots to the curve."""
+    grid, m, f = curve.grid, curve.m, curve.evaluator
     finite = np.isfinite(m)
-    if zero_tol is None:
-        zero_tol = 1e-4 * _median(np.abs(m[finite]))
-    span = float(grid[-1] - grid[0]) if grid.size > 1 else 1.0
-    width_tol = 1e-6 * span
+    m_tol = 1e-4 * _median(np.abs(m[finite]))
+    width_tol = 1e-6 * float(grid[-1] - grid[0])
     roots: list[RootInfo] = []
     for i in range(grid.size - 1):
         if not (finite[i] and finite[i + 1]):
@@ -178,16 +183,9 @@ def _refine_zeros(grid, m, f, zero_tol=None, max_iter=60) -> list[RootInfo]:
         if m[i] * m[i + 1] >= 0.0:
             continue
         lo, hi = float(grid[i]), float(grid[i + 1])
-        if f is None:
-            # no evaluator (hand-built curve): linear-interpolation root
-            loc = lo - m[i] * (hi - lo) / (m[i + 1] - m[i])
-            roots.append(RootInfo(location=float(loc), bracket=(lo, hi),
-                                  m_value=0.0, iterations=0, converged=True))
-            continue
         flo = m[i]
-        mid, fmid = 0.5 * (lo + hi), np.nan
         it = 0
-        while it < max_iter:
+        while it < _MAX_HALVINGS:
             mid = 0.5 * (lo + hi)
             try:
                 fmid = f(mid)
@@ -202,9 +200,9 @@ def _refine_zeros(grid, m, f, zero_tol=None, max_iter=60) -> list[RootInfo]:
                 lo, flo = mid, fmid
             else:
                 hi = mid
-            if (hi - lo) < width_tol and abs(fmid) < zero_tol:
+            if (hi - lo) < width_tol and abs(fmid) < m_tol:
                 break
-        converged = bool(np.isfinite(fmid) and abs(fmid) < zero_tol)
+        converged = bool(np.isfinite(fmid) and abs(fmid) < m_tol)
         roots.append(RootInfo(location=mid, bracket=(lo, hi),
                               m_value=float(fmid), iterations=it,
                               converged=converged))
@@ -217,7 +215,8 @@ def _refine_zeros(grid, m, f, zero_tol=None, max_iter=60) -> list[RootInfo]:
 
 def find_local_minima(curve: ObjectiveCurve) -> list[MinimumInfo]:
     """Interior grid points where m^2 dips strictly below both neighbors,
-    refined by a three-point parabola.  Attached to the curve."""
+    refined by a three-point parabola and valued by the evaluator at its
+    vertex (by the grid m^2 if that fit fails).  Attached to the curve."""
     msq, grid = curve.msq, curve.grid
     out: list[MinimumInfo] = []
     for i in range(1, grid.size - 1):
@@ -232,13 +231,10 @@ def find_local_minima(curve: ObjectiveCurve) -> list[MinimumInfo]:
         den = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
         loc = x2 - 0.5 * num / den if den != 0.0 else x2
         loc = float(np.clip(loc, x1, x3))
-        if curve.evaluator is not None:
-            try:
-                value = float(curve.evaluator(loc)) ** 2
-            except DynpanError:
-                value = float(msq[i])
-        else:  # parabola value at the vertex
-            value = float(np.polyval(np.polyfit([x1, x2, x3], trio, 2), loc))
+        try:
+            value = float(curve.evaluator(loc)) ** 2
+        except DynpanError:
+            value = float(msq[i])
         out.append(MinimumInfo(location=loc, value=value, grid_index=i))
     curve.minima = out
     return out
@@ -326,27 +322,30 @@ def _predetermined_point(panel) -> ParamPoint:
     zero by the bisection of :func:`find_zeros`, with its stopping rule;
     among candidate roots the one with the smallest joint
     over-identification score wins.  A bracket whose bisection hits a
-    failed fit (a pole) yields no candidate.
+    failed fit (a pole) yields no candidate.  Raises ValidationError when
+    the fit fails at every point of the rho grid.
     """
-    solve = ("const", "x_lag0")
-    report = ("x_lag1", "x_lag2", "y_lag2")
+    names = PREDETERMINED_INSTRUMENTS.names  # {1, x_t}, then the reported
 
     def at(rho):
         return concentrate_rho(panel, rho, family="quasi_diff",
-                               solve_instruments=solve,
-                               report_instruments=report)
+                               solve_instruments=names[:2],
+                               report_instruments=names[2:])
 
-    grid = np.linspace(-0.9, 0.9, 37)
-    vals = np.full(grid.size, np.nan)
-    for i, rho in enumerate(grid):
-        try:
-            vals[i] = at(rho).moments[0]
-        except DynpanError:
-            pass
-    roots = _refine_zeros(grid, vals, lambda rho: at(rho).moments[0])
-    candidates = [r.location for r in roots if np.isfinite(r.m_value)]
+    def point(rho):
+        cr = at(rho)
+        return cr.moments[0], cr.moment_ses[0]
+
+    curve = _evaluate("rho", np.linspace(-0.9, 0.9, 37), point)
+    if np.isnan(curve.m).all():
+        raise ValidationError(
+            "predetermined start unavailable: the fit failed at every rho "
+            "of the grid [-0.9, 0.9], so the x_{t-1} moment has no zero "
+            "and no smallest value to start from", field="strategy")
+    candidates = [r.location for r in _refine_zeros(curve)
+                  if np.isfinite(r.m_value)]
     if not candidates:
-        candidates = [float(grid[np.nanargmin(np.abs(vals))])]
+        candidates = [float(curve.grid[np.nanargmin(np.abs(curve.m))])]
     best, best_score = None, np.inf
     for rho in candidates:
         cr = at(rho)
@@ -389,14 +388,13 @@ def warm_start_pipeline(panel, strategy: str,
         field="strategy")
 
 
-def write_curve_csv(curve: ObjectiveCurve, path, rescale: float = 1.0) -> None:
-    """axis_value,m,objective rows plus a trailing comment block with the
-    located zeros and minima.  ``rescale`` multiplies the emitted objective
-    column only; stored values are never rescaled."""
+def write_curve_csv(curve: ObjectiveCurve, path) -> None:
+    """axis_value,m,objective rows, the objective being m^2, plus a
+    trailing comment block with the located zeros and minima."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("axis_value,m,objective\n")
         for g, m, q in zip(curve.grid, curve.m, curve.msq):
-            fh.write(f"{_fmt(g)},{_fmt(m)},{_fmt(q * rescale)}\n")
+            fh.write(f"{_fmt(g)},{_fmt(m)},{_fmt(q)}\n")
         fh.write(f"# axis,{curve.axis}\n")
         for root in curve.zeros:
             fh.write(f"# zero,{_fmt(root.location)},m={_fmt(root.m_value)},"

@@ -174,10 +174,6 @@ class PanelData:
         # ``dataclasses.replace`` starts with an empty cache
         object.__setattr__(self, "_moment_cache", {})
 
-    @property
-    def n_obs(self) -> int:
-        return self.spec.n_firms * self.spec.n_periods
-
 
 #: Firms handled at once by the blocked loops (the nonlinear-kappa draw and
 #: the CSV conversion); bounds their working memory.

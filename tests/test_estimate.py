@@ -39,7 +39,7 @@ from dynpan.estimate import (
     quasi_diff_residual,
     two_sls,
 )
-from dynpan.estimate import _checked_solve
+from dynpan.estimate import _checked_inverse
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 PSEUDO = pseudo_point(DEFAULTS)  # (1.0, 1.6, 0.5)
@@ -367,7 +367,6 @@ class TestInstrumentSpec:
         assert BENCHMARK_INSTRUMENTS.max_lag == 2
         assert FIXED_EFFECTS_INSTRUMENTS.max_lag == 3
         assert PREDETERMINED_INSTRUMENTS.max_lag == 2
-        assert MULTI_INPUT_INSTRUMENTS.needs_z()
 
     def test_bad_names_rejected(self):
         with pytest.raises(ValidationError):
@@ -394,7 +393,7 @@ def oracle_beta(panel, beta_tilde):
     w2 = y2 - beta_tilde * x2
     zx = np.array([[float(n), w1.sum()], [w2.sum(), w2 @ w1]])
     zy = np.array([w0.sum(), w2 @ w0])
-    c, rho = _checked_solve(zx, zy)
+    c, rho = _checked_inverse(zx) @ zy
     r = (y0 - rho * y1) - c - beta_tilde * (x0 - rho * x1)
     prod = x1 * r
     step1_resid = w0 - c - rho * w1
@@ -428,7 +427,7 @@ def oracle_rho(panel, rho_tilde, family, solve, report):
     X = np.column_stack(X)
     Z = np.column_stack([column(nm) for nm in solve])
     dep = qd("y")
-    coef = _checked_solve(Z.T @ X, Z.T @ dep)
+    coef = _checked_inverse(Z.T @ X) @ (Z.T @ dep)
     r = dep - X @ coef
     A = Z.T @ X / n
     moments, ses = [], []
@@ -774,11 +773,18 @@ def test_solve_and_rank_check_ignore_column_units():
     zx, zy = rng.standard_normal((3, 3)), rng.standard_normal(3)
     scale = np.array([1e-9, 1.0, 1e7])
     want = np.linalg.solve(zx, zy)
-    assert_rel(_checked_solve(zx, zy), want, rtol=1e-12)
-    assert_rel(_checked_solve(zx * scale, zy), want / scale, rtol=1e-12)
+    assert_rel(_checked_inverse(zx) @ zy, want, rtol=1e-12)
+    assert_rel(_checked_inverse(zx * scale) @ zy, want / scale,
+               rtol=1e-12)
+    # row (instrument) units drop out too
+    rows = scale[:, None]
+    assert_rel(_checked_inverse(rows * zx * scale) @ (rows[:, 0] * zy),
+               want / scale, rtol=1e-12)
     singular = zx.copy()
     singular[:, 2] = 2.0 * singular[:, 0]
     with pytest.raises(RankDeficiencyError):
-        _checked_solve(singular * scale, zy)
+        _checked_inverse(singular * scale)
     with pytest.raises(RankDeficiencyError):
-        _checked_solve(np.zeros((2, 2)), zy[:2])
+        _checked_inverse(rows * singular * scale)
+    with pytest.raises(RankDeficiencyError):
+        _checked_inverse(np.zeros((2, 2)))

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import make_spec
 from dynpan import identify
+from dynpan.diagnostics import flatness_guard
 from dynpan.errors import (
     InternalConsistencyError,
     RankDeficiencyError,
@@ -69,6 +70,18 @@ class TestScanCurve:
         with pytest.raises(ValidationError, match="axis"):
             scan_curve(bench200k, "gamma", [0.0, 1.0])
 
+    def test_all_failing_scan_is_all_nan(self):
+        # with every shock switched off each grid point's solve is singular:
+        # the curve is all NaN, has no zeros and cannot pass as flat
+        panel = draw_panel(make_spec(n_firms=200, sigma_xi=0.0, sigma_u=0.0,
+                                     sigma_eta=0.0))
+        curve = scan_curve(panel, "beta", np.linspace(0.0, 2.0, 21))
+        assert np.isnan(curve.m).all() and np.isnan(curve.ses).all()
+        assert np.isnan(curve.msq).all()
+        assert find_zeros(curve) == []
+        assert find_local_minima(curve) == []
+        assert flatness_guard(curve).verdict == "inconclusive"
+
     def test_rho_scan_locates_three_persistences(self, multi200k):
         grid = np.round(np.arange(-0.895, 0.8951, 0.01), 10)
         curve = scan_curve(multi200k, "rho", grid, family="multi_input")
@@ -102,18 +115,29 @@ class TestFindZeros:
         assert find_zeros(curve) == []
 
     def test_exact_grid_zero_is_reported(self):
-        grid = np.array([0.0, 0.5, 1.0])
-        m = np.array([1.0, 0.0, 1.0])
-        curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
-                               ses=np.ones(3))
+        curve = synthetic_curve(lambda b: 2.0 * abs(b - 0.5),
+                                [0.0, 0.5, 1.0])
         roots = find_zeros(curve)
         assert [r.location for r in roots] == [0.5]
+
+    def test_bisection_midpoint_exactly_zero(self):
+        roots = find_zeros(synthetic_curve(lambda b: b - 1.0, [0.0, 2.0]))
+        assert roots == [identify.RootInfo(location=1.0, bracket=(1.0, 1.0),
+                                           m_value=0.0, iterations=1,
+                                           converged=True)]
+
+    def test_zero_at_last_grid_point(self):
+        roots = find_zeros(synthetic_curve(lambda b: b - 1.0,
+                                           [0.0, 0.5, 1.0]))
+        assert roots == [identify.RootInfo(location=1.0, bracket=(1.0, 1.0),
+                                           m_value=0.0, iterations=0,
+                                           converged=True)]
 
     def test_nan_points_are_skipped(self):
         grid = np.array([0.0, 0.5, 1.0, 1.5])
         m = np.array([1.0, np.nan, -1.0, -2.0])
         curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
-                               ses=np.ones(4))
+                               ses=np.ones(4), evaluator=lambda b: 1 - 2 * b)
         assert find_zeros(curve) == []
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 181])
@@ -299,6 +323,16 @@ class TestWarmStart:
         ws = warm_start_pipeline(pred200k, "predetermined_start")
         assert ws.point.rho in [r.location for r in roots]
 
+    def test_all_failing_predetermined_grid_names_the_strategy(self):
+        panel = draw_panel(make_spec("predetermined", n_firms=200,
+                                     sigma_xi=0.0, sigma_u=0.0,
+                                     sigma_eta=0.0))
+        with pytest.raises(ValidationError,
+                           match="predetermined start unavailable: the fit "
+                                 "failed at every rho") as err:
+            warm_start_pipeline(panel, "predetermined_start")
+        assert err.value.field == "strategy"
+
     def test_strategy_mismatch_is_flagged(self, bench200k):
         ws = warm_start_pipeline(bench200k, "predetermined_start")
         assert ws.flagged
@@ -343,12 +377,15 @@ def sixty_halving_warm_start(panel):
                       beta=best.coefficients["beta"], rho=best.rho)
 
 
-def test_joint_rescaling_of_y_and_x_changes_nothing(bench200k):
-    # a change of units must not look like a singular system: at 1e-6
-    # the unequilibrated rank check turned every grid point into NaN and
-    # made the two-step estimator raise
-    scaled = dataclasses.replace(bench200k, y=bench200k.y * 1e-6,
-                                 x=bench200k.x * 1e-6)
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e9, 1e12],
+                         ids="{:g}".format)
+def test_joint_rescaling_of_y_and_x_changes_nothing(bench200k, scale):
+    # a change of units must not look like a singular system: without
+    # equilibration 1e-6 turned every grid point into NaN and made the
+    # two-step estimator raise; with columns alone equilibrated 1e-12 still
+    # did the first and 1e9 the second
+    scaled = dataclasses.replace(bench200k, y=bench200k.y * scale,
+                                 x=bench200k.x * scale)
     grid = np.round(np.arange(0.0, 2.0001, 0.05), 10)
     width = 1e-6 * (grid[-1] - grid[0])
     want = find_zeros(scan_curve(bench200k, "beta", grid))

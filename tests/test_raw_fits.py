@@ -161,6 +161,10 @@ GMM_SPECS = (BENCHMARK_INSTRUMENTS, FIXED_EFFECTS_INSTRUMENTS,
              CONCENTRATED_BETA_INSTRUMENTS)
 
 
+def needs_z(spec):
+    return any(name.startswith("z_") for name in spec.names)
+
+
 @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
 def test_instrument_matrix_matches_column_stack(fixture, request):
     # the instruments are forms over the cross-moments: their means and
@@ -169,7 +173,7 @@ def test_instrument_matrix_matches_column_stack(fixture, request):
     for spec in GMM_SPECS:
         for t_min in range(max(spec.max_lag, 1), panel.spec.n_periods):
             mom = estimate._cross_moments(panel, t_min)
-            if spec.needs_z() and panel.z is None:
+            if needs_z(spec) and panel.z is None:
                 with pytest.raises(ValidationError, match="no series 'z'"):
                     mom.forms(spec.names)
                 continue
@@ -196,7 +200,7 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
     for family, points in GMM_POINTS.items():
         for spec in GMM_SPECS:
             if panel.z is None and (family == "multi_input"
-                                    or spec.needs_z()):
+                                    or needs_z(spec)):
                 with pytest.raises(ValidationError) as err:
                     gmm_objective(panel, family, points[0], spec)
                 assert err.value.field == ("panel" if family == "multi_input"
@@ -265,14 +269,20 @@ def test_two_sls_agrees_on_c_and_f_inputs(order):
 
 
 def test_one_dimensional_inputs_are_one_column():
-    # a one-name sequence is one column; a bare name is a sequence of
-    # characters, which are not column names
+    # a one-name sequence is one column; a bare name is rejected as such,
+    # not read one character at a time
     panel, dep, X, Z = random_panel(6, seed=4)
     fit = two_sls(panel, "y_lag0", ("x_lag0",), ("x_lag1",))
     assert fit.names == ("x_lag0",) and fit.coefficients.shape == (1,)
     assert_fit(fit, gemm_two_sls(dep, X[:, 1:], Z[:, 1:]), rtol=1e-12)
-    with pytest.raises(ValidationError, match="bad instrument name"):
-        two_sls(panel, "y_lag0", "x_lag0", "x_lag1")
+    for args, field in ((("x_lag0", ("x_lag1",)), "regressors"),
+                        ((("x_lag0",), "x_lag1"), "instruments"),
+                        (("x_lag0", "x_lag1"), "regressors")):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be a sequence of names, "
+                                 "not the string") as err:
+            two_sls(panel, "y_lag0", *args)
+        assert err.value.field == field
 
 
 @pytest.mark.parametrize("shapes", [((), ()),
