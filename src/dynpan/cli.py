@@ -166,12 +166,12 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 class _Outputs:
-    """Collects artifacts so the manifest can record their hashes."""
+    """Collects artifacts so the manifest can record their hashes; the
+    first artifact write makes the directory, so a failed run leaves none."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.files: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
         self.files.append(name)
@@ -193,8 +193,10 @@ class _Outputs:
 
 
 def _atomic_via(writer, final_path) -> None:
-    """Run a path-taking writer against a sibling temp file, then rename."""
+    """Run a path-taking writer against a sibling temp file, then rename;
+    the file's directory is made if missing."""
     directory = os.path.dirname(os.path.abspath(final_path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:

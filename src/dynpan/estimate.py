@@ -33,10 +33,11 @@ influence-function standard errors need, take one blocked pass per lag
 depth on first use.  It holds about ``_BLOCK_ROWS`` rows and their pair
 products at a time, never an n x k^2 matrix.
 
-Next to the cross-moments the panel caches one plan per rho-concentration
-instrument set (family, solving and reported names): the parsed instrument
-forms and the lag-0 and lag-1 forms of y, x and z, so an evaluation only
-forms ``lag0 - rho * lag1``.  Each evaluation factors its rank-checked
+Both concentration axes share one plan: the forms of a just-identified IV
+and its reported instruments, linear in the held slope or persistence t
+(``base - t * slope``).  The panel caches one rho plan per instrument set
+(family, solving and reported names) next to the cross-moments, and a beta
+evaluator holds its own.  Each evaluation factors its rank-checked
 cross-product once (one SVD gives the check, the coefficients and the
 first-step correction) and takes the standard errors of all reported
 moments from one quadratic form in the fourth moments.
@@ -378,53 +379,66 @@ def _cross_moments(panel, lags: int) -> _CrossMoments:
     return cache[lags]
 
 
-def _iv_block(mom: _CrossMoments, F, ZR, n_solve: int):
-    """Just-identified IV of the form ``F[:, 0]`` on the forms ``F[:, 1:]``
-    with the instruments ``ZR[:, :n_solve]``, then the moment of each
-    remaining form of ``ZR`` against the residual with influence-function
-    standard errors.
-
-    The standard error carries the first-step noise: the influence function
-    of E[c r] is (c - Z v) r with v = A'^{-1} E[X c] and A = E[Z X'], and
-    its mean is E[c r] because E[Z r] = 0.  One rank-checked factorisation
-    of A serves both solves.  Returns (coefficients, moments, standard
-    errors).
-    """
-    G = mom.cross(ZR, F)
-    inverse = _checked_inverse(G[:n_solve, 1:])
-    coef = inverse @ G[:n_solve, 0]
-    moments = G[n_solve:, 0] - G[n_solve:, 1:] @ coef
-    V = inverse.T @ G[n_solve:, 1:].T
-    r = F[:, 0] - F[:, 1:] @ coef
-    adjusted = ZR[:, n_solve:] - ZR[:, :n_solve] @ V
-    return coef, moments, mom.ses(adjusted, r, moments)
-
-
 @dataclass
-class ConcentratedBeta:
-    """Result of concentrating (alpha, rho) out of the moment at a fixed
-    candidate slope."""
+class Concentrated:
+    """One concentrated evaluation: the coefficients solved at the held
+    value ``at`` of the scanned axis (a slope or a persistence), and the
+    remaining moments with their influence-function standard errors."""
 
-    beta: float
-    alpha: float
-    rho: float
-    moment: float
-    moment_se: float
+    at: float
+    coefficients: dict
+    moment_names: tuple[str, ...]
+    moments: np.ndarray
+    moment_ses: np.ndarray
     n_obs: int
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A concentration as forms over a panel's cross-moments, linear in the
+    held value t (``base - t * slope``): the dependent form, one form and one
+    solving instrument per coefficient, then the reported instruments."""
+
+    mom: _CrossMoments
+    base: np.ndarray
+    slope: np.ndarray
+    coef_names: tuple
+    moment_names: tuple
+
+    def at(self, t: float) -> Concentrated:
+        """IV of the dependent form on the coefficient forms at t, then the
+        reported moments against its residual.  Their standard errors carry
+        the first-step noise: the influence function of E[c r] is (c - Z v) r
+        with v = A'^{-1} E[X c] and A = E[Z X'] (mean E[c r], as E[Z r] = 0);
+        one rank-checked factorisation of A serves both solves."""
+        n = len(self.coef_names)
+        W = self.base - t * self.slope
+        F, ZR = W[:, :n + 1], W[:, n + 1:]
+        G = self.mom.cross(ZR, F)
+        inverse = _checked_inverse(G[:n, 1:])
+        coef = inverse @ G[:n, 0]
+        moments = G[n:, 0] - G[n:, 1:] @ coef
+        V = inverse.T @ G[n:, 1:].T
+        r = F[:, 0] - F[:, 1:] @ coef
+        adjusted = ZR[:, n:] - ZR[:, :n] @ V
+        return Concentrated(
+            at=t, coefficients=dict(zip(self.coef_names, map(float, coef))),
+            moment_names=self.moment_names, moments=moments,
+            moment_ses=self.mom.ses(adjusted, r, moments), n_obs=self.mom.n)
+
+
 def beta_scan_evaluator(panel):
-    """Callable evaluating the concentrated single-instrument moment at
-    candidate slopes.
+    """Callable giving the :class:`Concentrated` single-instrument moment
+    at a candidate slope, with coefficients ``alpha`` and ``rho``.
 
     At a candidate beta_tilde, step 1 forms w_t = y_t - beta_tilde x_t and
     fits w_t = alpha (1 - rho) + rho w_{t-1} by IV, instrumenting w_{t-1}
     with w_{t-2}.  Step 2 evaluates the quasi-differenced residual at
-    (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}.
-    Both steps pool periods t >= 3.  The panel's cross-moments are
-    accumulated once (see the module docstring), so repeated calls (a grid
-    scan plus bisection refinements) cost small dense algebra, not a pass
-    over the panel.
+    (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}
+    (``CONCENTRATED_BETA_INSTRUMENTS``).  Both steps pool periods t >= 3.
+    The panel's cross-moments are accumulated once (see the module
+    docstring), so repeated calls (a grid scan plus bisection refinements)
+    cost small dense algebra, not a pass over the panel.
     """
     mom = _cross_moments(panel, 2)
     zero = np.zeros(mom.second.shape[0])
@@ -434,51 +448,23 @@ def beta_scan_evaluator(panel):
                                 for nm in names])
 
     # w = y - beta x at lags 0..2; the regression (w0 on const, w1 | the
-    # instruments const, w2 | the reported x1) is level - beta * slope
-    level = forms("y_lag0", "const", "y_lag1", "const", "y_lag2", "x_lag1")
-    slope = forms("x_lag0", None, "x_lag1", None, "x_lag2", None)
+    # instruments const, w2 | the reported x1) is base - beta * slope
+    report = CONCENTRATED_BETA_INSTRUMENTS.names
+    plan = _Plan(
+        mom=mom,
+        base=forms("y_lag0", "const", "y_lag1", "const", "y_lag2", *report),
+        slope=forms("x_lag0", None, "x_lag1", None, "x_lag2",
+                    *[None] * len(report)),
+        coef_names=("c", "rho"), moment_names=report)
 
-    def evaluate(beta_tilde: float) -> ConcentratedBeta:
-        W = level - beta_tilde * slope
-        (c, rho), moment, se = _iv_block(mom, W[:, :3], W[:, 3:], 2)
+    def evaluate(beta_tilde: float) -> Concentrated:
+        out = plan.at(beta_tilde)
+        c, rho = out.coefficients.values()
         alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else float("nan")
-        return ConcentratedBeta(beta=beta_tilde, alpha=float(alpha),
-                                rho=float(rho), moment=float(moment[0]),
-                                moment_se=float(se[0]), n_obs=mom.n)
+        out.coefficients = {"alpha": alpha, "rho": rho}
+        return out
 
     return evaluate
-
-
-@dataclass
-class ConcentratedRho:
-    """Linear coefficients solved at a fixed candidate persistence, plus the
-    remaining over-identifying moments."""
-
-    rho: float
-    coefficients: dict
-    moment_names: tuple[str, ...]
-    moments: np.ndarray
-    moment_ses: np.ndarray
-    n_obs: int
-
-
-@dataclass(frozen=True)
-class _RhoPlan:
-    """What :func:`concentrate_rho` needs of one panel and instrument set,
-    as forms over the panel's cross-moments.
-
-    Column j of ``lag0 - rho * lag1`` is the rho quasi-difference of
-    (y, const, x[, z])[j]; the constant is its own lag, so its difference
-    is (1 - rho) * const.  ``instruments`` holds the solving instruments,
-    then the reported ones.
-    """
-
-    mom: _CrossMoments
-    coef_names: tuple
-    report_names: tuple
-    lag0: np.ndarray
-    lag1: np.ndarray
-    instruments: np.ndarray
 
 
 def _moments_from(panel, first: int, spec: InstrumentSpec) -> _CrossMoments:
@@ -501,10 +487,11 @@ def _lagged_forms(mom: _CrossMoments, inputs, lag: int) -> np.ndarray:
                      + [f"{s}_lag{lag}" for s in inputs])
 
 
-def _rho_plan(panel, family, solve, report) -> _RhoPlan:
-    """The panel's plan for one (family, solve, report) set, built on first
-    use; a set that fails validation is not cached, so it raises on every
-    call."""
+def _rho_plan(panel, family, solve, report) -> _Plan:
+    """The panel's rho plan for one (family, solve, report) set, built on
+    first use: base [lag0 | instruments] and slope [lag1 | 0] quasi-difference
+    (y, const, x[, z]) and leave the instruments alone.  A set that fails
+    validation is not cached, so it raises on every call."""
     if family not in ("quasi_diff", "multi_input"):
         raise ValidationError(
             "rho concentration supports quasi_diff or multi_input",
@@ -525,19 +512,20 @@ def _rho_plan(panel, family, solve, report) -> _RhoPlan:
         raise ValidationError(
             f"need {len(coef_names)} solving instruments, got {len(solve)}",
             field="solve_instruments")
-    plan = panel._moment_cache[key] = _RhoPlan(
-        mom=mom, coef_names=coef_names, report_names=report,
-        lag0=_lagged_forms(mom, inputs, 0), lag1=_lagged_forms(mom, inputs, 1),
-        instruments=mom.forms(solve + report))
+    Z = mom.forms(solve + report)
+    plan = panel._moment_cache[key] = _Plan(
+        mom, np.hstack([_lagged_forms(mom, inputs, 0), Z]),
+        np.hstack([_lagged_forms(mom, inputs, 1), np.zeros_like(Z)]),
+        coef_names, report)
     return plan
 
 
 def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
                     solve_instruments: Optional[tuple] = None,
                     report_instruments: Optional[tuple] = None,
-                    ) -> ConcentratedRho:
+                    ) -> Concentrated:
     """Solve the intercept and slopes by just-identified IV at a fixed rho,
-    then report the left-over moments.
+    then report the left-over moments, as a :class:`Concentrated`.
 
     The moment is linear in (alpha, beta[, gamma]) once rho is fixed, so a
     just-identified subset ({1, x_{t-1}} plus {z_{t-1}} with a second input)
@@ -546,15 +534,8 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     persistence.  Pass explicit instrument-name tuples to override either
     the solving subset or the reported moments.
     """
-    plan = _rho_plan(panel, family, solve_instruments, report_instruments)
-    coef, moments, ses = _iv_block(
-        plan.mom, plan.lag0 - rho_tilde * plan.lag1, plan.instruments,
-        len(plan.coef_names))
-    return ConcentratedRho(
-        rho=rho_tilde,
-        coefficients=dict(zip(plan.coef_names, (float(v) for v in coef))),
-        moment_names=plan.report_names, moments=moments, moment_ses=ses,
-        n_obs=plan.mom.n)
+    return _rho_plan(panel, family, solve_instruments,
+                     report_instruments).at(rho_tilde)
 
 
 @dataclass

@@ -11,6 +11,7 @@ branches, and lets a declared sign of the endogeneity direction pick one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,18 +82,20 @@ class ObjectiveCurve:
     minima: list = field(default_factory=list)
 
 
-def _evaluate(axis: str, grid: np.ndarray, point) -> ObjectiveCurve:
-    """The curve of ``point(g) = (m, se)`` over the grid; a point whose fit
-    fails carries NaN.  Its evaluator is the m of ``point``."""
+def _evaluate(axis: str, grid: np.ndarray, concentrate) -> ObjectiveCurve:
+    """The first moment of ``concentrate(g)`` (a ``Concentrated``) and its
+    standard error over the grid, NaN where the fit fails; the curve's
+    evaluator is that moment."""
     m = np.empty(grid.size)
     ses = np.empty(grid.size)
     for i, g in enumerate(grid):
         try:
-            m[i], ses[i] = point(g)
+            c = concentrate(g)
+            m[i], ses[i] = c.moments[0], c.moment_ses[0]
         except DynpanError:
             m[i] = ses[i] = np.nan
     return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m, ses=ses,
-                          evaluator=lambda v: point(v)[0])
+                          evaluator=lambda v: concentrate(v).moments[0])
 
 
 def scan_curve(panel, axis: str, grid,
@@ -102,9 +105,10 @@ def scan_curve(panel, axis: str, grid,
     ``axis='beta'`` concentrates (alpha, rho) at each candidate slope and
     uses the single instrument x_{t-1}; ``axis='rho'`` concentrates the
     linear block at each candidate persistence and reports the x_{t-2}
-    moment.  The grid must lie within ``DEFAULT_BOUNDS`` of its axis.
-    Estimation failures at individual points are recorded as NaN, not
-    raised.
+    moment; m and its standard error are the first of the point's
+    ``Concentrated`` moments.  The grid must lie within ``DEFAULT_BOUNDS``
+    of its axis.  Estimation failures at individual points are recorded as
+    NaN, not raised.
     """
     if axis not in ("beta", "rho"):
         raise ValidationError("axis must be beta or rho", field="axis")
@@ -125,17 +129,10 @@ def scan_curve(panel, axis: str, grid,
             raise ValidationError(
                 "beta scans concentrate the quasi_diff family only",
                 field="family")
-        fast_eval = beta_scan_evaluator(panel)
-
-        def point(b):
-            cb = fast_eval(b)
-            return cb.moment, cb.moment_se
+        concentrate = beta_scan_evaluator(panel)
     else:
-        def point(r):
-            cr = concentrate_rho(panel, r, family=family)
-            return cr.moments[0], cr.moment_ses[0]
-
-    return _evaluate(axis, grid, point)
+        concentrate = partial(concentrate_rho, panel, family=family)
+    return _evaluate(axis, grid, concentrate)
 
 
 def find_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
@@ -172,15 +169,14 @@ def _refine_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
     m_tol = 1e-4 * _median(np.abs(m[finite]))
     width_tol = 1e-6 * float(grid[-1] - grid[0])
     roots: list[RootInfo] = []
-    for i in range(grid.size - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        if m[i] == 0.0:
+    for i in range(grid.size):
+        if m[i] == 0.0:  # NaN never equals 0
             roots.append(RootInfo(location=float(grid[i]),
                                   bracket=(float(grid[i]), float(grid[i])),
                                   m_value=0.0, iterations=0, converged=True))
             continue
-        if m[i] * m[i + 1] >= 0.0:
+        if (i + 1 == grid.size or not (finite[i] and finite[i + 1])
+                or m[i] * m[i + 1] >= 0.0):
             continue
         lo, hi = float(grid[i]), float(grid[i + 1])
         flo = m[i]
@@ -206,10 +202,6 @@ def _refine_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
         roots.append(RootInfo(location=mid, bracket=(lo, hi),
                               m_value=float(fmid), iterations=it,
                               converged=converged))
-    if finite.size and finite[-1] and m[-1] == 0.0:
-        roots.append(RootInfo(location=float(grid[-1]),
-                              bracket=(float(grid[-1]), float(grid[-1])),
-                              m_value=0.0, iterations=0, converged=True))
     return roots
 
 
@@ -257,6 +249,12 @@ class EstimateResult:
     diagnosis: str = ""
 
 
+def _check_sign(sign: str) -> None:
+    if sign not in ("theta_positive", "theta_negative"):
+        raise ValidationError(
+            "sign must be theta_positive or theta_negative", field="sign")
+
+
 def select_by_sign(branches, sign: str) -> SolutionBranch:
     """Pick the branch whose theta carries the declared sign.
 
@@ -264,9 +262,7 @@ def select_by_sign(branches, sign: str) -> SolutionBranch:
     when the branch gap 1/theta is positive.  The two branches must carry
     opposite-sign thetas; anything else indicates a corrupted pair.
     """
-    if sign not in ("theta_positive", "theta_negative"):
-        raise ValidationError(
-            "sign must be theta_positive or theta_negative", field="sign")
+    _check_sign(sign)
     a, b = branches
     if not (a.params.theta * b.params.theta < 0):
         raise InternalConsistencyError(
@@ -281,7 +277,9 @@ def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
     When the estimated discriminant is non-positive, or the y-feedback
     coefficient pi_xy is within ``PI_XY_GUARD_SE`` standard errors of zero,
     the equal-persistence diagnosis is reported instead of an estimate.
+    An unknown ``sign`` raises before the fit, degenerate or not.
     """
+    _check_sign(sign)
     rf, _, fit_x = fit_reduced_form(panel)
     se_pi_xy = float(fit_x.std_errors[1])
     disc = rf.discriminant()
@@ -327,16 +325,10 @@ def _predetermined_point(panel) -> ParamPoint:
     """
     names = PREDETERMINED_INSTRUMENTS.names  # {1, x_t}, then the reported
 
-    def at(rho):
-        return concentrate_rho(panel, rho, family="quasi_diff",
-                               solve_instruments=names[:2],
-                               report_instruments=names[2:])
-
-    def point(rho):
-        cr = at(rho)
-        return cr.moments[0], cr.moment_ses[0]
-
-    curve = _evaluate("rho", np.linspace(-0.9, 0.9, 37), point)
+    concentrate = partial(concentrate_rho, panel, family="quasi_diff",
+                          solve_instruments=names[:2],
+                          report_instruments=names[2:])
+    curve = _evaluate("rho", np.linspace(-0.9, 0.9, 37), concentrate)
     if np.isnan(curve.m).all():
         raise ValidationError(
             "predetermined start unavailable: the fit failed at every rho "
@@ -348,12 +340,12 @@ def _predetermined_point(panel) -> ParamPoint:
         candidates = [float(curve.grid[np.nanargmin(np.abs(curve.m))])]
     best, best_score = None, np.inf
     for rho in candidates:
-        cr = at(rho)
+        cr = concentrate(rho)
         score = float(np.sum((cr.moments / cr.moment_ses) ** 2))
         if score < best_score:
             best, best_score = cr, score
     return ParamPoint(alpha=best.coefficients["alpha"],
-                      beta=best.coefficients["beta"], rho=best.rho)
+                      beta=best.coefficients["beta"], rho=best.at)
 
 
 def warm_start_pipeline(panel, strategy: str,

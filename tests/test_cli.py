@@ -181,6 +181,41 @@ class TestDiagnoseCommand:
         assert "consistent_with_truth" in ar
 
 
+    def test_truth_and_custom_point_at_the_truth_agree(self, tmp_path):
+        truth, custom = tmp_path / "truth", tmp_path / "custom"
+        cfg = tmp_path / "cfg"
+        cfg.write_text("diagnose.point = truth\n")
+        assert run_cli("diagnose", "--config", str(cfg), "--seed", "4",
+                       "--n-firms", "20000", "--out-dir", str(truth)) == 0
+        assert "consistent_with_truth" in \
+            (truth / "diagnose_sign.csv").read_text()
+        # the default structural point, given by hand
+        cfg.write_text("diagnose.point = custom\ndiagnose.alpha = 1.0\n"
+                       "diagnose.beta = 0.6\ndiagnose.rho = 0.7\n")
+        assert run_cli("diagnose", "--config", str(cfg), "--seed", "4",
+                       "--n-firms", "20000", "--out-dir", str(custom)) == 0
+        for name in ("diagnose_sign.csv", "diagnose_inequality.csv",
+                     "diagnose_ar_order.csv"):
+            assert (custom / name).read_bytes() == \
+                (truth / name).read_bytes()
+
+    @pytest.mark.parametrize("line, field", [
+        ("diagnose.point = midway", "diagnose.point"),
+        ("diagnose.sign = sideways", "diagnose.sign"),
+    ])
+    def test_unknown_point_or_sign_is_an_error_record(self, line, field,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        code = run_cli("diagnose", "--config", str(cfg), "--n-firms", "200",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{field}:")
+        assert not (tmp_path / "out").exists()
+
+
 class TestFigureCommand:
     def test_figure1_writes_three_curves_and_summary(self, tmp_path):
         code = run_cli("figure", "--which", "1", "--seed", "7",
@@ -233,6 +268,30 @@ class TestCommandMismatch:
         assert record["error"] == "ValidationError"
         assert record["message"].startswith("config:")
         assert not (tmp_path / "out").exists()
+
+
+class TestFailedRunsLeaveNothing:
+    @pytest.mark.parametrize("argv, message", [
+        (("estimate", "--n-periods", "2"), "n_periods"),
+        (("scan", "--n-firms", "100", "--grid", "0:9:0.5"), "outside bounds"),
+        (("figure", "--which", "5", "--n-firms", "200", "--n-periods", "3"),
+         "every sub-model of the preset was rejected"),
+    ], ids=["bad_n_periods", "grid_out_of_bounds", "figure_all_rejected"])
+    def test_no_output_directory(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 1
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_failed_writer_leaves_no_temp_or_partial_file(self, tmp_path):
+        def failing(path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_via(failing, str(tmp_path / "out" / "curve.csv"))
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestParser:

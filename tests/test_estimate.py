@@ -305,13 +305,13 @@ class TestFitReducedForm:
 class TestConcentrateBeta:
     def test_truth_slope_recovers_output_persistence(self, bench200k):
         cb = beta_scan_evaluator(bench200k)(0.6)
-        assert cb.rho == pytest.approx(0.7, abs=0.02)
-        assert abs(cb.moment) < 5.0 * cb.moment_se
+        assert cb.coefficients["rho"] == pytest.approx(0.7, abs=0.02)
+        assert abs(cb.moments[0]) < 5.0 * cb.moment_ses[0]
 
     def test_pseudo_slope_recovers_input_persistence(self, bench200k):
         cb = beta_scan_evaluator(bench200k)(1.6)
-        assert cb.rho == pytest.approx(0.5, abs=0.02)
-        assert abs(cb.moment) < 5.0 * cb.moment_se
+        assert cb.coefficients["rho"] == pytest.approx(0.5, abs=0.02)
+        assert abs(cb.moments[0]) < 5.0 * cb.moment_ses[0]
 
     def test_zero_noise_rank_error(self):
         panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
@@ -478,7 +478,8 @@ def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13)):
             continue
         cb = fast(b)
         assert cb.n_obs == panel.spec.n_firms * (panel.spec.n_periods - 2)
-        got.append([cb.alpha, cb.rho, cb.moment, cb.moment_se])
+        got.append([cb.coefficients["alpha"], cb.coefficients["rho"],
+                    cb.moments[0], cb.moment_ses[0]])
     got, want = np.array(got), np.array(want)
     assert_rel(got[:, 0], want[:, 0])
     assert_rel(got[:, 1], want[:, 1])
@@ -565,7 +566,8 @@ class TestCrossMomentEngine:
         cb = beta_scan_evaluator(prefix)(0.6)
         assert len(passes) == 2 and passes[1][0] is prefix
         assert cb.n_obs == k * 3
-        assert_rel([cb.alpha, cb.rho, cb.moment_se],
+        assert_rel([cb.coefficients["alpha"], cb.coefficients["rho"],
+                    cb.moment_ses[0]],
                    oracle_beta(prefix, 0.6)[[0, 1, 3]])
 
 
@@ -656,10 +658,13 @@ def test_location_shift_in_y_moves_only_alpha(multi6k, c):
     for b in (0.6, 1.1, 1.6):
         want = beta_scan_evaluator(multi6k)(b)
         got = beta_scan_evaluator(shifted)(b)
-        assert_rel(got.moment, want.moment, rtol=1e-8, scale=want.moment_se)
-        assert_rel([got.moment_se, got.rho], [want.moment_se, want.rho],
+        assert_rel(got.moments[0], want.moments[0], rtol=1e-8,
+                   scale=want.moment_ses[0])
+        assert_rel([got.moment_ses[0], got.coefficients["rho"]],
+                   [want.moment_ses[0], want.coefficients["rho"]],
                    rtol=1e-8)
-        assert_rel(got.alpha, want.alpha + c, rtol=1e-8,
+        assert_rel(got.coefficients["alpha"],
+                   want.coefficients["alpha"] + c, rtol=1e-8,
                    scale=max(abs(c), 1.0))
     for family in ("quasi_diff", "multi_input"):
         for rho in (0.3, 0.5, 0.7):

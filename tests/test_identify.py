@@ -120,6 +120,17 @@ class TestFindZeros:
         roots = find_zeros(curve)
         assert [r.location for r in roots] == [0.5]
 
+    @pytest.mark.parametrize("m", [[1.0, 0.0, np.nan], [np.nan, 0.0, 1.0]],
+                             ids=["nan_right", "nan_left"])
+    def test_exact_grid_zero_beside_a_failed_fit_is_reported(self, m):
+        # a failed fit on either side of an exact zero must not hide it
+        grid, m = np.array([0.0, 0.5, 1.0]), np.array(m)
+        curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
+                               ses=np.ones(3), evaluator=lambda b: b - 0.5)
+        assert find_zeros(curve) == [identify.RootInfo(
+            location=0.5, bracket=(0.5, 0.5), m_value=0.0, iterations=0,
+            converged=True)]
+
     def test_bisection_midpoint_exactly_zero(self):
         roots = find_zeros(synthetic_curve(lambda b: b - 1.0, [0.0, 2.0]))
         assert roots == [identify.RootInfo(location=1.0, bracket=(1.0, 1.0),
@@ -208,6 +219,14 @@ class TestTwoStepEstimator:
         assert result.degenerate
         assert result.chosen is None
         assert "degenerate" in result.diagnosis
+
+    def test_invalid_sign_raises_on_a_degenerate_reduced_form(
+            self, equal_rho_200k):
+        # the degenerate return comes before any branch is selected, so the
+        # sign must be checked before the fit
+        with pytest.raises(ValidationError, match="sign") as err:
+            two_step_estimator(equal_rho_200k, "bogus")
+        assert err.value.field == "sign"
 
     def test_pseudo_parameter_panel_gives_same_branch_pair(self):
         # observational equivalence: simulating at the other branch's
@@ -374,7 +393,7 @@ def sixty_halving_warm_start(panel):
     best = min(scored, key=lambda cr: np.sum((cr.moments / cr.moment_ses)
                                              ** 2))
     return ParamPoint(alpha=best.coefficients["alpha"],
-                      beta=best.coefficients["beta"], rho=best.rho)
+                      beta=best.coefficients["beta"], rho=best.at)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e9, 1e12],

@@ -169,4 +169,5 @@ class TestSimulationMatchesOracle:
         for bt in (0.0, 0.3, 0.9, 1.2, 1.9):
             cb = evaluate(bt)
             want = population_moment(bt, gw, gk)
-            assert cb.moment == pytest.approx(want, abs=6.0 * cb.moment_se)
+            assert cb.moments[0] == pytest.approx(
+                want, abs=6.0 * cb.moment_ses[0])
