@@ -130,6 +130,10 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
                 raise ValidationError(
                     f"cannot read {key} = {value!r} as {kind.__name__}",
                     field=key) from exc
+    name = resolved["out.file"]
+    if name in ("", ".", "..") or "/" in name or os.sep in name:
+        raise ValidationError(f"must be a plain file name, got {name!r}",
+                              field="out.file")
     return resolved
 
 

@@ -35,10 +35,22 @@ sequential stream, drawn ``_BLOCK_FIRMS`` firms at a time and run through
 the recursion block by block, so the draw holds O(n_firms * n_periods)
 outputs plus one block of BURN_IN + n_periods shocks, never the whole
 n_firms x (BURN_IN + n_periods) matrix.
+
+The sub-streams do not depend on each other, so ``draw_panel`` fills them
+concurrently: it allocates every buffer itself and hands each fill to a
+small module-level thread pool (created on first use, at most one worker
+per usable CPU, recreated in a forked child), then runs the state
+recursions as the fills they need complete.  The nonlinear ``u`` stays on
+the calling thread.  Each stream is still read once, in full, by one
+generator, so every array is bit-identical whatever the thread count,
+schedule or fork.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -186,10 +198,57 @@ def _stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normal(seed: int, label: str, shape, scale: float = 1.0) -> np.ndarray:
-    """Standard-normal draw from the (seed, label) Philox sub-stream."""
-    draw = _stream(seed, label).standard_normal(shape)
-    return np.multiply(draw, scale, out=draw) if scale != 1.0 else draw
+@functools.cache
+def _fill_pool() -> ThreadPoolExecutor:
+    """The sub-stream fill pool, created on first use: one worker per CPU
+    the process may run on, and no more than the four (n, t) sub-streams a
+    variant reads at most."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ThreadPoolExecutor(min(4, cpus), thread_name_prefix="dynpan-draw")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_fill_pool.cache_clear)
+
+
+def _fill(seed: int, label: str, out: np.ndarray, scale: float) -> np.ndarray:
+    """Fill ``out`` from the (seed, label) sub-stream, times ``scale``."""
+    _stream(seed, label).standard_normal(out=out)
+    return np.multiply(out, scale, out=out) if scale != 1.0 else out
+
+
+#: Variants whose kappa follows a nonlinear recursion; they read "u" on the
+#: calling thread, block by block (see ``_nonlinear_kappa``).
+_NONLINEAR = ("logistic_kappa", "reversed_curvature")
+
+
+def _substreams(spec: DgpSpec) -> list[tuple[str, object, float]]:
+    """The variant's normal sub-streams as (label, shape, scale), in the
+    order they are filled: the shocks the recursions need first, then the
+    initial draws, and eta, which ``draw_panel`` needs last."""
+    s, ext, variant = spec.structural, spec.ext, spec.variant
+    n, t = spec.n_firms, spec.n_periods
+    # predetermined latents carry one leading pre-sample period
+    t_lat = t + 1 if variant == "predetermined" else t
+    shocks = [("xi", (n, t_lat), s.sigma_xi)]
+    inits = [("omega_init", n, 1.0)]
+    if variant not in _NONLINEAR:
+        shocks.append(("u", (n, t_lat), s.sigma_u))
+        inits.append(("kappa_init", n, 1.0))
+    if variant == "ar2_kappa":
+        inits.append(("kappa_init2", n, 1.0))
+    elif variant in ("multi_input", "dynamic_input"):
+        shocks.append(("v", (n, t), ext.sigma_v))
+        inits.append(("wp_init" if variant == "multi_input" else "z_init",
+                      n, 1.0))
+    elif variant == "arma_x":
+        shocks.append(("eps", (n, t), ext.sigma_eps))
+    elif variant == "fixed_effects":
+        inits += [("fe_alpha", n, ext.sigma_alpha_fe),
+                  ("fe_pi", n, ext.sigma_pi_fe)]
+    return shocks + inits + [("eta", (n, t), s.sigma_eta)]
 
 
 def stationary_ar1_init(rho: float, sigma: float,
@@ -202,16 +261,15 @@ def stationary_ar1_init(rho: float, sigma: float,
     return draw * (sigma / np.sqrt(1.0 - rho * rho))
 
 
-def _ar1_states(seed, label_shock, label_init, rho, sigma, n, t):
-    """Stationary AR(1) panel; returns (states, shocks), both (n, t)."""
-    shocks = _normal(seed, label_shock, (n, t), sigma)
-    states = np.empty((n, t))
-    states[:, 0] = stationary_ar1_init(rho, sigma,
-                                       _normal(seed, label_init, n))
-    for j in range(1, t):
+def _ar1(shocks, init, rho, sigma) -> np.ndarray:
+    """Stationary AR(1) states driven by ``shocks`` (n, t), started from
+    the standard-normal ``init`` (n,)."""
+    states = np.empty_like(shocks)
+    states[:, 0] = stationary_ar1_init(rho, sigma, init)
+    for j in range(1, shocks.shape[1]):
         np.multiply(states[:, j - 1], rho, out=states[:, j])
         states[:, j] += shocks[:, j]
-    return states, shocks
+    return states
 
 
 def _combine(const, *terms) -> np.ndarray:
@@ -260,26 +318,24 @@ def _nonlinear_kappa(seed, factor_fn, sigma, n, t):
     return states, kept
 
 
-def _ar2_kappa(seed, rho1, rho2, sigma, n, t):
-    """Stationary AR(2) kappa panel; the first two columns are drawn from
-    the exact joint stationary distribution."""
-    shocks = _normal(seed, "u", (n, t), sigma)
+def _ar2(shocks, d0, d1, rho1, rho2, sigma) -> np.ndarray:
+    """Stationary AR(2) states driven by ``shocks``; the first two columns
+    are the exact joint stationary law applied to the standard normals
+    ``d0`` and ``d1``."""
     denom = (1.0 + rho2) * ((1.0 - rho2) ** 2 - rho1 ** 2)
     g0 = sigma ** 2 * (1.0 - rho2) / denom
     g1 = g0 * rho1 / (1.0 - rho2)
-    states = np.empty((n, t))
-    d0 = _normal(seed, "kappa_init", n)
-    d1 = _normal(seed, "kappa_init2", n)
+    states = np.empty_like(shocks)
     states[:, 0] = np.sqrt(g0) * d0
     if g0 > 0.0:
         states[:, 1] = (g1 / g0) * states[:, 0] + np.sqrt(
             g0 - g1 * g1 / g0) * d1
     else:
         states[:, 1] = 0.0
-    for j in range(2, t):
+    for j in range(2, shocks.shape[1]):
         states[:, j] = (rho1 * states[:, j - 1] + rho2 * states[:, j - 2]
                         + shocks[:, j])
-    return states, shocks
+    return states
 
 
 def draw_panel(spec: DgpSpec) -> PanelData:
@@ -287,63 +343,66 @@ def draw_panel(spec: DgpSpec) -> PanelData:
     spec.validate()
     s, ext, variant = spec.structural, spec.ext, spec.variant
     n, t, seed = spec.n_firms, spec.n_periods, spec.seed
-    eta = _normal(seed, "eta", (n, t), s.sigma_eta)
-    alpha, z = s.alpha, None
-    wp = v = eps = fe_alpha = fe_pi = None
+    pool = _fill_pool()
+    fills = {label: pool.submit(_fill, seed, label, np.empty(shape), scale)
+             for label, shape, scale in _substreams(spec)}
+
+    def drawn(label: str) -> Optional[np.ndarray]:
+        # each fill is read once and then dropped, so that the buffer's only
+        # owner is the caller; None for a sub-stream the variant does not read
+        return fills.pop(label).result() if label in fills else None
+
+    alpha, z, wp = s.alpha, None, None
+    fe_alpha = fe_pi = None
+    if variant in _NONLINEAR:
+        # "u" is read here, block by block, while the pool fills the rest
+        factor = (reversed_persistence if variant == "reversed_curvature"
+                  else lambda k: logistic_persistence(k, ext.theta2))
+        kappa, u = _nonlinear_kappa(seed, factor, s.sigma_u, n, t)
+    xi = drawn("xi")
+    omega = _ar1(xi, drawn("omega_init"), s.rho_omega, s.sigma_xi)
+    if variant not in _NONLINEAR:
+        u = drawn("u")
+    if variant == "ar2_kappa":
+        kappa = _ar2(u, drawn("kappa_init"), drawn("kappa_init2"),
+                     ext.rho1_x, ext.rho2_x, s.sigma_u)
+    elif variant not in _NONLINEAR:
+        kappa = _ar1(u, drawn("kappa_init"), s.rho_x, s.sigma_u)
+    v, eps = drawn("v"), drawn("eps")
 
     if variant == "predetermined":
-        # latents carry one leading pre-sample period so x_1 is defined
-        omega_all, xi_all = _ar1_states(seed, "xi", "omega_init",
-                                        s.rho_omega, s.sigma_xi, n, t + 1)
-        kappa_all, u_all = _ar1_states(seed, "u", "kappa_init",
-                                       s.rho_x, s.sigma_u, n, t + 1)
-        x = _combine(s.pi, (s.theta * s.rho_omega, omega_all[:, :-1]),
-                     (1.0, kappa_all[:, :-1]))
+        x = _combine(s.pi, (s.theta * s.rho_omega, omega[:, :-1]),
+                     (1.0, kappa[:, :-1]))
         # owned (n, t) copies; each (n, t + 1) array is released in turn
-        omega, omega_all = omega_all[:, 1:].copy(), None
-        kappa, kappa_all = kappa_all[:, 1:].copy(), None
-        xi, xi_all = xi_all[:, 1:].copy(), None
-        u, u_all = u_all[:, 1:].copy(), None
-    else:
-        omega, xi = _ar1_states(seed, "xi", "omega_init",
-                                s.rho_omega, s.sigma_xi, n, t)
-    if variant == "logistic_kappa":
-        kappa, u = _nonlinear_kappa(
-            seed, lambda k: logistic_persistence(k, ext.theta2),
-            s.sigma_u, n, t)
-    elif variant == "reversed_curvature":
-        kappa, u = _nonlinear_kappa(seed, reversed_persistence, s.sigma_u, n, t)
-    elif variant == "ar2_kappa":
-        kappa, u = _ar2_kappa(seed, ext.rho1_x, ext.rho2_x, s.sigma_u, n, t)
-    elif variant != "predetermined":
-        kappa, u = _ar1_states(seed, "u", "kappa_init",
-                               s.rho_x, s.sigma_u, n, t)
-
-    if variant == "multi_input":
-        wp, v = _ar1_states(seed, "v", "wp_init", ext.rho_z, ext.sigma_v, n, t)
+        omega = omega[:, 1:].copy()
+        kappa = kappa[:, 1:].copy()
+        xi = xi[:, 1:].copy()
+        u = u[:, 1:].copy()
+    elif variant == "multi_input":
+        wp = _ar1(v, drawn("wp_init"), ext.rho_z, ext.sigma_v)
         x = _combine(s.pi, (ext.theta_omega, omega), (ext.theta_kappa, kappa),
                      (ext.theta_wp, wp))
         z = _combine(ext.pi_z, (ext.delta_omega, omega),
                      (ext.delta_kappa, kappa), (ext.delta_wp, wp))
     elif variant == "dynamic_input":
-        z, v = _ar1_states(seed, "v", "z_init", ext.rho_z, ext.sigma_v, n, t)
+        z = _ar1(v, drawn("z_init"), ext.rho_z, ext.sigma_v)
         z += ext.pi_z
         x = _combine(s.pi, (s.theta, omega), (ext.theta_z, z), (1.0, kappa))
     elif variant == "fixed_effects":
-        fe_alpha = s.alpha + _normal(seed, "fe_alpha", n, ext.sigma_alpha_fe)
-        fe_pi = s.pi + _normal(seed, "fe_pi", n, ext.sigma_pi_fe)
+        fe_alpha = s.alpha + drawn("fe_alpha")
+        fe_pi = s.pi + drawn("fe_pi")
         alpha = fe_alpha[:, None]
         x = _combine(fe_pi[:, None], (s.theta, omega), (1.0, kappa))
     elif variant == "nonlinear_omega_input":
         x = _combine(s.pi, (s.theta, omega), (ext.theta2, omega ** 2),
                      (1.0, kappa))
     elif variant == "arma_x":
-        eps = _normal(seed, "eps", (n, t), ext.sigma_eps)
         x = _combine(s.pi, (s.theta, omega), (1.0, kappa), (1.0, eps))
-    elif variant != "predetermined":
+    else:
         # benchmark, logistic_kappa, ar2_kappa, reversed_curvature
         x = _combine(s.pi, (s.theta, omega), (1.0, kappa))
     gamma_z = () if z is None else ((ext.gamma, z),)
+    eta = drawn("eta")
     y = _combine(alpha, (s.beta, x), *gamma_z, (1.0, omega), (1.0, eta))
     return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
                      xi=xi, u=u, eta=eta, wp=wp, eps=eps, v=v,

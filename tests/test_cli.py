@@ -283,6 +283,19 @@ class TestFailedRunsLeaveNothing:
         assert message in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["x/", "a/b.csv", "../p.csv", "", ".",
+                                      ".."],
+                             ids=["trailing_slash", "subdirectory", "parent",
+                                  "empty", "dot", "dotdot"])
+    def test_out_file_must_be_a_plain_name(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--n-firms", "10", "--out", name,
+                       "--out-dir", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("out.file:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_writer_leaves_no_temp_or_partial_file(self, tmp_path):
         def failing(path):
             with open(path, "w") as fh:

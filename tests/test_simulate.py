@@ -2,6 +2,12 @@
 
 import csv
 import dataclasses
+import hashlib
+import json
+import multiprocessing
+import pathlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -271,10 +277,10 @@ class TestEquationFidelity:
         spec = spec_for("predetermined", n_firms=7, n_periods=5)
         panel = draw_panel(spec)
         s = spec.structural
-        omega, xi = simulate._ar1_states(spec.seed, "xi", "omega_init",
-                                         s.rho_omega, s.sigma_xi, 7, 6)
-        kappa, u = simulate._ar1_states(spec.seed, "u", "kappa_init",
-                                        s.rho_x, s.sigma_u, 7, 6)
+        omega, xi = plain_ar1(spec.seed, "xi", "omega_init", s.rho_omega,
+                              s.sigma_xi, 7, 6)
+        kappa, u = plain_ar1(spec.seed, "u", "kappa_init", s.rho_x,
+                             s.sigma_u, 7, 6)
         for name, full in (("omega", omega), ("xi", xi), ("kappa", kappa),
                            ("u", u)):
             arr = getattr(panel, name)
@@ -283,25 +289,52 @@ class TestEquationFidelity:
             assert np.array_equal(arr, full[:, 1:]), name
 
 
+def plain_normal(seed, label, shape, scale=1.0):
+    """The (seed, label) stream drawn as one new array, times scale."""
+    draw = simulate._stream(seed, label).standard_normal(shape)
+    return draw * scale if scale != 1.0 else draw
+
+
+def plain_ar1(seed, shock, init, rho, sigma, n, t):
+    """Stationary AR(1) (states, shocks), one new array per step."""
+    shocks = plain_normal(seed, shock, (n, t), sigma)
+    states = np.empty((n, t))
+    states[:, 0] = stationary_ar1_init(rho, sigma, plain_normal(seed, init, n))
+    for j in range(1, t):
+        states[:, j] = rho * states[:, j - 1] + shocks[:, j]
+    return states, shocks
+
+
+def plain_ar2(seed, rho1, rho2, sigma, n, t):
+    """Stationary AR(2) (states, shocks) for sigma > 0, started from the
+    exact joint law of its first two periods."""
+    shocks = plain_normal(seed, "u", (n, t), sigma)
+    g0 = sigma ** 2 * (1.0 - rho2) / (
+        (1.0 + rho2) * ((1.0 - rho2) ** 2 - rho1 ** 2))
+    g1 = g0 * rho1 / (1.0 - rho2)
+    states = np.empty((n, t))
+    states[:, 0] = np.sqrt(g0) * plain_normal(seed, "kappa_init", n)
+    states[:, 1] = (g1 / g0) * states[:, 0] + np.sqrt(
+        g0 - g1 * g1 / g0) * plain_normal(seed, "kappa_init2", n)
+    for j in range(2, t):
+        states[:, j] = (rho1 * states[:, j - 1] + rho2 * states[:, j - 2]
+                        + shocks[:, j])
+    return states, shocks
+
+
 def old_draw(spec):
     """Every array of the panel by the plain expressions draw_panel used
-    before it built them in place: ``_normal`` as draw * scale, the AR(1)
-    step as a new array assigned to its column, x and y (and z) summed in
-    one expression each."""
+    before it built them in place: each stream drawn as draw * scale, the
+    AR(1) step as a new array assigned to its column, x and y (and z)
+    summed in one expression each, every stream read in sequence."""
     s, ext, v = spec.structural, spec.ext, spec.variant
     n, t, seed = spec.n_firms, spec.n_periods, spec.seed
 
     def normal(label, shape, scale=1.0):
-        draw = simulate._stream(seed, label).standard_normal(shape)
-        return draw * scale if scale != 1.0 else draw
+        return plain_normal(seed, label, shape, scale)
 
     def ar1(shock, init, rho, sigma, t):
-        shocks = normal(shock, (n, t), sigma)
-        states = np.empty((n, t))
-        states[:, 0] = stationary_ar1_init(rho, sigma, normal(init, n))
-        for j in range(1, t):
-            states[:, j] = rho * states[:, j - 1] + shocks[:, j]
-        return states, shocks
+        return plain_ar1(seed, shock, init, rho, sigma, n, t)
 
     out = {"eta": normal("eta", (n, t), s.sigma_eta)}
     eta = out["eta"]
@@ -324,8 +357,7 @@ def old_draw(spec):
         kappa, u = simulate._nonlinear_kappa(seed, reversed_persistence,
                                              s.sigma_u, n, t)
     elif v == "ar2_kappa":
-        kappa, u = simulate._ar2_kappa(seed, ext.rho1_x, ext.rho2_x,
-                                       s.sigma_u, n, t)
+        kappa, u = plain_ar2(seed, ext.rho1_x, ext.rho2_x, s.sigma_u, n, t)
     else:
         kappa, u = ar1("u", "kappa_init", s.rho_x, s.sigma_u, t)
     out.update(omega=omega, xi=xi, kappa=kappa, u=u)
@@ -384,6 +416,93 @@ class TestInPlaceDraw:
             if isinstance(got, np.ndarray):
                 assert np.array_equal(got, want.pop(f.name)), f.name
         assert not want
+
+
+#: sha256 of every array of every variant at seed 11, recorded before the
+#: draw filled its sub-streams concurrently; n_firms straddles the
+#: _BLOCK_FIRMS edges of the blocked nonlinear-kappa draw.
+PINNED = json.loads((pathlib.Path(__file__).parent
+                     / "panel_sha256.json").read_text())
+#: Extension values that make every extra stream count: the logistic slope,
+#: the AR(2) second lag and the i.i.d. input shock.
+PINNED_EXT = VariantParams(theta2=0.5, rho2_x=0.2, sigma_eps=0.5)
+
+
+def array_digests(panel):
+    return {f.name: hashlib.sha256(
+                np.ascontiguousarray(getattr(panel, f.name)).tobytes()
+            ).hexdigest()
+            for f in dataclasses.fields(panel)
+            if isinstance(getattr(panel, f.name), np.ndarray)}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("n_firms", [1, 2048, 2049, 4097])
+    @pytest.mark.parametrize("variant", simulate.VARIANTS)
+    def test_every_array_matches_its_recorded_hash(self, variant, n_firms):
+        panel = draw_panel(spec_for(variant, n_firms=n_firms, seed=11,
+                                    ext=PINNED_EXT))
+        assert array_digests(panel) == PINNED[f"{variant}-{n_firms}"]
+
+
+def send_digests(spec, conn):
+    conn.send(array_digests(draw_panel(spec)))
+    conn.close()
+
+
+class TestConcurrentFills:
+    """The sub-streams are filled on a module-level thread pool; no caller
+    can tell."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_forked_child_draws_the_same_bytes(self):
+        spec = spec_for("multi_input", n_firms=3000, seed=11)
+        # the parent's pool has started its workers before the fork
+        want = array_digests(draw_panel(spec))
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_digests, args=(spec, send))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(30), "the forked child's draw did not finish"
+            got = recv.recv()
+            child.join(30)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == want
+
+    def test_four_threads_draw_what_sequential_draws_give(self):
+        # as the figure command's scans do, each on its own thread; more
+        # threads than cores, switching often
+        specs = [spec_for(v, n_firms=3000, seed=11, ext=PINNED_EXT)
+                 for v in ("benchmark", "multi_input", "predetermined",
+                           "logistic_kappa")]
+        want = [array_digests(draw_panel(spec)) for spec in specs]
+        got = [None] * len(specs)
+        start = threading.Barrier(len(specs))
+
+        def draw(i):
+            start.wait()
+            got[i] = array_digests(draw_panel(specs[i]))
+
+        threads = [threading.Thread(target=draw, args=(i,))
+                   for i in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
 
 
 class TestValidation:
