@@ -37,9 +37,9 @@ outputs plus one block of BURN_IN + n_periods shocks, never the whole
 n_firms x (BURN_IN + n_periods) matrix.
 
 The sub-streams do not depend on each other, so ``draw_panel`` fills them
-concurrently: it allocates every buffer itself and hands each fill to a
-small module-level thread pool (created on first use, at most one worker
-per usable CPU, recreated in a forked child), then runs the state
+concurrently: it allocates every buffer itself and hands each fill to the
+package's small thread pool (``_pool``: created on first use, at most one
+worker per usable CPU, recreated in a forked child), then runs the state
 recursions as the fills they need complete.  The nonlinear ``u`` stays on
 the calling thread.  Each stream is still read once, in full, by one
 generator, so every array is bit-identical whatever the thread count,
@@ -199,18 +199,21 @@ def _stream(seed: int, label: str) -> np.random.Generator:
 
 
 @functools.cache
-def _fill_pool() -> ThreadPoolExecutor:
-    """The sub-stream fill pool, created on first use: one worker per CPU
+def _pool() -> ThreadPoolExecutor:
+    """The package's thread pool, created on first use: one worker per CPU
     the process may run on, and no more than the four (n, t) sub-streams a
-    variant reads at most."""
+    variant reads at most.  ``draw_panel`` fills its sub-streams on it, and
+    the estimators' pair pass (``estimate._pair_moments``) hands one worker
+    half its blocks, and runs them itself if no worker has started them.
+    No task waits on another, so every wait on it ends."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return ThreadPoolExecutor(min(4, cpus), thread_name_prefix="dynpan-draw")
+    return ThreadPoolExecutor(min(4, cpus), thread_name_prefix="dynpan")
 
 
 if hasattr(os, "register_at_fork"):
     # a forked child inherits the pool but none of its threads
-    os.register_at_fork(after_in_child=_fill_pool.cache_clear)
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _fill(seed: int, label: str, out: np.ndarray, scale: float) -> np.ndarray:
@@ -343,7 +346,7 @@ def draw_panel(spec: DgpSpec) -> PanelData:
     spec.validate()
     s, ext, variant = spec.structural, spec.ext, spec.variant
     n, t, seed = spec.n_firms, spec.n_periods, spec.seed
-    pool = _fill_pool()
+    pool = _pool()
     fills = {label: pool.submit(_fill, seed, label, np.empty(shape), scale)
              for label, shape, scale in _substreams(spec)}
 

@@ -7,13 +7,19 @@ sit at 4-5 sigma of the measured sampling noise.
 """
 
 import dataclasses
+import hashlib
+import json
+import multiprocessing
+import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULTS, linear_panel, make_spec
-from dynpan import estimate
+from dynpan import estimate, simulate
 from dynpan.diagnostics import (
     ar_order_test,
     moment_inequality,
@@ -793,3 +799,133 @@ def test_solve_and_rank_check_ignore_column_units():
         _checked_inverse(rows * singular * scale)
     with pytest.raises(RankDeficiencyError):
         _checked_inverse(np.zeros((2, 2)))
+
+
+# --- pinned bits: the period Gram and the moments of every lag depth ------
+
+#: Lag depths pinned; with 5 periods a pair-pass block holds
+#: ``_BLOCK_ROWS // (5 - L)`` firms: 1638, 2730 and 4096.
+PINNED_DEPTHS = (0, 2, 3)
+#: One firm, the block edges of each depth, then 6001 and 20000 firms: 4
+#: and 13 blocks at L = 0, 3 and 8 at L = 2, 2 and 5 at L = 3.
+PINNED_FIRMS = (1, 1638, 1639, 2730, 2731, 4096, 4097, 6001, 20_000)
+#: sha256 of ``_period_gram``'s (means, Gram, sums) and of ``second``,
+#: ``basis`` and ``fourth`` at each depth, recorded before the pair pass was
+#: split across threads.  The Gram and ``fourth`` come from BLAS products,
+#: so the pins hold for the OpenBLAS kernels they were recorded with, on any
+#: number of BLAS threads.
+MOMENT_PINS = json.loads((pathlib.Path(__file__).parent
+                          / "moment_sha256.json").read_text())
+
+
+def moment_digests(panel):
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    out = {"gram": digest(*estimate._period_gram(panel))}
+    for lags in PINNED_DEPTHS:
+        mom = estimate._cross_moments(panel, lags)
+        for name in ("second", "basis", "fourth"):
+            out[f"{name}-{lags}"] = digest(getattr(mom, name))
+    return out
+
+
+@pytest.mark.parametrize("n_firms", PINNED_FIRMS)
+@pytest.mark.parametrize("variant", ["benchmark", "multi_input",
+                                     "predetermined", "fixed_effects"])
+def test_moments_match_their_recorded_hashes(variant, n_firms):
+    panel = draw_panel(make_spec(variant, n_firms=n_firms, seed=11))
+    assert moment_digests(panel) == MOMENT_PINS[f"{variant}-{n_firms}"]
+
+
+# --- the split pair pass: half its blocks run on a worker of the pool ------
+
+def fourth_digest(panel, lags=2):
+    """sha256 of the fourth moments of a fresh copy of ``panel`` (the copy
+    starts with an empty moment cache, so its pair pass runs again)."""
+    fresh = dataclasses.replace(panel)
+    return hashlib.sha256(
+        estimate._cross_moments(fresh, lags).fourth.tobytes()).hexdigest()
+
+
+def send_fourth_digest(spec, conn):
+    conn.send(fourth_digest(draw_panel(spec)))
+    conn.close()
+
+
+class TestConcurrentPairPass:
+    """A pass with 28 or more pair products runs its second half of blocks
+    on the package's thread pool; no caller can tell."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_forked_child_computes_the_same_bytes(self):
+        spec = make_spec("multi_input", n_firms=20_000, seed=11)
+        # the parent's pool has started its workers before the fork
+        want = fourth_digest(draw_panel(spec))
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_fourth_digest, args=(spec, send))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(30), "the forked child's pair pass did not finish"
+            got = recv.recv()
+            child.join(30)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == want
+
+    def test_four_threads_compute_what_sequential_passes_give(self):
+        # as the figure command's scans do, each on its own thread; more
+        # threads than cores, switching often
+        panels = [draw_panel(make_spec(v, n_firms=20_000, seed=11))
+                  for v in ("benchmark", "multi_input", "predetermined",
+                            "fixed_effects")]
+        want = [fourth_digest(panel) for panel in panels]
+        got = [None] * len(panels)
+        start = threading.Barrier(len(panels))
+
+        def run(i):
+            start.wait()
+            got[i] = fourth_digest(panels[i])
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(panels))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+
+    def test_finishes_while_every_worker_is_busy(self):
+        panel = draw_panel(make_spec(n_firms=20_000, seed=11))
+        want = fourth_digest(panel)
+        release = threading.Event()
+        # the pool has at most four workers; any task beyond them queues
+        busy = [simulate._pool().submit(release.wait, 60)
+                for _ in range(4)]
+        got = []
+        th = threading.Thread(target=lambda: got.append(fourth_digest(panel)))
+        try:
+            th.start()
+            th.join(30)
+            assert not th.is_alive(), "the pair pass waited on a busy pool"
+        finally:
+            release.set()
+            for task in busy:
+                task.result(30)
+            th.join(30)
+        assert got == [want]

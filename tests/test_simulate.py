@@ -553,12 +553,14 @@ class TestCsvExport:
         panel = draw_panel(spec_for("multi_input", n_firms=2, n_periods=4))
         out = tmp_path / "mi.csv"
         write_panel_csv(panel, out)
-        header = open(out).readline().strip().split(",")
+        with open(out) as fh:
+            header = fh.readline().strip().split(",")
         assert "z" in header
         panel = draw_panel(spec_for("arma_x", n_firms=2, n_periods=4,
                                     ext=VariantParams(sigma_eps=0.5)))
         write_panel_csv(panel, out)
-        header = open(out).readline().strip().split(",")
+        with open(out) as fh:
+            header = fh.readline().strip().split(",")
         assert header[-1] == "eps"
 
     def test_bytes_match_per_element_formatting(self, tmp_path):

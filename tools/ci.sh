@@ -13,9 +13,10 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-STEPS=(install tier1 reproduce_diagnose reproduce_estimate reproduce_scan
-       reproduce_figure failed_run_leaves_nothing out_file_must_be_plain
-       bench_tests bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
+STEPS=(install tier1 moment_bits_one_blas_thread reproduce_diagnose
+       reproduce_estimate reproduce_scan reproduce_figure
+       failed_run_leaves_nothing out_file_must_be_plain bench_tests
+       bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
     pip install -e '.[test]'
@@ -24,6 +25,15 @@ install() {
 tier1() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
         --continue-on-collection-errors
+}
+
+# tier1 runs with the runner's default BLAS thread count; the pinned moment
+# and panel bits must also hold with BLAS on one thread.
+moment_bits_one_blas_thread() {
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+        python -m pytest -q \
+        tests/test_estimate.py::test_moments_match_their_recorded_hashes \
+        tests/test_simulate.py::TestPinnedBits
 }
 
 # Each reproduce step runs a command, reruns it from its manifest and
