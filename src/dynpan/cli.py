@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import DynpanError, ValidationError
 from .estimate import _fmt
-from .model import ParamPoint, StructuralParams, pseudo_point
+from .model import ParamPoint, StructuralParams, _theta_sign, pseudo_point
 from .simulate import (
     DgpSpec,
     VARIANTS,
@@ -177,9 +177,10 @@ class _Outputs:
         self.out_dir = out_dir
         self.files: list[str] = []
 
-    def path(self, name: str) -> str:
+    def write(self, name: str, writer) -> None:
+        """Write artifact ``name`` with the path-taking ``writer``."""
         self.files.append(name)
-        return os.path.join(self.out_dir, name)
+        _atomic_via(writer, os.path.join(self.out_dir, name))
 
     def write_manifest(self, cfg: dict) -> None:
         lines = ["# dynpan run manifest; reusable via --config"]
@@ -221,8 +222,7 @@ def _lines_writer(lines):
 
 def _cmd_simulate(cfg: dict, out: _Outputs) -> None:
     panel = draw_panel(config_to_spec(cfg))
-    _atomic_via(lambda path: write_panel_csv(panel, path),
-                out.path(cfg["out.file"]))
+    out.write(cfg["out.file"], lambda path: write_panel_csv(panel, path))
 
 
 def _scan_one(spec: DgpSpec, cfg: dict):
@@ -236,15 +236,13 @@ def _scan_one(spec: DgpSpec, cfg: dict):
 
 def _cmd_scan(cfg: dict, out: _Outputs) -> None:
     curve = _scan_one(config_to_spec(cfg), cfg)
-    _atomic_via(lambda path: write_curve_csv(curve, path),
-                out.path("curve.csv"))
+    out.write("curve.csv", lambda path: write_curve_csv(curve, path))
 
 
 def _sign_label(cfg_value: str, field: str) -> str:
-    if cfg_value not in ("positive", "negative"):
-        raise ValidationError("sign must be positive or negative",
-                              field=field)
-    return f"theta_{cfg_value}"
+    label = f"theta_{cfg_value}"
+    _theta_sign(label, field)
+    return label
 
 
 def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
@@ -254,8 +252,7 @@ def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
     panel = draw_panel(config_to_spec(cfg))
     result = two_step_estimator(
         panel, _sign_label(cfg["estimate.sign"], "estimate.sign"))
-    _atomic_via(lambda path: write_estimate_csv(result, path),
-                out.path("estimate.csv"))
+    out.write("estimate.csv", lambda path: write_estimate_csv(result, path))
 
 
 def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
@@ -280,9 +277,8 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
             ("diagnose_inequality.csv",
              moment_inequality(panel, point, sign)),
             ("diagnose_ar_order.csv", ar_order_test(panel))):
-        _atomic_via(
-            lambda path, rep=report: write_diagnostic_csv(rep, path),
-            out.path(name))
+        out.write(name, lambda path, rep=report:
+                  write_diagnostic_csv(rep, path))
 
 
 def _cmd_figure(cfg: dict, out: _Outputs) -> None:
@@ -326,8 +322,8 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
 
     # raw per-sub-model curve files
     for label, curve in curves:
-        _atomic_via(lambda path, c=curve: write_curve_csv(c, path),
-                    out.path(f"figure{which}_{label}.csv"))
+        out.write(f"figure{which}_{label}.csv",
+                  lambda path, c=curve: write_curve_csv(c, path))
 
     # plot file with objectives rescaled to agree at the lowest grid point
     ref = curves[0][1]
@@ -344,7 +340,7 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
         for (label, curve), factor in zip(curves, factors):
             cells.append(_fmt(curve.msq[i] * factor))
         rows.append(",".join(cells))
-    _atomic_via(_lines_writer(rows), out.path(f"figure{which}_plot.csv"))
+    out.write(f"figure{which}_plot.csv", _lines_writer(rows))
 
     # zeros/minima summary, including rejected sub-models
     lines = ["sub_model,status,zeros,minima"]
@@ -356,8 +352,7 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
         zeros = ";".join(_fmt(z.location) for z in curve.zeros if z.converged)
         minima = ";".join(_fmt(m.location) for m in curve.minima)
         lines.append(f"{label},{status_by_label[label]},{zeros},{minima}")
-    _atomic_via(_lines_writer(lines),
-                out.path(f"figure{which}_summary.csv"))
+    out.write(f"figure{which}_summary.csv", _lines_writer(lines))
 
 
 _COMMANDS = {

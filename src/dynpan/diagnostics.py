@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .estimate import _cross_moments, _fmt, two_sls
+from .estimate import _fmt, two_sls
 from .identify import ObjectiveCurve
-from .model import ParamPoint
+from .model import ParamPoint, _theta_sign
+from .moments import _cross_moments
 
 #: Standard-error multiples used by the verdict rules.
 SIGN_TEST_BAND = 3.0
@@ -40,16 +40,6 @@ class DiagnosticReport:
                 ("standard_error", _fmt(self.standard_error)),
                 ("verdict", self.verdict),
                 ("rule_applied", self.rule_applied))
-
-
-def _sign_name(declared_theta_sign: str) -> float:
-    if declared_theta_sign == "theta_positive":
-        return 1.0
-    if declared_theta_sign == "theta_negative":
-        return -1.0
-    raise ValidationError(
-        "declared sign must be theta_positive or theta_negative",
-        field="declared_theta_sign")
 
 
 def _level_forms(panel, p: ParamPoint):
@@ -80,7 +70,7 @@ def residual_sign_test(panel, p: ParamPoint,
     the correlation flips.  A flip of more than SIGN_TEST_BAND standard
     errors (about 1/sqrt(n)) is flagged.
     """
-    want = _sign_name(declared_theta_sign)
+    want = _theta_sign(declared_theta_sign, "declared_theta_sign")
     mom, x, e = _level_forms(panel, p)
     centered = np.column_stack([x, e])
     centered[0] = 0.0  # drop the constant: the forms' deviations from mean
@@ -104,7 +94,7 @@ def moment_inequality(panel, p: ParamPoint,
     Necessary at the truth under the declared sign, violated at the
     pseudo-solution; it cannot by itself confirm a candidate.
     """
-    want = _sign_name(declared_theta_sign)
+    want = _theta_sign(declared_theta_sign, "declared_theta_sign")
     mom, x, e = _level_forms(panel, p)
     stat = float(mom.cross(x, e))
     stderr = float(mom.ses(x[:, None], e, np.array([stat]))[0])

@@ -17,44 +17,17 @@ is admissible when the input is chosen one period ahead.  ``y_lag1`` is
 never used as an instrument because the residual contains the lagged
 measurement error.
 
-Sufficient statistics
----------------------
-Every estimator and diagnostic reads the panel only through its cached
-cross-moments: every quantity they report is a product of two linear forms
-in the lagged columns ``const`` and ``<series>_lag<k>``, k = 0..L, pooled
-over periods t >= L.  The panel caches one period Gram, the second moments
-over firms of its (series, period) columns with each series centered by its
-overall mean, accumulated in firm blocks.  The window means and pooled
-second moments of every lag depth are averages along its diagonals, so an
-IV fit such as :func:`two_sls` is k x k algebra.  The fourth cross-moments
-(the Gram matrix of the pairwise products of the columns, centered by their
-pooled means so that the variances do not cancel), which the
-influence-function standard errors need, take one blocked pass per lag
-depth on first use.  It holds about ``_BLOCK_ROWS`` rows and their pair
-products at a time, never an n x k^2 matrix.
-
-A pass with at least ``_SPLIT_ROWS`` = 28 pair products (k >= 7 columns,
-which every scan and warm-start depth has) splits its firm blocks into two
-contiguous runs: the calling thread runs the first and one worker of the
-package's thread pool (``simulate._pool``) the second, each on a block
-buffer of its own.  If no worker has started the second run, the caller
-takes it back (``Future.cancel``) and runs it itself, so a busy pool or a
-caller on a pool thread never waits forever.  Each block's Gram is written
-to a slot of its own, and the slots are added into ``fourth`` in block
-order whichever thread computed them, so the fourth moments and every
-standard error have the same bits on any number of threads.  The level
-diagnostics' L = 0 pass (6 pair products for a y/x panel) and the period
-Gram (a 10-row SYRK) stay serial: products that small ran no faster two
-at a time.
-
-Both concentration axes share one plan: the forms of a just-identified IV
-and its reported instruments, linear in the held slope or persistence t
-(``base - t * slope``).  The panel caches one rho plan per instrument set
-(family, solving and reported names) next to the cross-moments, and a beta
-evaluator holds its own.  Each evaluation factors its rank-checked
-cross-product once (one SVD gives the check, the coefficients and the
-first-step correction) and takes the standard errors of all reported
-moments from one quadratic form in the fourth moments.
+Concentration plans
+-------------------
+Every fit reads the panel only through its cross-moments (see
+:mod:`dynpan.moments`).  Both concentration axes share one plan: the forms
+of a just-identified IV and its reported instruments, linear in the held
+slope or persistence t (``base - t * slope``).  The panel caches one rho
+plan per instrument set (family, solving and reported names) next to the
+cross-moments, and a beta evaluator holds its own.  Each evaluation factors
+its rank-checked cross-product once (one SVD gives the check, the
+coefficients and the first-step correction) and takes the standard errors
+of all reported moments from one quadratic form in the fourth moments.
 
 Each GMM residual is such a form: ``_lagged_forms`` (shared with the rho
 plans) gives (y, const, x[, z]) at one lag, and a quasi-difference is lag 0
@@ -65,27 +38,20 @@ minus rho times lag 1.  The level diagnostics share the all-period depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import RankDeficiencyError, ValidationError
 from .model import ParamPoint, ReducedFormParams
-from .simulate import _pool
-
-_SERIES = ("y", "x", "z")
-
-
-def _parse_name(name: str):
-    if name == "const":
-        return ("const", 0)
-    series, sep, lag = name.partition("_lag")
-    if not sep or series not in _SERIES or not lag.isdigit():
-        raise ValidationError(
-            f"bad instrument name {name!r}; use 'const' or "
-            "'<y|x|z>_lag<k>'", field="instruments")
-    return (series, int(lag))
+from .moments import (
+    _CrossMoments,
+    _cross_moments,
+    _moments_from,
+    _name_tuple,
+    _parse_name,
+    cached,
+)
 
 
 @dataclass(frozen=True)
@@ -119,13 +85,10 @@ _FAMILY_DEFAULTS = {
     "double_diff": FIXED_EFFECTS_INSTRUMENTS,
     "multi_input": MULTI_INPUT_INSTRUMENTS,
 }
-
-
-def _series_map(panel):
-    out = {"y": panel.y, "x": panel.x}
-    if panel.z is not None:
-        out["z"] = panel.z
-    return out
+#: The parameters of each family, in the order ``gmm_objective`` takes them.
+_FAMILY_PARAMS = {"quasi_diff": ("alpha", "beta", "rho"),
+                  "double_diff": ("beta", "rho"),
+                  "multi_input": ("alpha", "beta", "gamma", "rho")}
 
 
 @dataclass
@@ -173,18 +136,13 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     instruments as regressors; a numerically singular E[Z X'] raises
     :class:`RankDeficiencyError` naming the smallest pivot.
     """
-    for field, names in (("regressors", regressors),
-                         ("instruments", instruments)):
-        if isinstance(names, str):
-            raise ValidationError(f"{field} must be a sequence of names, "
-                                  f"not the string {names!r}", field=field)
-    regressors, instruments = tuple(regressors), tuple(instruments)
+    regressors = _name_tuple(regressors, "regressors")
+    instruments = _name_tuple(instruments, "instruments")
     if not regressors or len(regressors) != len(instruments):
         raise ValidationError(
             f"need a just-identified system: {len(instruments)} instruments "
             f"for {len(regressors)} regressors", field="instruments")
-    mom = _moments_from(panel, 0,
-                        InstrumentSpec((dep,) + regressors + instruments))
+    mom = _moments_from(panel, 0, (dep,) + regressors + instruments)
     y, X, Z = mom.column(dep), mom.forms(regressors), mom.forms(instruments)
     inverse = _checked_inverse(mom.cross(Z, X))
     coef = inverse @ mom.cross(Z, y)
@@ -192,39 +150,6 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     cov = mom.cross(r, r) * inverse @ mom.cross(Z, Z) @ inverse.T
     return IvFit(coefficients=coef, std_errors=np.sqrt(cov.diagonal() / mom.n),
                  n_obs=mom.n, names=regressors)
-
-
-def quasi_diff_residual(panel, p: ParamPoint) -> np.ndarray:
-    """Quasi-differenced residuals, one column per period t >= 2.
-
-    With the true parameters and no measurement error this equals the
-    productivity innovation xi_t; at the pseudo-solution it equals
-    -u_t / theta.
-    """
-    y, x = panel.y, panel.x
-    return ((y[:, 1:] - p.rho * y[:, :-1]) - p.alpha * (1.0 - p.rho)
-            - p.beta * (x[:, 1:] - p.rho * x[:, :-1]))
-
-
-def double_diff_residual(panel, beta: float, rho: float) -> np.ndarray:
-    """First difference of the quasi-difference (removes firm intercepts);
-    one column per period t >= 3."""
-    y, x = panel.y, panel.x
-    dy = y[:, 1:] - rho * y[:, :-1]
-    dx = x[:, 1:] - rho * x[:, :-1]
-    return (dy[:, 1:] - dy[:, :-1]) - beta * (dx[:, 1:] - dx[:, :-1])
-
-
-def multi_input_residual(panel, alpha: float, beta: float, gamma: float,
-                         rho: float) -> np.ndarray:
-    """Quasi-differenced residual with two endogenous regressors."""
-    if panel.z is None:
-        raise ValidationError("panel has no second input z",
-                              field="panel")
-    y, x, z = panel.y, panel.x, panel.z
-    return ((y[:, 1:] - rho * y[:, :-1]) - alpha * (1.0 - rho)
-            - beta * (x[:, 1:] - rho * x[:, :-1])
-            - gamma * (z[:, 1:] - rho * z[:, :-1]))
 
 
 def fit_reduced_form(panel):
@@ -244,183 +169,6 @@ def fit_reduced_form(panel):
         pi_yx=fit_y.coefficients[2], pi_x0=fit_x.coefficients[0],
         pi_xy=fit_x.coefficients[1], pi_xx=fit_x.coefficients[2])
     return params, fit_y, fit_x
-
-
-#: Pooled rows per accumulation block; with k = 10 columns the block and its
-#: 55 pair products take about 4 MB.
-_BLOCK_ROWS = 8192
-#: Pair products (k = 7 columns) from which a pair pass splits its blocks
-#: over two threads; the 6-, 10- and 15-row passes ran slower split.
-_SPLIT_ROWS = 28
-
-
-@dataclass(frozen=True)
-class _CrossMoments:
-    """Pooled cross-moments of the lagged columns of one panel.
-
-    A linear form is a coefficient vector over the centered columns
-    (``const`` first); :meth:`column` gives the form of one raw column.
-    ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
-    E[q q'] for their k^2 ordered products q = vec(d d'), so the variance of
-    (a'd)(b'd) is a quadratic form in vec(a b').  ``pair_pass`` computes
-    ``fourth`` on first use.
-    """
-
-    index: dict
-    n: int
-    basis: np.ndarray      # column j: the centered form of raw column j
-    second: np.ndarray
-    pair_pass: Callable[[], np.ndarray]
-
-    @cached_property
-    def fourth(self) -> np.ndarray:
-        return self.pair_pass()
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.index:
-            raise ValidationError(
-                f"panel has no series {_parse_name(name)[0]!r}",
-                field="instruments")
-        return self.basis[:, self.index[name]]
-
-    def forms(self, names) -> np.ndarray:
-        """The forms of the raw columns ``names``, one column each."""
-        return np.column_stack([self.column(nm) for nm in names])
-
-    def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """E[(a'd)(b'd)]; columns of matrix arguments are separate forms."""
-        return a.T @ self.second @ b
-
-    def product_moments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """E[(a_i'd)(b'd)(a_j'd)(b'd)] over the columns a_i, a_j of ``a``:
-        the uncentered second moments of the products with the form b, one
-        quadratic form in the fourth moments."""
-        w = np.multiply.outer(b, a).reshape(b.size * a.shape[0], -1)
-        return w.T @ self.fourth @ w
-
-    def ses(self, a: np.ndarray, b: np.ndarray,
-            means: np.ndarray) -> np.ndarray:
-        """Standard errors of the means of (a_j'd)(b'd), one per column a_j
-        of ``a``, given those means: each product's sample standard
-        deviation (ddof 1) over sqrt(n)."""
-        if self.n <= 1:
-            return np.full(a.shape[1], np.nan)
-        var = self.product_moments(a, b).diagonal() - means * means
-        return np.sqrt(np.maximum(var, 0.0) / (self.n - 1))
-
-
-def _period_gram(panel):
-    """(m, G, s) for the panel's (series, period) columns c, each series
-    centered by its overall mean m: G = E[c c'] and s = E[c] over firms.
-    One pass in firm blocks, cached on the panel."""
-    cache = panel._moment_cache
-    if "gram" not in cache:
-        arrays = list(_series_map(panel).values())
-        n_firms = arrays[0].shape[0]
-        means = np.array([a.mean() for a in arrays])
-        width = sum(a.shape[1] for a in arrays)
-        gram, sums = np.zeros((width, width)), np.zeros(width)
-        block = np.empty((width, min(_BLOCK_ROWS, n_firms)))
-        for lo in range(0, n_firms, _BLOCK_ROWS):
-            b = block[:, :min(_BLOCK_ROWS, n_firms - lo)]
-            for arr, mean, rows in zip(arrays, means,
-                                       np.split(b, len(arrays))):
-                np.subtract(arr[lo:lo + b.shape[1]].T, mean, out=rows)
-            gram += b @ b.T
-            sums += b.sum(axis=1)
-        cache["gram"] = (means, gram / n_firms, sums / n_firms)
-    return cache["gram"]
-
-
-def _accumulate_moments(panel, lags: int) -> _CrossMoments:
-    """The cross-moments of ``const`` and each series at lags 0..``lags``,
-    pooled over periods t >= ``lags``, read off the period Gram: a window
-    mean and a pooled second moment are averages along its diagonals."""
-    means, gram, shift = _period_gram(panel)
-    n_periods = panel.spec.n_periods
-    names, sources, cols = ["const"], [], []
-    for s, (series, arr) in enumerate(_series_map(panel).items()):
-        for lag in range(lags + 1):
-            names.append(f"{series}_lag{lag}")
-            sources.append(arr[:, lags - lag:n_periods - lag])
-            # the Gram columns of this lagged column, one per pooled period
-            cols.append(range(s * n_periods + lags - lag,
-                              (s + 1) * n_periods - lag))
-    cols = np.array(cols)
-    offset = shift[cols].mean(axis=1)  # window mean minus overall mean
-    k = len(names)
-    second = np.eye(k)  # the constant and its zero cross-moments
-    second[1:, 1:] = (gram[cols[:, None], cols[None, :]].mean(axis=2)
-                      - np.outer(offset, offset))
-    basis = np.eye(k)
-    basis[0, 1:] = np.repeat(means, lags + 1) + offset
-    return _CrossMoments(
-        index={name: j for j, name in enumerate(names)},
-        n=sources[0].size, basis=basis, second=second,
-        pair_pass=partial(_pair_moments, sources, basis[0, 1:]))
-
-
-def _pair_grams(sources, means, bounds, grams) -> None:
-    """For each firm block (lo, hi) of ``bounds``: center its columns d =
-    (1, sources - means), form the products of the i <= j pairs, and write
-    their Gram p p' to the matching ``grams`` slice.  The block buffer is
-    this call's own, so two calls can run at once."""
-    k = len(sources) + 1
-    t_len = sources[0].shape[1]
-    width = max(hi - lo for lo, hi in bounds) * t_len
-    block = np.empty((grams.shape[1], width))
-    for (lo, hi), gram in zip(bounds, grams):
-        # the pairs (0, j) come first and column 0 is the constant 1, so
-        # rows 0..k-1 of the pair products are the centered columns d
-        p = block[:, :(hi - lo) * t_len]
-        p[0] = 1.0
-        for j, (src, mean) in enumerate(zip(sources, means), start=1):
-            np.subtract(src[lo:hi], mean, out=p[j].reshape(hi - lo, t_len))
-        start = k
-        for i in range(1, k):
-            np.multiply(p[i], p[i:k], out=p[start:start + k - i])
-            start += k - i
-        np.matmul(p, p.T, out=gram)
-
-
-def _pair_moments(sources, means) -> np.ndarray:
-    """E[q q'] for the ordered products q = vec(d d') of the centered
-    columns d = (1, sources - means): one blocked pass over the products of
-    the i <= j pairs, spread over all k^2 ordered pairs.  With at least
-    ``_SPLIT_ROWS`` pair products the second half of the blocks runs on a
-    worker of the package's thread pool (see the module docstring)."""
-    k = len(sources) + 1
-    n_firms, t_len = sources[0].shape
-    rows, cols = np.triu_indices(k)
-    step = max(1, _BLOCK_ROWS // t_len)
-    bounds = [(lo, min(lo + step, n_firms)) for lo in range(0, n_firms, step)]
-    grams = np.empty((len(bounds), rows.size, rows.size))
-    split = (len(bounds) + 1) // 2 if rows.size >= _SPLIT_ROWS else len(bounds)
-    rest = (sources, means, bounds[split:], grams[split:])
-    tail = _pool().submit(_pair_grams, *rest) if bounds[split:] else None
-    _pair_grams(sources, means, bounds[:split], grams[:split])
-    if tail is not None:
-        if tail.cancel():
-            # no worker had started it: the pool is busy, or this thread is
-            # one of its workers, so waiting for it might never end
-            _pair_grams(*rest)
-        else:
-            tail.result()
-    fourth = np.zeros((rows.size, rows.size))
-    for gram in grams:  # in block order, whichever thread computed it
-        fourth += gram
-    fourth /= n_firms * t_len
-    pair = np.empty((k, k), dtype=np.intp)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    return fourth[np.ix_(pair.ravel(), pair.ravel())]
-
-
-def _cross_moments(panel, lags: int) -> _CrossMoments:
-    """The panel's cross-moments at lag depth ``lags``, computed once."""
-    cache = panel._moment_cache
-    if lags not in cache:
-        cache[lags] = _accumulate_moments(panel, lags)
-    return cache[lags]
 
 
 @dataclass
@@ -480,25 +228,20 @@ def beta_scan_evaluator(panel):
     with w_{t-2}.  Step 2 evaluates the quasi-differenced residual at
     (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}
     (``CONCENTRATED_BETA_INSTRUMENTS``).  Both steps pool periods t >= 3.
-    The panel's cross-moments are accumulated once (see the module
-    docstring), so repeated calls (a grid scan plus bisection refinements)
-    cost small dense algebra, not a pass over the panel.
+    The panel's cross-moments are accumulated once (see
+    :mod:`dynpan.moments`), so repeated calls (a grid scan plus bisection
+    refinements) cost small dense algebra, not a pass over the panel.
     """
     mom = _cross_moments(panel, 2)
-    zero = np.zeros(mom.second.shape[0])
-
-    def forms(*names):
-        return np.column_stack([zero if nm is None else mom.column(nm)
-                                for nm in names])
-
     # w = y - beta x at lags 0..2; the regression (w0 on const, w1 | the
     # instruments const, w2 | the reported x1) is base - beta * slope
     report = CONCENTRATED_BETA_INSTRUMENTS.names
     plan = _Plan(
         mom=mom,
-        base=forms("y_lag0", "const", "y_lag1", "const", "y_lag2", *report),
-        slope=forms("x_lag0", None, "x_lag1", None, "x_lag2",
-                    *[None] * len(report)),
+        base=mom.forms(("y_lag0", "const", "y_lag1", "const", "y_lag2")
+                       + report),
+        slope=mom.forms(("x_lag0", None, "x_lag1", None, "x_lag2")
+                        + (None,) * len(report)),
         coef_names=("c", "rho"), moment_names=report)
 
     def evaluate(beta_tilde: float) -> Concentrated:
@@ -511,17 +254,6 @@ def beta_scan_evaluator(panel):
     return evaluate
 
 
-def _moments_from(panel, first: int, spec: InstrumentSpec) -> _CrossMoments:
-    """The cross-moments over the periods where a residual defined from
-    period ``first`` on meets every instrument of ``spec``."""
-    t_min = max(first, spec.max_lag)
-    if t_min >= panel.spec.n_periods:
-        raise ValidationError(
-            "not enough periods for the requested instrument lags",
-            field="n_periods")
-    return _cross_moments(panel, t_min)
-
-
 def _lagged_forms(mom: _CrossMoments, inputs, lag: int) -> np.ndarray:
     """Forms of (y, const, *inputs) dated ``lag`` periods back; the constant
     is its own lag, so ``_lagged_forms(.., lag) - rho * _lagged_forms(..,
@@ -529,39 +261,6 @@ def _lagged_forms(mom: _CrossMoments, inputs, lag: int) -> np.ndarray:
     the constant."""
     return mom.forms([f"y_lag{lag}", "const"]
                      + [f"{s}_lag{lag}" for s in inputs])
-
-
-def _rho_plan(panel, family, solve, report) -> _Plan:
-    """The panel's rho plan for one (family, solve, report) set, built on
-    first use: base [lag0 | instruments] and slope [lag1 | 0] quasi-difference
-    (y, const, x[, z]) and leave the instruments alone.  A set that fails
-    validation is not cached, so it raises on every call."""
-    if family not in ("quasi_diff", "multi_input"):
-        raise ValidationError(
-            "rho concentration supports quasi_diff or multi_input",
-            field="family")
-    if family == "multi_input" and panel.z is None:
-        raise ValidationError("panel has no second input z", field="panel")
-    inputs = ("x", "z") if family == "multi_input" else ("x",)
-    coef_names = ("alpha", "beta", "gamma")[:1 + len(inputs)]
-    # the family's instruments: one solving instrument per coefficient first
-    defaults = _FAMILY_DEFAULTS[family].names
-    solve = tuple(defaults[:len(coef_names)] if solve is None else solve)
-    report = tuple(defaults[len(coef_names):] if report is None else report)
-    key = ("rho", family, solve, report)
-    if key in panel._moment_cache:
-        return panel._moment_cache[key]
-    mom = _moments_from(panel, 1, InstrumentSpec(solve + report))
-    if len(solve) != len(coef_names):
-        raise ValidationError(
-            f"need {len(coef_names)} solving instruments, got {len(solve)}",
-            field="solve_instruments")
-    Z = mom.forms(solve + report)
-    plan = panel._moment_cache[key] = _Plan(
-        mom, np.hstack([_lagged_forms(mom, inputs, 0), Z]),
-        np.hstack([_lagged_forms(mom, inputs, 1), np.zeros_like(Z)]),
-        coef_names, report)
-    return plan
 
 
 def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
@@ -577,9 +276,40 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     from zero except at the true persistence and at each market-factor
     persistence.  Pass explicit instrument-name tuples to override either
     the solving subset or the reported moments.
+
+    The plan of each instrument set is cached on the panel; a set that
+    fails validation is not, so it raises on every call.
     """
-    return _rho_plan(panel, family, solve_instruments,
-                     report_instruments).at(rho_tilde)
+    if family not in ("quasi_diff", "multi_input"):
+        raise ValidationError(
+            "rho concentration supports quasi_diff or multi_input",
+            field="family")
+    if family == "multi_input" and panel.z is None:
+        raise ValidationError("panel has no second input z", field="panel")
+    coef_names = _FAMILY_PARAMS[family][:-1]  # all but rho
+    inputs = ("x", "z")[:len(coef_names) - 1]
+    # the family's instruments: one solving instrument per coefficient first
+    defaults = _FAMILY_DEFAULTS[family].names
+    solve = (defaults[:len(coef_names)] if solve_instruments is None
+             else _name_tuple(solve_instruments, "solve_instruments"))
+    report = (defaults[len(coef_names):] if report_instruments is None
+              else _name_tuple(report_instruments, "report_instruments"))
+
+    def build():
+        # base [lag0 | instruments] and slope [lag1 | 0] quasi-difference
+        # (y, const, x[, z]) and leave the instruments alone
+        mom = _moments_from(panel, 1, solve + report)
+        if len(solve) != len(coef_names):
+            raise ValidationError(
+                f"need {len(coef_names)} solving instruments, got "
+                f"{len(solve)}", field="solve_instruments")
+        Z = mom.forms(solve + report)
+        return _Plan(
+            mom, np.hstack([_lagged_forms(mom, inputs, 0), Z]),
+            np.hstack([_lagged_forms(mom, inputs, 1), np.zeros_like(Z)]),
+            coef_names, report)
+
+    return cached(panel, ("rho", family, solve, report), build).at(rho_tilde)
 
 
 @dataclass
@@ -619,21 +349,23 @@ def gmm_objective(panel, family: str, params,
     if family not in _FAMILY_DEFAULTS:
         raise ValidationError(f"unknown moment family {family!r}",
                               field="family")
+    if isinstance(params, ParamPoint):
+        params = (params.alpha, params.beta, params.rho)
+    names = _FAMILY_PARAMS[family]
+    if np.shape(params) != (len(names),):
+        raise ValidationError(f"{family} takes ({', '.join(names)}), got "
+                              f"{params!r}", field="params")
+    *coef, rho = params
     if family == "double_diff":
-        beta, rho = params
-        coef = (0.0, beta)  # the difference removes the intercept
-    elif family == "multi_input":
-        alpha, beta, gamma, rho = params
-        coef = (alpha, beta, gamma)
-        if panel.z is None:
-            raise ValidationError("panel has no second input z",
-                                  field="panel")
-    else:
-        p = params if isinstance(params, ParamPoint) else ParamPoint(*params)
-        coef, rho = (p.alpha, p.beta), p.rho
+        coef.insert(0, 0.0)  # the difference removes the intercept
+    if family == "multi_input" and panel.z is None:
+        raise ValidationError("panel has no second input z", field="panel")
     spec = instruments if instruments is not None else _FAMILY_DEFAULTS[family]
+    if not isinstance(spec, InstrumentSpec):
+        raise ValidationError(f"instruments must be an InstrumentSpec, not "
+                              f"{spec!r}", field="instruments")
     first = 2 if family == "double_diff" else 1
-    mom = _moments_from(panel, first, spec)
+    mom = _moments_from(panel, first, spec.names)
     Z = mom.forms(spec.names)
     inputs = ("x", "z")[:len(coef) - 1]
 

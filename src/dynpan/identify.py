@@ -28,6 +28,7 @@ from .model import (
     ParamPoint,
     ReducedFormParams,
     SolutionBranch,
+    _theta_sign,
     invert_reduced_form,
 )
 
@@ -249,12 +250,6 @@ class EstimateResult:
     diagnosis: str = ""
 
 
-def _check_sign(sign: str) -> None:
-    if sign not in ("theta_positive", "theta_negative"):
-        raise ValidationError(
-            "sign must be theta_positive or theta_negative", field="sign")
-
-
 def select_by_sign(branches, sign: str) -> SolutionBranch:
     """Pick the branch whose theta carries the declared sign.
 
@@ -262,13 +257,12 @@ def select_by_sign(branches, sign: str) -> SolutionBranch:
     when the branch gap 1/theta is positive.  The two branches must carry
     opposite-sign thetas; anything else indicates a corrupted pair.
     """
-    _check_sign(sign)
+    want = _theta_sign(sign, "sign")
     a, b = branches
     if not (a.params.theta * b.params.theta < 0):
         raise InternalConsistencyError(
             "branch thetas do not have opposite signs")
-    want_positive = sign == "theta_positive"
-    return a if (a.params.theta > 0) == want_positive else b
+    return a if a.params.theta * want > 0 else b
 
 
 def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
@@ -279,7 +273,7 @@ def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
     the equal-persistence diagnosis is reported instead of an estimate.
     An unknown ``sign`` raises before the fit, degenerate or not.
     """
-    _check_sign(sign)
+    _theta_sign(sign, "sign")
     rf, _, fit_x = fit_reduced_form(panel)
     se_pi_xy = float(fit_x.std_errors[1])
     disc = rf.discriminant()

@@ -96,6 +96,16 @@ class ParamPoint:
     rho: float
 
 
+def _theta_sign(sign: str, field: str) -> float:
+    """1.0 for ``theta_positive``, -1.0 for ``theta_negative``; anything
+    else raises, naming the argument ``field``."""
+    if sign not in ("theta_positive", "theta_negative"):
+        raise ValidationError("the sign of theta must be positive or negative"
+                              " (theta_positive or theta_negative)",
+                              field=field)
+    return 1.0 if sign == "theta_positive" else -1.0
+
+
 @dataclass(frozen=True)
 class SolutionBranch:
     """One of the two structural solutions implied by a reduced form.

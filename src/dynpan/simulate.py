@@ -203,7 +203,7 @@ def _pool() -> ThreadPoolExecutor:
     """The package's thread pool, created on first use: one worker per CPU
     the process may run on, and no more than the four (n, t) sub-streams a
     variant reads at most.  ``draw_panel`` fills its sub-streams on it, and
-    the estimators' pair pass (``estimate._pair_moments``) hands one worker
+    the estimators' pair pass (``moments._pair_moments``) hands one worker
     half its blocks, and runs them itself if no worker has started them.
     No task waits on another, so every wait on it ends."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -37,11 +37,7 @@ from dynpan.model import (
     pseudo_point,
 )
 from dynpan.simulate import VariantParams, draw_panel
-from dynpan.estimate import (
-    PREDETERMINED_INSTRUMENTS,
-    gmm_objective,
-    quasi_diff_residual,
-)
+from dynpan.estimate import PREDETERMINED_INSTRUMENTS, gmm_objective
 from dynpan.identify import (
     find_local_minima,
     find_zeros,
@@ -49,6 +45,7 @@ from dynpan.identify import (
     two_step_estimator,
 )
 from dynpan.diagnostics import ar_order_test, flatness_guard, residual_sign_test
+from test_estimate import quasi_diff_residual
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 PSEUDO = pseudo_point(DEFAULTS)

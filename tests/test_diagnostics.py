@@ -49,8 +49,9 @@ class TestResidualSignTest:
         assert rep.rule_applied.endswith("(degenerate: zero variance)")
 
     def test_bad_sign_label_rejected(self, bench200k):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             residual_sign_test(bench200k, TRUTH, "plus")
+        assert err.value.field == "declared_theta_sign"
 
 
 class TestMomentInequality:

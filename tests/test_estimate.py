@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULTS, linear_panel, make_spec
-from dynpan import estimate, simulate
+from dynpan import estimate, moments, simulate
 from dynpan.diagnostics import (
     ar_order_test,
     moment_inequality,
@@ -38,11 +38,8 @@ from dynpan.estimate import (
     PREDETERMINED_INSTRUMENTS,
     beta_scan_evaluator,
     concentrate_rho,
-    double_diff_residual,
     fit_reduced_form,
     gmm_objective,
-    multi_input_residual,
-    quasi_diff_residual,
     two_sls,
 )
 from dynpan.estimate import _checked_inverse
@@ -252,6 +249,12 @@ class TestGmmObjective:
         (("multi_input", (1.0, 0.6, 0.3, 0.7)), {}, "panel"),
         (("quasi_diff", TRUTH), dict(instruments=MULTI_INPUT_INSTRUMENTS),
          "instruments"),
+        (("double_diff", (1.0, 0.6, 0.7)), {}, "params"),
+        (("double_diff", TRUTH), {}, "params"),
+        (("quasi_diff", (1.0, 0.6)), {}, "params"),
+        (("multi_input", (1.0, 0.6, 0.7)), {}, "params"),
+        (("quasi_diff", TRUTH), dict(instruments=("const", "x_lag1")),
+         "instruments"),
     ])
     def test_bad_calls_name_their_field(self, args, kwargs, field):
         panel = draw_panel(make_spec(n_firms=200, seed=1))
@@ -447,6 +450,43 @@ def oracle_rho(panel, rho_tilde, family, solve, report):
     return coef, np.array(moments), np.array(ses)
 
 
+# The residual families on the raw arrays, one column per usable period: the
+# oracles of the per-observation identities above and of the raw GMM
+# formulas in test_raw_fits.py.
+
+def quasi_diff_residual(panel, p: ParamPoint) -> np.ndarray:
+    """Quasi-differenced residuals, one column per period t >= 2.
+
+    With the true parameters and no measurement error this equals the
+    productivity innovation xi_t; at the pseudo-solution it equals
+    -u_t / theta.
+    """
+    y, x = panel.y, panel.x
+    return ((y[:, 1:] - p.rho * y[:, :-1]) - p.alpha * (1.0 - p.rho)
+            - p.beta * (x[:, 1:] - p.rho * x[:, :-1]))
+
+
+def double_diff_residual(panel, beta: float, rho: float) -> np.ndarray:
+    """First difference of the quasi-difference (removes firm intercepts);
+    one column per period t >= 3."""
+    y, x = panel.y, panel.x
+    dy = y[:, 1:] - rho * y[:, :-1]
+    dx = x[:, 1:] - rho * x[:, :-1]
+    return (dy[:, 1:] - dy[:, :-1]) - beta * (dx[:, 1:] - dx[:, :-1])
+
+
+def multi_input_residual(panel, alpha: float, beta: float, gamma: float,
+                         rho: float) -> np.ndarray:
+    """Quasi-differenced residual with two endogenous regressors."""
+    if panel.z is None:
+        raise ValidationError("panel has no second input z",
+                              field="panel")
+    y, x, z = panel.y, panel.x, panel.z
+    return ((y[:, 1:] - rho * y[:, :-1]) - alpha * (1.0 - rho)
+            - beta * (x[:, 1:] - rho * x[:, :-1])
+            - gamma * (z[:, 1:] - rho * z[:, :-1]))
+
+
 def assert_rel(got, want, scale=None, rtol=1e-10):
     """Agreement within rtol of each value, or of ``scale`` when given;
     NaN only where the oracle has NaN."""
@@ -524,7 +564,7 @@ class TestCrossMomentEngine:
 
     def test_block_remainder(self):
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
-        per_block = estimate._BLOCK_ROWS // 3
+        per_block = moments._BLOCK_ROWS // 3
         assert panel.spec.n_firms > per_block
         assert panel.spec.n_firms % per_block != 0
         check_beta_scan(panel)
@@ -534,7 +574,7 @@ class TestCrossMomentEngine:
         # E[d d'] is read off the diagonals of the period Gram; compare it
         # with the Gram matrix of the centered columns taken directly
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
-        mom = estimate._cross_moments(panel, 2)
+        mom = moments._cross_moments(panel, 2)
         cols = [panel.y, panel.x, panel.z]
         d = [np.ones(panel.spec.n_firms * 3)] + [
             arr[:, 2 - lag:5 - lag].ravel() for arr in cols
@@ -552,13 +592,13 @@ class TestCrossMomentEngine:
     def test_cache_reused_on_panel_not_on_firm_prefix(self, monkeypatch):
         panel = draw_panel(make_spec(n_firms=3000))
         passes = []
-        original = estimate._accumulate_moments
+        original = moments._accumulate_moments
 
         def counting(p, lags):
             passes.append((p, lags))
             return original(p, lags)
 
-        monkeypatch.setattr(estimate, "_accumulate_moments", counting)
+        monkeypatch.setattr(moments, "_accumulate_moments", counting)
         beta_scan_evaluator(panel)(0.6)
         beta_scan_evaluator(panel)(1.6)
         concentrate_rho(panel, 0.5)
@@ -581,13 +621,13 @@ class TestCrossMomentEngine:
 
 def count_pair_passes(monkeypatch):
     passes = []
-    original = estimate._pair_moments
+    original = moments._pair_moments
 
     def counting(sources, means):
         passes.append(len(sources))
         return original(sources, means)
 
-    monkeypatch.setattr(estimate, "_pair_moments", counting)
+    monkeypatch.setattr(moments, "_pair_moments", counting)
     return passes
 
 
@@ -766,6 +806,8 @@ class TestRhoPlanCache:
         (dict(report_instruments=("x_lag5",)), "n_periods"),
         (dict(family="multi_input"), "panel"),
         (dict(family="double_diff"), "family"),
+        (dict(solve_instruments="const"), "solve_instruments"),
+        (dict(report_instruments="x_lag2"), "report_instruments"),
     ])
     def test_bad_calls_raise_every_time(self, kwargs, field):
         panel = draw_panel(make_spec(n_firms=500, seed=2))
@@ -825,9 +867,9 @@ def moment_digests(panel):
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
 
-    out = {"gram": digest(*estimate._period_gram(panel))}
+    out = {"gram": digest(*moments._period_gram(panel))}
     for lags in PINNED_DEPTHS:
-        mom = estimate._cross_moments(panel, lags)
+        mom = moments._cross_moments(panel, lags)
         for name in ("second", "basis", "fourth"):
             out[f"{name}-{lags}"] = digest(getattr(mom, name))
     return out
@@ -848,7 +890,7 @@ def fourth_digest(panel, lags=2):
     starts with an empty moment cache, so its pair pass runs again)."""
     fresh = dataclasses.replace(panel)
     return hashlib.sha256(
-        estimate._cross_moments(fresh, lags).fourth.tobytes()).hexdigest()
+        moments._cross_moments(fresh, lags).fourth.tobytes()).hexdigest()
 
 
 def send_fourth_digest(spec, conn):

@@ -257,8 +257,9 @@ class TestSelectBySign:
     def test_bad_sign_label(self):
         s = StructuralParams(beta=0.6, theta=1.0, rho_omega=0.7, rho_x=0.5)
         branches = invert_reduced_form(forward_map(s))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             select_by_sign(branches, "positive")
+        assert err.value.field == "sign"
 
 
 class TestZeroPairOrdering:

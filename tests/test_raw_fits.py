@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import DEFAULTS, linear_panel
-from dynpan import estimate
+from dynpan import moments
 from dynpan.diagnostics import (
     ar_order_test,
     moment_inequality,
@@ -30,15 +30,18 @@ from dynpan.estimate import (
     InstrumentSpec,
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
-    double_diff_residual,
     fit_reduced_form,
     gmm_objective,
-    multi_input_residual,
-    quasi_diff_residual,
     two_sls,
 )
 from dynpan.model import ParamPoint, pseudo_point
-from test_estimate import FIXTURE_PANELS, assert_rel
+from test_estimate import (
+    FIXTURE_PANELS,
+    assert_rel,
+    double_diff_residual,
+    multi_input_residual,
+    quasi_diff_residual,
+)
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 POINTS = (TRUTH, pseudo_point(DEFAULTS), ParamPoint(1.0, -2.0, 0.7))
@@ -172,7 +175,7 @@ def test_instrument_matrix_matches_column_stack(fixture, request):
     panel = request.getfixturevalue(fixture)
     for spec in GMM_SPECS:
         for t_min in range(max(spec.max_lag, 1), panel.spec.n_periods):
-            mom = estimate._cross_moments(panel, t_min)
+            mom = moments._cross_moments(panel, t_min)
             if needs_z(spec) and panel.z is None:
                 with pytest.raises(ValidationError, match="no series 'z'"):
                     mom.forms(spec.names)

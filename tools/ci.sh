@@ -13,8 +13,8 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-STEPS=(install tier1 moment_bits_one_blas_thread reproduce_diagnose
-       reproduce_estimate reproduce_scan reproduce_figure
+STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
+       reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        failed_run_leaves_nothing out_file_must_be_plain bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
@@ -25,6 +25,16 @@ install() {
 tier1() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
         --continue-on-collection-errors
+}
+
+# A test of the CLI or the simulator that leaves a file open fails: pytest's
+# own -W turns the ResourceWarning, and the unraisable-exception warning
+# pytest reports it as, into errors.  (python -W alone only prints it.)
+unclosed_files() {
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest -q \
+        -W error::ResourceWarning \
+        -W error::pytest.PytestUnraisableExceptionWarning \
+        tests/test_cli.py tests/test_simulate.py
 }
 
 # tier1 runs with the runner's default BLAS thread count; the pinned moment
