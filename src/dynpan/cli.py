@@ -289,8 +289,6 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
     variant, sweep_field, values = FIGURE_PRESETS[which]
     base = dict(cfg)
     base["dgp.variant"] = variant
-    if variant == "ar2_kappa":
-        base["dgp.ext.rho1_x"] = 0.5
 
     jobs = []
     for value in values:

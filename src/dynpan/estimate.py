@@ -26,8 +26,11 @@ slope or persistence t (``base - t * slope``).  The panel caches one rho
 plan per instrument set (family, solving and reported names) next to the
 cross-moments, and a beta evaluator holds its own.  Each evaluation factors
 its rank-checked cross-product once (one SVD gives the check, the
-coefficients and the first-step correction) and takes the standard errors
-of all reported moments from one quadratic form in the fourth moments.
+coefficients and the first-step correction), so a grid point or a
+bisection step costs the IV solve and its moments only.  The standard
+errors of all reported moments, one quadratic form in the fourth moments,
+are computed on their first read, so no scan or bisection runs the
+panel's pair pass.
 
 Each GMM residual is such a form: ``_lagged_forms`` (shared with the rho
 plans) gives (y, const, x[, z]) at one lag, and a quasi-difference is lag 0
@@ -37,8 +40,10 @@ minus rho times lag 1.  The level diagnostics share the all-period depth
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import numbers
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -175,14 +180,19 @@ def fit_reduced_form(panel):
 class Concentrated:
     """One concentrated evaluation: the coefficients solved at the held
     value ``at`` of the scanned axis (a slope or a persistence), and the
-    remaining moments with their influence-function standard errors."""
+    remaining moments.  Their influence-function standard errors,
+    ``moment_ses``, are computed on first read and kept."""
 
     at: float
     coefficients: dict
     moment_names: tuple[str, ...]
     moments: np.ndarray
-    moment_ses: np.ndarray
     n_obs: int
+    _ses: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def moment_ses(self) -> np.ndarray:
+        return self._ses()
 
 
 @dataclass(frozen=True)
@@ -210,13 +220,17 @@ class _Plan:
         inverse = _checked_inverse(G[:n, 1:])
         coef = inverse @ G[:n, 0]
         moments = G[n:, 0] - G[n:, 1:] @ coef
-        V = inverse.T @ G[n:, 1:].T
-        r = F[:, 0] - F[:, 1:] @ coef
-        adjusted = ZR[:, n:] - ZR[:, :n] @ V
+
+        def ses():
+            V = inverse.T @ G[n:, 1:].T
+            r = F[:, 0] - F[:, 1:] @ coef
+            adjusted = ZR[:, n:] - ZR[:, :n] @ V
+            return self.mom.ses(adjusted, r, moments)
+
         return Concentrated(
             at=t, coefficients=dict(zip(self.coef_names, map(float, coef))),
             moment_names=self.moment_names, moments=moments,
-            moment_ses=self.mom.ses(adjusted, r, moments), n_obs=self.mom.n)
+            n_obs=self.mom.n, _ses=ses)
 
 
 def beta_scan_evaluator(panel):
@@ -352,10 +366,15 @@ def gmm_objective(panel, family: str, params,
     if isinstance(params, ParamPoint):
         params = (params.alpha, params.beta, params.rho)
     names = _FAMILY_PARAMS[family]
-    if np.shape(params) != (len(names),):
+    try:
+        values = tuple(params)
+    except TypeError:
+        values = ()
+    if (len(values) != len(names)
+            or not all(isinstance(v, numbers.Real) for v in values)):
         raise ValidationError(f"{family} takes ({', '.join(names)}), got "
                               f"{params!r}", field="params")
-    *coef, rho = params
+    *coef, rho = map(float, values)
     if family == "double_diff":
         coef.insert(0, 0.0)  # the difference removes the intercept
     if family == "multi_input" and panel.z is None:

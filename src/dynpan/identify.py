@@ -11,7 +11,7 @@ branches, and lets a declared sign of the endogeneity direction pick one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,36 +67,47 @@ class MinimumInfo:
 class ObjectiveCurve:
     """Signed concentrated moment over a grid, plus located features.
 
-    ``ses`` holds the per-point sampling standard error of m.  Grid points
-    where the underlying fit failed carry NaN.  ``evaluator`` gives m at any
-    point of the axis; ``zeros`` and ``minima`` are filled by
+    Grid points where the underlying fit failed carry NaN.  ``evaluator``
+    gives m at any point of the axis; ``zeros`` and ``minima`` are filled by
     :func:`find_zeros` / :func:`find_local_minima`, which refine with it.
+    ``ses``, the per-point sampling standard error of m, is computed on
+    first read from the kept grid fits, NaN where a fit failed or none is
+    kept; it can also be assigned.
     """
 
     axis: str
     grid: np.ndarray
     m: np.ndarray
     msq: np.ndarray
-    ses: np.ndarray
     evaluator: Callable[[float], float] = field(repr=False)
     zeros: list = field(default_factory=list)
     minima: list = field(default_factory=list)
+    #: each grid point's ``Concentrated``, None where its fit failed
+    _points: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def ses(self) -> np.ndarray:
+        ses = np.full(self.grid.size, np.nan)
+        for i, c in enumerate(self._points):
+            if c is not None:
+                ses[i] = c.moment_ses[0]
+        return ses
 
 
 def _evaluate(axis: str, grid: np.ndarray, concentrate) -> ObjectiveCurve:
-    """The first moment of ``concentrate(g)`` (a ``Concentrated``) and its
-    standard error over the grid, NaN where the fit fails; the curve's
-    evaluator is that moment."""
-    m = np.empty(grid.size)
-    ses = np.empty(grid.size)
-    for i, g in enumerate(grid):
+    """The first moment of ``concentrate(g)`` (a ``Concentrated``) over the
+    grid, NaN where the fit fails; the curve keeps each point's fit for its
+    standard errors, and its evaluator is that moment."""
+    points = []
+    for g in grid:
         try:
-            c = concentrate(g)
-            m[i], ses[i] = c.moments[0], c.moment_ses[0]
+            points.append(concentrate(g))
         except DynpanError:
-            m[i] = ses[i] = np.nan
-    return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m, ses=ses,
-                          evaluator=lambda v: concentrate(v).moments[0])
+            points.append(None)
+    m = np.array([np.nan if c is None else c.moments[0] for c in points])
+    return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m,
+                          evaluator=lambda v: concentrate(v).moments[0],
+                          _points=tuple(points))
 
 
 def scan_curve(panel, axis: str, grid,
@@ -106,10 +117,11 @@ def scan_curve(panel, axis: str, grid,
     ``axis='beta'`` concentrates (alpha, rho) at each candidate slope and
     uses the single instrument x_{t-1}; ``axis='rho'`` concentrates the
     linear block at each candidate persistence and reports the x_{t-2}
-    moment; m and its standard error are the first of the point's
-    ``Concentrated`` moments.  The grid must lie within ``DEFAULT_BOUNDS``
-    of its axis.  Estimation failures at individual points are recorded as
-    NaN, not raised.
+    moment; m is the first of the point's ``Concentrated`` moments.  The
+    scan solves each point's IV only: the curve's ``ses`` (and the panel's
+    pair pass behind them) are computed when first read.  The grid must lie
+    within ``DEFAULT_BOUNDS`` of its axis.  Estimation failures at
+    individual points are recorded as NaN, not raised.
     """
     if axis not in ("beta", "rho"):
         raise ValidationError("axis must be beta or rho", field="axis")

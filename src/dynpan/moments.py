@@ -11,25 +11,19 @@ overall mean, accumulated in firm blocks.  The window means and pooled
 second moments of every lag depth are averages along its diagonals, so an
 IV fit such as ``estimate.two_sls`` is k x k algebra.  The fourth
 cross-moments (the Gram matrix of the pairwise products of the columns,
-centered by their pooled means so that the variances do not cancel), which
-the influence-function standard errors need, take one blocked pass per lag
-depth on first use.  It holds about ``_BLOCK_ROWS`` rows and their pair
-products at a time, never an n x k^2 matrix.
+centered by their pooled means so that no variance is a small difference
+of large products), which the influence-function standard errors need,
+take one blocked pass per lag depth on first use.  It holds about
+``_BLOCK_ROWS`` rows and their pair products at a time, never an n x k^2
+matrix.
 
-A pass with at least ``_SPLIT_ROWS`` = 28 pair products (k >= 7 columns,
-which every scan and warm-start depth has) splits its firm blocks into two
-contiguous runs: the calling thread runs the first and one worker of the
-package's thread pool (``simulate._pool``) the second, each on a block
-buffer of its own.  If no worker has started the second run, the caller
-takes it back (``Future.cancel``) and runs it itself, so a busy pool or a
-caller on a pool thread never waits forever.  Each block's Gram is written
-to a slot of its own, and the slots are added into ``fourth`` in block
-order whichever thread computed them, so the fourth moments and every
-standard error have the same bits on any number of threads.  The level
-diagnostics' L = 0 pass (6 pair products for a y/x panel) and the period
-Gram (a 10-row SYRK) stay serial: products that small ran no faster two
-at a time.  :func:`cached` is the only reader and writer of a panel's
-moment cache.
+The pass is one serial loop over firm blocks on one block buffer that adds
+each block's Gram into ``fourth`` in block order, so its bits do not depend
+on the thread that runs it.  Scans, bisection steps and IV fits never run
+it: the first read of a standard error that needs the fourth moments does
+(a ``Concentrated``'s ``moment_ses``, a curve's ``ses``, the moment
+inequality, ``gmm_objective``).  :func:`cached` is the only reader and
+writer of a panel's moment cache.
 """
 
 from __future__ import annotations
@@ -41,16 +35,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .simulate import _pool
 
 _SERIES = ("y", "x", "z")
 
 #: Pooled rows per accumulation block; with k = 10 columns the block and its
 #: 55 pair products take about 4 MB.
 _BLOCK_ROWS = 8192
-#: Pair products (k = 7 columns) from which a pair pass splits its blocks
-#: over two threads; the 6-, 10- and 15-row passes ran slower split.
-_SPLIT_ROWS = 28
 
 
 def _parse_name(name: str):
@@ -196,16 +186,18 @@ def _accumulate_moments(panel, lags: int) -> _CrossMoments:
         pair_pass=partial(_pair_moments, sources, basis[0, 1:]))
 
 
-def _pair_grams(sources, means, bounds, grams) -> None:
-    """For each firm block (lo, hi) of ``bounds``: center its columns d =
-    (1, sources - means), form the products of the i <= j pairs, and write
-    their Gram p p' to the matching ``grams`` slice.  The block buffer is
-    this call's own, so two calls can run at once."""
+def _pair_moments(sources, means) -> np.ndarray:
+    """E[q q'] for the ordered products q = vec(d d') of the centered
+    columns d = (1, sources - means): one blocked pass over the products of
+    the i <= j pairs, spread over all k^2 ordered pairs."""
     k = len(sources) + 1
-    t_len = sources[0].shape[1]
-    width = max(hi - lo for lo, hi in bounds) * t_len
-    block = np.empty((grams.shape[1], width))
-    for (lo, hi), gram in zip(bounds, grams):
+    n_firms, t_len = sources[0].shape
+    rows, cols = np.triu_indices(k)
+    fourth = np.zeros((rows.size, rows.size))
+    step = max(1, _BLOCK_ROWS // t_len)
+    block = np.empty((rows.size, min(step, n_firms) * t_len))
+    for lo in range(0, n_firms, step):
+        hi = min(lo + step, n_firms)
         # the pairs (0, j) come first and column 0 is the constant 1, so
         # rows 0..k-1 of the pair products are the centered columns d
         p = block[:, :(hi - lo) * t_len]
@@ -216,35 +208,7 @@ def _pair_grams(sources, means, bounds, grams) -> None:
         for i in range(1, k):
             np.multiply(p[i], p[i:k], out=p[start:start + k - i])
             start += k - i
-        np.matmul(p, p.T, out=gram)
-
-
-def _pair_moments(sources, means) -> np.ndarray:
-    """E[q q'] for the ordered products q = vec(d d') of the centered
-    columns d = (1, sources - means): one blocked pass over the products of
-    the i <= j pairs, spread over all k^2 ordered pairs.  With at least
-    ``_SPLIT_ROWS`` pair products the second half of the blocks runs on a
-    worker of the package's thread pool (see the module docstring)."""
-    k = len(sources) + 1
-    n_firms, t_len = sources[0].shape
-    rows, cols = np.triu_indices(k)
-    step = max(1, _BLOCK_ROWS // t_len)
-    bounds = [(lo, min(lo + step, n_firms)) for lo in range(0, n_firms, step)]
-    grams = np.empty((len(bounds), rows.size, rows.size))
-    split = (len(bounds) + 1) // 2 if rows.size >= _SPLIT_ROWS else len(bounds)
-    rest = (sources, means, bounds[split:], grams[split:])
-    tail = _pool().submit(_pair_grams, *rest) if bounds[split:] else None
-    _pair_grams(sources, means, bounds[:split], grams[:split])
-    if tail is not None:
-        if tail.cancel():
-            # no worker had started it: the pool is busy, or this thread is
-            # one of its workers, so waiting for it might never end
-            _pair_grams(*rest)
-        else:
-            tail.result()
-    fourth = np.zeros((rows.size, rows.size))
-    for gram in grams:  # in block order, whichever thread computed it
-        fourth += gram
+        fourth += p @ p.T
     fourth /= n_firms * t_len
     pair = np.empty((k, k), dtype=np.intp)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)

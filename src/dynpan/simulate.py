@@ -39,9 +39,9 @@ n_firms x (BURN_IN + n_periods) matrix.
 The sub-streams do not depend on each other, so ``draw_panel`` fills them
 concurrently: it allocates every buffer itself and hands each fill to the
 package's small thread pool (``_pool``: created on first use, at most one
-worker per usable CPU, recreated in a forked child), then runs the state
-recursions as the fills they need complete.  The nonlinear ``u`` stays on
-the calling thread.  Each stream is still read once, in full, by one
+worker per usable CPU, recreated in a forked child, and used by nothing
+else), then runs the state recursions as the fills they need complete.
+The nonlinear ``u`` stays on the calling thread.  Each stream is still read once, in full, by one
 generator, so every array is bit-identical whatever the thread count,
 schedule or fork.
 """
@@ -202,10 +202,9 @@ def _stream(seed: int, label: str) -> np.random.Generator:
 def _pool() -> ThreadPoolExecutor:
     """The package's thread pool, created on first use: one worker per CPU
     the process may run on, and no more than the four (n, t) sub-streams a
-    variant reads at most.  ``draw_panel`` fills its sub-streams on it, and
-    the estimators' pair pass (``moments._pair_moments``) hands one worker
-    half its blocks, and runs them itself if no worker has started them.
-    No task waits on another, so every wait on it ends."""
+    variant reads at most.  It serves ``draw_panel`` only, which fills its
+    sub-streams on it.  No task waits on another, so every wait on it
+    ends."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return ThreadPoolExecutor(min(4, cpus), thread_name_prefix="dynpan")

@@ -243,6 +243,20 @@ class TestFigureCommand:
         assert "rho2_x_0.4,ok" in summary
         assert not (tmp_path / "figure3_rho2_x_0.5.csv").exists()
 
+    def test_figure3_keeps_the_configured_rho1_x(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("dgp.ext.rho1_x = 0.3\n")
+        out = tmp_path / "out"
+        code = run_cli("figure", "--which", "3", "--config", str(cfg),
+                       "--seed", "7", "--n-firms", "2000",
+                       "--grid", "0:2:0.1", "--out-dir", str(out))
+        assert code == 0
+        assert "dgp.ext.rho1_x = 0.3" in (out / "run.manifest").read_text()
+        # 0.3 + 0.5 < 1: the sub-model is stationary and runs
+        summary = (out / "figure3_summary.csv").read_text()
+        assert "rho2_x_0.5,ok" in summary
+        assert (out / "figure3_rho2_x_0.5.csv").exists()
+
     def test_figure_out_of_range(self, tmp_path):
         assert run_cli("figure", "--which", "9",
                        "--out-dir", str(tmp_path)) == 1

@@ -7,6 +7,7 @@ sit at 4-5 sigma of the measured sampling noise.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -26,7 +27,13 @@ from dynpan.diagnostics import (
     residual_sign_test,
 )
 from dynpan.errors import RankDeficiencyError, ValidationError
-from dynpan.identify import scan_curve, two_step_estimator
+from dynpan.identify import (
+    find_local_minima,
+    find_zeros,
+    scan_curve,
+    two_step_estimator,
+    warm_start_pipeline,
+)
 from dynpan.model import ParamPoint, forward_map, pseudo_point
 from dynpan.simulate import draw_panel
 from dynpan.estimate import (
@@ -255,6 +262,10 @@ class TestGmmObjective:
         (("multi_input", (1.0, 0.6, 0.7)), {}, "params"),
         (("quasi_diff", TRUTH), dict(instruments=("const", "x_lag1")),
          "instruments"),
+        (("quasi_diff", (1.0, (2, 3), 0.7)), {}, "params"),
+        (("quasi_diff", (1.0, "a", 0.7)), {}, "params"),
+        (("quasi_diff", ("1", 0.6, 0.7)), {}, "params"),
+        (("quasi_diff", (1.0, None, 0.7)), {}, "params"),
     ])
     def test_bad_calls_name_their_field(self, args, kwargs, field):
         panel = draw_panel(make_spec(n_firms=200, seed=1))
@@ -640,27 +651,75 @@ def test_fits_and_sign_test_skip_the_pair_pass(monkeypatch):
     two_step_estimator(panel)
     assert passes == []
     assert set(panel._moment_cache) == {"gram", 0, 2}
-    # the scans' standard errors and the inequality's do need it, once per
-    # lag depth
+    # a concentrated point solves its IV only; its standard errors, read
+    # later, and the inequality's need the pass, once per lag depth
     evaluate = beta_scan_evaluator(panel)
     assert passes == []
-    evaluate(0.6)
-    evaluate(1.6)
+    points = [evaluate(0.6), evaluate(1.6)]
+    assert passes == []
+    for point in points:
+        point.moment_ses
+    assert passes == [6]
     moment_inequality(panel, TRUTH)
     moment_inequality(panel, PSEUDO)
     assert passes == [6, 2]
 
 
+SCANS = (("beta", np.linspace(0.0, 2.0, 21), "quasi_diff"),
+         ("rho", np.linspace(-0.9, 0.9, 19), "multi_input"))
+
+
+@pytest.mark.parametrize("axis, grid, family", SCANS, ids=["beta", "rho"])
+def test_scans_run_no_pair_pass_until_ses_are_read(multi6k, monkeypatch,
+                                                   axis, grid, family):
+    passes = count_pair_passes(monkeypatch)
+    panel = dataclasses.replace(multi6k)
+    curve = scan_curve(panel, axis, grid, family=family)
+    find_zeros(curve)
+    find_local_minima(curve)
+    assert passes == []
+    ses = curve.ses
+    assert len(passes) == 1
+    if axis == "beta":
+        concentrate = beta_scan_evaluator(panel)
+    else:
+        concentrate = functools.partial(concentrate_rho, panel, family=family)
+    want = np.array([concentrate(g).moment_ses[0] for g in grid])
+    assert np.array_equal(ses, want)
+    assert len(passes) == 1
+
+
+def test_predetermined_warm_start_runs_one_pair_pass(monkeypatch):
+    passes = count_pair_passes(monkeypatch)
+    reads = []
+    original = moments._CrossMoments.ses
+
+    def counting(mom, *args):
+        reads.append(len(args))
+        return original(mom, *args)
+
+    monkeypatch.setattr(moments._CrossMoments, "ses", counting)
+    panel = draw_panel(make_spec("predetermined", n_firms=3000, seed=6))
+    warm_start_pipeline(panel, "predetermined_start")
+    assert len(passes) == 1
+    # standard errors of the scored candidate roots only, not of the grid
+    names = PREDETERMINED_INSTRUMENTS.names
+    grid = np.linspace(-0.9, 0.9, 37)
+    moment = [concentrate_rho(panel, rho, solve_instruments=names[:2],
+                              report_instruments=names[2:]).moments[0]
+              for rho in grid]
+    signs = np.sign(moment)
+    assert len(reads) == max(1, int(np.sum(signs[:-1] * signs[1:] < 0)))
+
+
 def test_scans_do_not_depend_on_earlier_fits(multi6k):
-    grids = (("beta", np.linspace(0.0, 2.0, 21), "quasi_diff"),
-             ("rho", np.linspace(-0.9, 0.9, 19), "multi_input"))
     fresh = dataclasses.replace(multi6k)
     want = [scan_curve(fresh, axis, grid, family=family)
-            for axis, grid, family in grids]
+            for axis, grid, family in SCANS]
     fitted = dataclasses.replace(multi6k)
     two_step_estimator(fitted)
     ar_order_test(fitted)
-    for (axis, grid, family), curve in zip(grids, want):
+    for (axis, grid, family), curve in zip(SCANS, want):
         got = scan_curve(fitted, axis, grid, family=family)
         assert np.array_equal(got.m, curve.m)
         assert np.array_equal(got.ses, curve.ses)
@@ -883,7 +942,7 @@ def test_moments_match_their_recorded_hashes(variant, n_firms):
     assert moment_digests(panel) == MOMENT_PINS[f"{variant}-{n_firms}"]
 
 
-# --- the split pair pass: half its blocks run on a worker of the pool ------
+# --- the serial pair pass: thread-safe, fork-safe, never waits on the pool -
 
 def fourth_digest(panel, lags=2):
     """sha256 of the fourth moments of a fresh copy of ``panel`` (the copy
@@ -899,8 +958,9 @@ def send_fourth_digest(spec, conn):
 
 
 class TestConcurrentPairPass:
-    """A pass with 28 or more pair products runs its second half of blocks
-    on the package's thread pool; no caller can tell."""
+    """The pair pass runs serially on its caller's thread: on many threads
+    at once, in a forked child or beside a busy pool it gives the same
+    bytes."""
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method on this platform")

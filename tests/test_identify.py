@@ -47,8 +47,7 @@ BETA_GRID = np.round(np.arange(0.0, 2.0001, 0.01), 10)
 def synthetic_curve(fn, grid):
     m = np.array([fn(g) for g in grid])
     return ObjectiveCurve(axis="beta", grid=np.asarray(grid, float), m=m,
-                          msq=m * m, ses=np.full(len(grid), 0.01),
-                          evaluator=fn)
+                          msq=m * m, evaluator=fn)
 
 
 class TestScanCurve:
@@ -126,7 +125,7 @@ class TestFindZeros:
         # a failed fit on either side of an exact zero must not hide it
         grid, m = np.array([0.0, 0.5, 1.0]), np.array(m)
         curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
-                               ses=np.ones(3), evaluator=lambda b: b - 0.5)
+                               evaluator=lambda b: b - 0.5)
         assert find_zeros(curve) == [identify.RootInfo(
             location=0.5, bracket=(0.5, 0.5), m_value=0.0, iterations=0,
             converged=True)]
@@ -148,7 +147,7 @@ class TestFindZeros:
         grid = np.array([0.0, 0.5, 1.0, 1.5])
         m = np.array([1.0, np.nan, -1.0, -2.0])
         curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
-                               ses=np.ones(4), evaluator=lambda b: 1 - 2 * b)
+                               evaluator=lambda b: 1 - 2 * b)
         assert find_zeros(curve) == []
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 181])
@@ -163,7 +162,7 @@ class TestFindZeros:
                 "from dynpan.identify import ObjectiveCurve, find_zeros\n"
                 "g = np.linspace(0.0, 2.0, 21)\n"
                 "c = ObjectiveCurve('beta', g, g - 1.05, (g - 1.05) ** 2,\n"
-                "                   np.ones(21), evaluator=lambda b: b - 1.05)\n"
+                "                   evaluator=lambda b: b - 1.05)\n"
                 "assert find_zeros(c)[0].converged\n"
                 "assert 'numpy.ma' not in sys.modules\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -337,7 +336,7 @@ class TestWarmStart:
 
         m = np.array([moment(r) for r in grid])
         curve = ObjectiveCurve(axis="rho", grid=grid, m=m, msq=m * m,
-                               ses=np.ones(grid.size), evaluator=moment)
+                               evaluator=moment)
         roots = find_zeros(curve)
         assert all(r.converged for r in roots)
         ws = warm_start_pipeline(pred200k, "predetermined_start")

@@ -15,7 +15,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
-       failed_run_leaves_nothing out_file_must_be_plain bench_tests
+       reproduce_simulate failed_run_leaves_nothing out_file_must_be_plain bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
@@ -78,6 +78,14 @@ reproduce_figure() {
     for f in ci/g/figure5_*.csv ci/g/run.manifest; do
         cmp "$f" "ci/h/$(basename "$f")"
     done
+}
+
+reproduce_simulate() {
+    rm -rf ci/u ci/v
+    dynpan simulate --seed 1 --n-firms 2000 --out-dir ci/u
+    dynpan simulate --config ci/u/run.manifest --out-dir ci/v
+    cmp ci/u/panel.csv ci/v/panel.csv
+    cmp ci/u/run.manifest ci/v/run.manifest
 }
 
 failed_run_leaves_nothing() {
