@@ -130,6 +130,9 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
                 raise ValidationError(
                     f"cannot read {key} = {value!r} as {kind.__name__}",
                     field=key) from exc
+            if kind is float and not np.isfinite(resolved[key]):
+                raise ValidationError(f"must be a finite number, got "
+                                      f"{value!r}", field=key)
     name = resolved["out.file"]
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValidationError(f"must be a plain file name, got {name!r}",
@@ -166,7 +169,11 @@ def parse_grid(text: str) -> np.ndarray:
     if (hi - lo) / step + 0.5 > MAX_GRID_POINTS:
         raise ValidationError(f"grid {text!r} has more than "
                               f"{MAX_GRID_POINTS} points", field="scan.grid")
-    return np.round(np.arange(lo, hi + 0.5 * step, step), 10)
+    grid = np.round(np.arange(lo, hi + 0.5 * step, step), 10)
+    if np.any(np.diff(grid) <= 0):
+        raise ValidationError(f"grid step {step!r} is too fine: rounding "
+                              "to 1e-10 merges points", field="scan.grid")
+    return grid
 
 
 class _Outputs:

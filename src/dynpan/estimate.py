@@ -32,15 +32,18 @@ errors of all reported moments, one quadratic form in the fourth moments,
 are computed on their first read, so no scan or bisection runs the
 panel's pair pass.
 
-Each GMM residual is such a form: ``_lagged_forms`` (shared with the rho
-plans) gives (y, const, x[, z]) at one lag, and a quasi-difference is lag 0
-minus rho times lag 1.  The level diagnostics share the all-period depth
-(L = 0) of a panel, the reduced form and the AR-order test depth 2.
+One table, ``_FAMILIES``, describes each residual family, and its cached
+rho plan (``_family_plan``) serves both readers: ``concentrate_rho`` solves
+it at a held rho, ``gmm_objective`` evaluates it at given coefficients.
+Instrument sets are plain tuples of names.  The level diagnostics share the
+all-period depth (L = 0) of a panel, the reduced form and the AR-order
+test depth 2.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -54,46 +57,32 @@ from .moments import (
     _cross_moments,
     _moments_from,
     _name_tuple,
-    _parse_name,
     cached,
 )
 
 
-@dataclass(frozen=True)
-class InstrumentSpec:
-    """An ordered set of named instrument columns."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        for name in self.names:
-            _parse_name(name)
-
-    @property
-    def max_lag(self) -> int:
-        return max((_parse_name(n)[1] for n in self.names if n != "const"),
-                   default=0)
-
-
 #: Instrument sets used by the moment families.
-BENCHMARK_INSTRUMENTS = InstrumentSpec(("const", "x_lag1", "x_lag2", "y_lag2"))
-FIXED_EFFECTS_INSTRUMENTS = InstrumentSpec(
-    ("const", "x_lag2", "x_lag3", "y_lag3"))
-PREDETERMINED_INSTRUMENTS = InstrumentSpec(
-    ("const", "x_lag0", "x_lag1", "x_lag2", "y_lag2"))
-CONCENTRATED_BETA_INSTRUMENTS = InstrumentSpec(("x_lag1",))
-MULTI_INPUT_INSTRUMENTS = InstrumentSpec(
-    ("const", "x_lag1", "z_lag1", "x_lag2", "y_lag2", "z_lag2"))
+BENCHMARK_INSTRUMENTS = ("const", "x_lag1", "x_lag2", "y_lag2")
+FIXED_EFFECTS_INSTRUMENTS = ("const", "x_lag2", "x_lag3", "y_lag3")
+PREDETERMINED_INSTRUMENTS = ("const", "x_lag0", "x_lag1", "x_lag2", "y_lag2")
+CONCENTRATED_BETA_INSTRUMENTS = ("x_lag1",)
+MULTI_INPUT_INSTRUMENTS = ("const", "x_lag1", "z_lag1", "x_lag2", "y_lag2",
+                           "z_lag2")
 
-_FAMILY_DEFAULTS = {
-    "quasi_diff": BENCHMARK_INSTRUMENTS,
-    "double_diff": FIXED_EFFECTS_INSTRUMENTS,
-    "multi_input": MULTI_INPUT_INSTRUMENTS,
+
+#: A moment family: its parameters in the order ``gmm_objective`` takes
+#: them (rho last), the regressors they multiply, its default instruments
+#: and the first period of its residual.
+_Family = namedtuple("_Family", "params regressors instruments first")
+_FAMILIES = {
+    "quasi_diff": _Family(("alpha", "beta", "rho"), ("const", "x"),
+                          BENCHMARK_INSTRUMENTS, 1),
+    # the double difference removes the intercept, and with it alpha
+    "double_diff": _Family(("beta", "rho"), ("x",),
+                           FIXED_EFFECTS_INSTRUMENTS, 2),
+    "multi_input": _Family(("alpha", "beta", "gamma", "rho"),
+                           ("const", "x", "z"), MULTI_INPUT_INSTRUMENTS, 1),
 }
-#: The parameters of each family, in the order ``gmm_objective`` takes them.
-_FAMILY_PARAMS = {"quasi_diff": ("alpha", "beta", "rho"),
-                  "double_diff": ("beta", "rho"),
-                  "multi_input": ("alpha", "beta", "gamma", "rho")}
 
 
 @dataclass
@@ -121,7 +110,11 @@ def _checked_inverse(zx: np.ndarray) -> np.ndarray:
     d[d == 0.0] = 1.0
     e = np.sqrt(((zx / d) ** 2).sum(axis=1))
     e[e == 0.0] = 1.0
-    u, pivots, vt = np.linalg.svd(zx / d / e[:, None])
+    try:
+        u, pivots, vt = np.linalg.svd(zx / d / e[:, None])
+    except np.linalg.LinAlgError as exc:  # a non-finite cross-product
+        raise RankDeficiencyError(
+            f"instrument-regressor cross-product has no SVD: {exc}") from exc
     smallest = pivots[-1] if pivots.size else 0.0
     if smallest <= 1e-10 * max(pivots[0] if pivots.size else 0.0, 1.0):
         raise RankDeficiencyError(
@@ -249,7 +242,7 @@ def beta_scan_evaluator(panel):
     mom = _cross_moments(panel, 2)
     # w = y - beta x at lags 0..2; the regression (w0 on const, w1 | the
     # instruments const, w2 | the reported x1) is base - beta * slope
-    report = CONCENTRATED_BETA_INSTRUMENTS.names
+    report = CONCENTRATED_BETA_INSTRUMENTS
     plan = _Plan(
         mom=mom,
         base=mom.forms(("y_lag0", "const", "y_lag1", "const", "y_lag2")
@@ -268,18 +261,37 @@ def beta_scan_evaluator(panel):
     return evaluate
 
 
-def _lagged_forms(mom: _CrossMoments, inputs, lag: int) -> np.ndarray:
-    """Forms of (y, const, *inputs) dated ``lag`` periods back; the constant
-    is its own lag, so ``_lagged_forms(.., lag) - rho * _lagged_forms(..,
-    lag + 1)`` is the rho quasi-difference of each, (1 - rho) * const for
-    the constant."""
-    return mom.forms([f"y_lag{lag}", "const"]
-                     + [f"{s}_lag{lag}" for s in inputs])
+def _family_plan(panel, family: str, solve: tuple, report: tuple) -> _Plan:
+    """The panel's cached rho plan of a family with the instruments
+    ``solve`` (one per regressor, or none) and ``report``: (y, *regressors)
+    at lag 0 minus rho times lag 1 (the constant is its own lag), for the
+    double difference (lag 0 - lag 1) minus rho times (lag 1 - lag 2), then
+    the instruments.  A set that fails validation is not cached."""
+    fam = _FAMILIES[family]
+    if "z" in fam.regressors and panel.z is None:
+        raise ValidationError("panel has no second input z", field="panel")
+
+    def build():
+        mom = _moments_from(panel, fam.first, solve + report)
+
+        def lagged(lag):
+            return mom.forms([s if s == "const" else f"{s}_lag{lag}"
+                              for s in ("y",) + fam.regressors])
+
+        base, slope = lagged(0), lagged(1)
+        if fam.first == 2:
+            base, slope = base - slope, slope - lagged(2)
+        Z = mom.forms(solve + report)
+        return _Plan(mom, np.hstack([base, Z]),
+                     np.hstack([slope, np.zeros_like(Z)]), fam.params[:-1],
+                     report)
+
+    return cached(panel, ("rho", family, solve, report), build)
 
 
 def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
-                    solve_instruments: Optional[tuple] = None,
-                    report_instruments: Optional[tuple] = None,
+                    solve_instruments: Optional[Sequence[str]] = None,
+                    report_instruments: Optional[Sequence[str]] = None,
                     ) -> Concentrated:
     """Solve the intercept and slopes by just-identified IV at a fixed rho,
     then report the left-over moments, as a :class:`Concentrated`.
@@ -288,42 +300,24 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     just-identified subset ({1, x_{t-1}} plus {z_{t-1}} with a second input)
     pins the linear block; the lag-2 instruments are then free to move away
     from zero except at the true persistence and at each market-factor
-    persistence.  Pass explicit instrument-name tuples to override either
-    the solving subset or the reported moments.
-
-    The plan of each instrument set is cached on the panel; a set that
-    fails validation is not, so it raises on every call.
+    persistence.  Pass explicit instrument-name sequences to override
+    either the solving subset or the reported moments.
     """
     if family not in ("quasi_diff", "multi_input"):
         raise ValidationError(
             "rho concentration supports quasi_diff or multi_input",
             field="family")
-    if family == "multi_input" and panel.z is None:
-        raise ValidationError("panel has no second input z", field="panel")
-    coef_names = _FAMILY_PARAMS[family][:-1]  # all but rho
-    inputs = ("x", "z")[:len(coef_names) - 1]
     # the family's instruments: one solving instrument per coefficient first
-    defaults = _FAMILY_DEFAULTS[family].names
-    solve = (defaults[:len(coef_names)] if solve_instruments is None
+    fam = _FAMILIES[family]
+    defaults, n = fam.instruments, len(fam.params) - 1  # all but rho
+    solve = (defaults[:n] if solve_instruments is None
              else _name_tuple(solve_instruments, "solve_instruments"))
-    report = (defaults[len(coef_names):] if report_instruments is None
+    report = (defaults[n:] if report_instruments is None
               else _name_tuple(report_instruments, "report_instruments"))
-
-    def build():
-        # base [lag0 | instruments] and slope [lag1 | 0] quasi-difference
-        # (y, const, x[, z]) and leave the instruments alone
-        mom = _moments_from(panel, 1, solve + report)
-        if len(solve) != len(coef_names):
-            raise ValidationError(
-                f"need {len(coef_names)} solving instruments, got "
-                f"{len(solve)}", field="solve_instruments")
-        Z = mom.forms(solve + report)
-        return _Plan(
-            mom, np.hstack([_lagged_forms(mom, inputs, 0), Z]),
-            np.hstack([_lagged_forms(mom, inputs, 1), np.zeros_like(Z)]),
-            coef_names, report)
-
-    return cached(panel, ("rho", family, solve, report), build).at(rho_tilde)
+    if len(solve) != n:
+        raise ValidationError(f"need {n} solving instruments, got "
+                              f"{len(solve)}", field="solve_instruments")
+    return _family_plan(panel, family, solve, report).at(rho_tilde)
 
 
 @dataclass
@@ -344,70 +338,60 @@ class MomentReport:
 
 
 def gmm_objective(panel, family: str, params,
-                  instruments: Optional[InstrumentSpec] = None,
+                  instruments: Optional[Sequence[str]] = None,
                   weighting: str = "identity") -> MomentReport:
     """Evaluate m = (1/n) sum z_t r_t and the objective m' W m.
 
     ``params`` is a :class:`ParamPoint` or (alpha, beta, rho) for
     ``quasi_diff``, (beta, rho) for ``double_diff`` and (alpha, beta, gamma,
-    rho) for ``multi_input``.  ``weighting`` is ``identity`` or
+    rho) for ``multi_input``; ``instruments`` is a sequence of column names,
+    the family's own set by default.  ``weighting`` is ``identity`` or
     ``two_step``; the two-step weight is the inverse of the uncentered
     moment outer-product at the evaluated point, which makes the objective
-    invariant to rescaling instrument columns.  The residual is a linear
-    form over the panel's cached cross-moments, so m, the outer-product and
-    the standard errors (ddof 0) are small dense algebra.
+    invariant to rescaling instrument columns.  The residual is the
+    family's rho plan, the one ``concentrate_rho`` solves, at the given
+    coefficients, so m, the outer-product and the standard errors (ddof 1)
+    are small dense algebra.
     """
     if weighting not in ("identity", "two_step"):
         raise ValidationError("weighting must be identity or two_step",
                               field="weighting")
-    if family not in _FAMILY_DEFAULTS:
-        raise ValidationError(f"unknown moment family {family!r}",
-                              field="family")
     if isinstance(params, ParamPoint):
         params = (params.alpha, params.beta, params.rho)
-    names = _FAMILY_PARAMS[family]
+    if family not in _FAMILIES:
+        raise ValidationError(f"unknown moment family {family!r}",
+                              field="family")
+    fam = _FAMILIES[family]
     try:
         values = tuple(params)
     except TypeError:
         values = ()
-    if (len(values) != len(names)
+    if (len(values) != len(fam.params)
             or not all(isinstance(v, numbers.Real) for v in values)):
-        raise ValidationError(f"{family} takes ({', '.join(names)}), got "
+        raise ValidationError(f"{family} takes ({', '.join(fam.params)}), got "
                               f"{params!r}", field="params")
     *coef, rho = map(float, values)
-    if family == "double_diff":
-        coef.insert(0, 0.0)  # the difference removes the intercept
-    if family == "multi_input" and panel.z is None:
-        raise ValidationError("panel has no second input z", field="panel")
-    spec = instruments if instruments is not None else _FAMILY_DEFAULTS[family]
-    if not isinstance(spec, InstrumentSpec):
-        raise ValidationError(f"instruments must be an InstrumentSpec, not "
-                              f"{spec!r}", field="instruments")
-    first = 2 if family == "double_diff" else 1
-    mom = _moments_from(panel, first, spec.names)
-    Z = mom.forms(spec.names)
-    inputs = ("x", "z")[:len(coef) - 1]
-
-    def quasi_diff(lag):
-        return (_lagged_forms(mom, inputs, lag)
-                - rho * _lagged_forms(mom, inputs, lag + 1))
-
-    D = quasi_diff(0) - quasi_diff(1) if first == 2 else quasi_diff(0)
-    r = D[:, 0] - D[:, 1:] @ np.array(coef)
+    instruments = (fam.instruments if instruments is None
+                   else _name_tuple(instruments, "instruments"))
+    plan = _family_plan(panel, family, (), instruments)
+    mom, n = plan.mom, len(coef)
+    W = plan.base - rho * plan.slope
+    r = W[:, 0] - W[:, 1:n + 1] @ np.array(coef)
+    Z = W[:, n + 1:]
     m = mom.cross(Z, r)
-    S = mom.product_moments(Z, r)
-    se = np.sqrt(np.clip(S.diagonal() - m * m, 0.0, None) / mom.n)
     if weighting == "identity":
         objective = float(m @ m)
     else:
         try:
-            objective = float(m @ (_checked_inverse(S) @ m))
+            objective = float(
+                m @ (_checked_inverse(mom.product_moments(Z, r)) @ m))
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(
                 "moment outer-product is singular; two-step weighting "
                 "unavailable", smallest_pivot=exc.smallest_pivot) from exc
-    return MomentReport(names=spec.names, moments=m, objective=objective,
-                        weighting=weighting, n_obs=mom.n, std_errors=se)
+    return MomentReport(names=instruments, moments=m, objective=objective,
+                        weighting=weighting, n_obs=mom.n,
+                        std_errors=mom.ses(Z, r, m))
 
 
 def _fmt(value) -> str:

@@ -203,15 +203,16 @@ def _refine_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
                 fmid = np.nan
                 break
             it += 1
-            if fmid == 0.0:
+            if fmid == 0.0:  # an exact zero ends the bracket, whatever m_tol
                 lo = hi = mid
-            elif np.sign(fmid) == np.sign(flo):
+                break
+            if np.sign(fmid) == np.sign(flo):
                 lo, flo = mid, fmid
             else:
                 hi = mid
             if (hi - lo) < width_tol and abs(fmid) < m_tol:
                 break
-        converged = bool(np.isfinite(fmid) and abs(fmid) < m_tol)
+        converged = bool(fmid == 0.0 or abs(fmid) < m_tol)
         roots.append(RootInfo(location=mid, bracket=(lo, hi),
                               m_value=float(fmid), iterations=it,
                               converged=converged))
@@ -329,7 +330,7 @@ def _predetermined_point(panel) -> ParamPoint:
     failed fit (a pole) yields no candidate.  Raises ValidationError when
     the fit fails at every point of the rho grid.
     """
-    names = PREDETERMINED_INSTRUMENTS.names  # {1, x_t}, then the reported
+    names = PREDETERMINED_INSTRUMENTS  # {1, x_t}, then the reported
 
     concentrate = partial(concentrate_rho, panel, family="quasi_diff",
                           solve_instruments=names[:2],

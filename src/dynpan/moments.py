@@ -23,7 +23,9 @@ on the thread that runs it.  Scans, bisection steps and IV fits never run
 it: the first read of a standard error that needs the fourth moments does
 (a ``Concentrated``'s ``moment_ses``, a curve's ``ses``, the moment
 inequality, ``gmm_objective``).  :func:`cached` is the only reader and
-writer of a panel's moment cache.
+writer of a panel's moment cache.  Every standard error of a moment mean
+is :meth:`_CrossMoments.ses`: the product's sample standard deviation, ddof
+1, over sqrt(n).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -132,6 +132,11 @@ class DgpSpec:
         if not (0 <= self.seed < 2 ** 64):
             raise ValidationError("seed must fit in 64 unsigned bits",
                                   field="seed")
+        for prefix, params in (("", self.structural), ("ext.", self.ext)):
+            for f in fields(params):
+                if not np.isfinite(getattr(params, f.name)):
+                    raise ValidationError("must be a finite number",
+                                          field=prefix + f.name)
         if self.variant == "ar2_kappa":
             if not (0.0 <= self.ext.rho2_x < 1.0):
                 raise ValidationError("rho2_x must lie in [0, 1)",

@@ -45,7 +45,7 @@ from dynpan.identify import (
     two_step_estimator,
 )
 from dynpan.diagnostics import ar_order_test, flatness_guard, residual_sign_test
-from test_estimate import quasi_diff_residual
+from oracles import quasi_diff_residual
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 PSEUDO = pseudo_point(DEFAULTS)

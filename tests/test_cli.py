@@ -131,6 +131,23 @@ class TestScanCommand:
         assert record["message"].startswith("scan.grid:")
 
 
+    def test_step_finer_than_the_rounding_is_an_error_record(self, tmp_path,
+                                                             capsys):
+        # grid points are rounded to 1e-10; a finer step would merge them
+        with pytest.raises(ValidationError, match="too fine") as err:
+            parse_grid("0:5e-6:1e-11")
+        assert err.value.field == "scan.grid"
+        assert parse_grid("0:5e-9:1e-10").size == 51
+        out = tmp_path / "out"
+        code = run_cli("scan", "--seed", "3", "--n-firms", "100",
+                       "--grid=0:5e-6:1e-11", "--out-dir", str(out))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("scan.grid: grid step")
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_estimate_csv_selects_lower_beta(self, tmp_path):
         code = run_cli("estimate", "--seed", "2", "--n-firms", "20000",
@@ -309,6 +326,31 @@ class TestFailedRunsLeaveNothing:
         assert record["error"] == "ValidationError"
         assert record["message"].startswith("out.file:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, lines", [
+        ("simulate", "dgp.theta = inf"),
+        ("estimate", "dgp.beta = nan"),
+        ("scan", "dgp.beta = nan"),
+        ("diagnose", "dgp.beta = nan"),
+        ("diagnose", "diagnose.point = custom\ndiagnose.beta = nan"),
+        ("figure", "dgp.ext.theta2 = -inf"),
+    ], ids=["simulate_theta", "estimate_beta", "scan_beta", "diagnose_beta",
+            "diagnose_custom_beta", "figure_ext"])
+    def test_non_finite_number_is_an_error_record(self, command, lines,
+                                                  tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(config), "--n-firms", "100",
+                       "--out-dir", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        key = lines.splitlines()[-1].split(" = ")[0]
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{key}: must be a finite number")
+        assert not out.exists()
+        with pytest.raises(ValidationError) as err:
+            resolve_config(parse_config_text(lines), {})
+        assert err.value.field == key
 
     def test_failed_writer_leaves_no_temp_or_partial_file(self, tmp_path):
         def failing(path):

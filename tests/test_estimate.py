@@ -39,8 +39,6 @@ from dynpan.simulate import draw_panel
 from dynpan.estimate import (
     BENCHMARK_INSTRUMENTS,
     CONCENTRATED_BETA_INSTRUMENTS,
-    FIXED_EFFECTS_INSTRUMENTS,
-    InstrumentSpec,
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
     beta_scan_evaluator,
@@ -50,6 +48,14 @@ from dynpan.estimate import (
     two_sls,
 )
 from dynpan.estimate import _checked_inverse
+from oracles import (
+    assert_rel,
+    double_diff_residual,
+    multi_input_residual,
+    oracle_beta,
+    oracle_rho,
+    quasi_diff_residual,
+)
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 PSEUDO = pseudo_point(DEFAULTS)  # (1.0, 1.6, 0.5)
@@ -238,7 +244,7 @@ class TestGmmObjective:
         panel = draw_panel(make_spec(n_firms=100, n_periods=4))
         with pytest.raises(ValidationError, match="periods"):
             gmm_objective(panel, "quasi_diff", TRUTH,
-                          instruments=InstrumentSpec(("const", "x_lag4")))
+                          instruments=("const", "x_lag4"))
 
     def test_bad_weighting_rejected(self, bench200k):
         with pytest.raises(ValidationError, match="weighting") as err:
@@ -250,9 +256,9 @@ class TestGmmObjective:
         (("levels", TRUTH), dict(instruments=BENCHMARK_INSTRUMENTS),
          "family"),
         (("quasi_diff", TRUTH),
-         dict(instruments=InstrumentSpec(("const", "x_lag5"))), "n_periods"),
+         dict(instruments=("const", "x_lag5")), "n_periods"),
         (("double_diff", (0.6, 0.7)),
-         dict(instruments=InstrumentSpec(("const", "x_lag5"))), "n_periods"),
+         dict(instruments=("const", "x_lag5")), "n_periods"),
         (("multi_input", (1.0, 0.6, 0.3, 0.7)), {}, "panel"),
         (("quasi_diff", TRUTH), dict(instruments=MULTI_INPUT_INSTRUMENTS),
          "instruments"),
@@ -260,8 +266,7 @@ class TestGmmObjective:
         (("double_diff", TRUTH), {}, "params"),
         (("quasi_diff", (1.0, 0.6)), {}, "params"),
         (("multi_input", (1.0, 0.6, 0.7)), {}, "params"),
-        (("quasi_diff", TRUTH), dict(instruments=("const", "x_lag1")),
-         "instruments"),
+        (("quasi_diff", TRUTH), dict(instruments="x_lag1"), "instruments"),
         (("quasi_diff", (1.0, (2, 3), 0.7)), {}, "params"),
         (("quasi_diff", (1.0, "a", 0.7)), {}, "params"),
         (("quasi_diff", ("1", 0.6, 0.7)), {}, "params"),
@@ -272,6 +277,15 @@ class TestGmmObjective:
         with pytest.raises(ValidationError) as err:
             gmm_objective(panel, *args, **kwargs)
         assert err.value.field == field
+
+    def test_list_and_tuple_instruments_agree(self, bench200k):
+        names = ["const", "x_lag0", "y_lag2"]
+        want = gmm_objective(bench200k, "quasi_diff", TRUTH, tuple(names))
+        got = gmm_objective(bench200k, "quasi_diff", TRUTH, names)
+        assert got.names == want.names == tuple(names)
+        assert got.objective == want.objective
+        assert np.array_equal(got.moments, want.moments)
+        assert np.array_equal(got.std_errors, want.std_errors)
 
     def test_zero_residual_has_no_two_step_weight(self):
         panel = draw_panel(make_spec(sigma_xi=0.0, sigma_u=0.0,
@@ -376,138 +390,29 @@ class TestConcentrateRho:
 
 
 class TestInstrumentSpec:
+    """Instrument sets are plain tuples of column names, validated where
+    they are used."""
+
     def test_named_families(self):
-        assert BENCHMARK_INSTRUMENTS.names == ("const", "x_lag1", "x_lag2",
-                                               "y_lag2")
-        assert set(PREDETERMINED_INSTRUMENTS.names) == \
-            set(BENCHMARK_INSTRUMENTS.names) | {"x_lag0"}
-        assert CONCENTRATED_BETA_INSTRUMENTS.names == ("x_lag1",)
+        assert BENCHMARK_INSTRUMENTS == ("const", "x_lag1", "x_lag2",
+                                         "y_lag2")
+        assert set(PREDETERMINED_INSTRUMENTS) == \
+            set(BENCHMARK_INSTRUMENTS) | {"x_lag0"}
+        assert CONCENTRATED_BETA_INSTRUMENTS == ("x_lag1",)
 
-    def test_max_lag(self):
-        assert BENCHMARK_INSTRUMENTS.max_lag == 2
-        assert FIXED_EFFECTS_INSTRUMENTS.max_lag == 3
-        assert PREDETERMINED_INSTRUMENTS.max_lag == 2
-
-    def test_bad_names_rejected(self):
-        with pytest.raises(ValidationError):
-            InstrumentSpec(("w_lag1",))
-        with pytest.raises(ValidationError):
-            InstrumentSpec(("x_lagX",))
+    def test_bad_names_rejected(self, bench200k):
+        for bad in (("w_lag1",), ("x_lagX",)):
+            with pytest.raises(ValidationError, match="bad instrument name"):
+                gmm_objective(bench200k, "quasi_diff", TRUTH, bad)
+            with pytest.raises(ValidationError, match="bad instrument name"):
+                two_sls(bench200k, "y_lag0", ("x_lag0",), bad)
 
 
 # --- the cross-moment engine against the raw-array formulas ---------------
 #
-# The two oracles below are the per-evaluation formulas the concentrated
-# kernels used before they moved onto the cached cross-moments: each pools
-# the raw lagged columns of the panel and takes every mean directly.
-
-
-def oracle_beta(panel, beta_tilde):
-    """(alpha, rho, moment, se) of the concentrated beta moment."""
-    y, x = panel.y, panel.x
-    y0, y1, y2 = y[:, 2:].ravel(), y[:, 1:-1].ravel(), y[:, :-2].ravel()
-    x0, x1, x2 = x[:, 2:].ravel(), x[:, 1:-1].ravel(), x[:, :-2].ravel()
-    n = y0.size
-    w0 = y0 - beta_tilde * x0
-    w1 = y1 - beta_tilde * x1
-    w2 = y2 - beta_tilde * x2
-    zx = np.array([[float(n), w1.sum()], [w2.sum(), w2 @ w1]])
-    zy = np.array([w0.sum(), w2 @ w0])
-    c, rho = _checked_inverse(zx) @ zy
-    r = (y0 - rho * y1) - c - beta_tilde * (x0 - rho * x1)
-    prod = x1 * r
-    step1_resid = w0 - c - rho * w1
-    b = np.array([x1.mean(), (x1 * w1).mean()])
-    v = np.linalg.solve((zx / n).T, b)
-    psi = prod - (v[0] + v[1] * w2) * step1_resid
-    alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else np.nan
-    return np.array([alpha, rho, prod.mean(), psi.std(ddof=1) / np.sqrt(n)])
-
-
-def oracle_rho(panel, rho_tilde, family, solve, report):
-    """(coefficients, moments, ses) of the rho-concentrated moments."""
-    t_min = max(1, InstrumentSpec(solve + report).max_lag)
-    t_len = panel.spec.n_periods - t_min
-    series = {"y": panel.y, "x": panel.x, "z": panel.z}
-
-    def column(name):
-        if name == "const":
-            return np.ones(panel.spec.n_firms * t_len)
-        kind, lag = name.split("_lag")
-        lo = t_min - int(lag)
-        return series[kind][:, lo:lo + t_len].ravel()
-
-    def qd(kind):
-        return column(f"{kind}_lag0") - rho_tilde * column(f"{kind}_lag1")
-
-    n = panel.spec.n_firms * t_len
-    X = [(1.0 - rho_tilde) * np.ones(n), qd("x")]
-    if family == "multi_input":
-        X.append(qd("z"))
-    X = np.column_stack(X)
-    Z = np.column_stack([column(nm) for nm in solve])
-    dep = qd("y")
-    coef = _checked_inverse(Z.T @ X) @ (Z.T @ dep)
-    r = dep - X @ coef
-    A = Z.T @ X / n
-    moments, ses = [], []
-    for name in report:
-        col = column(name)
-        prod = col * r
-        moments.append(prod.mean())
-        v = np.linalg.solve(A.T, X.T @ col / n)
-        psi = prod - (Z @ v) * r
-        ses.append(psi.std(ddof=1) / np.sqrt(n))
-    return coef, np.array(moments), np.array(ses)
-
-
-# The residual families on the raw arrays, one column per usable period: the
-# oracles of the per-observation identities above and of the raw GMM
-# formulas in test_raw_fits.py.
-
-def quasi_diff_residual(panel, p: ParamPoint) -> np.ndarray:
-    """Quasi-differenced residuals, one column per period t >= 2.
-
-    With the true parameters and no measurement error this equals the
-    productivity innovation xi_t; at the pseudo-solution it equals
-    -u_t / theta.
-    """
-    y, x = panel.y, panel.x
-    return ((y[:, 1:] - p.rho * y[:, :-1]) - p.alpha * (1.0 - p.rho)
-            - p.beta * (x[:, 1:] - p.rho * x[:, :-1]))
-
-
-def double_diff_residual(panel, beta: float, rho: float) -> np.ndarray:
-    """First difference of the quasi-difference (removes firm intercepts);
-    one column per period t >= 3."""
-    y, x = panel.y, panel.x
-    dy = y[:, 1:] - rho * y[:, :-1]
-    dx = x[:, 1:] - rho * x[:, :-1]
-    return (dy[:, 1:] - dy[:, :-1]) - beta * (dx[:, 1:] - dx[:, :-1])
-
-
-def multi_input_residual(panel, alpha: float, beta: float, gamma: float,
-                         rho: float) -> np.ndarray:
-    """Quasi-differenced residual with two endogenous regressors."""
-    if panel.z is None:
-        raise ValidationError("panel has no second input z",
-                              field="panel")
-    y, x, z = panel.y, panel.x, panel.z
-    return ((y[:, 1:] - rho * y[:, :-1]) - alpha * (1.0 - rho)
-            - beta * (x[:, 1:] - rho * x[:, :-1])
-            - gamma * (z[:, 1:] - rho * z[:, :-1]))
-
-
-def assert_rel(got, want, scale=None, rtol=1e-10):
-    """Agreement within rtol of each value, or of ``scale`` when given;
-    NaN only where the oracle has NaN."""
-    got, want = np.asarray(got, float), np.asarray(want, float)
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    bound = rtol * (np.abs(want[ok]) if scale is None else scale)
-    assert np.all(np.abs(got[ok] - want[ok]) <= bound), \
-        np.max(np.abs(got[ok] - want[ok]) / np.maximum(bound / rtol, 1e-300))
-
+# ``oracle_beta`` and ``oracle_rho`` (tests/oracles.py) are the
+# per-evaluation formulas the concentrated kernels used before they moved
+# onto the cached cross-moments.
 
 FIXTURE_PANELS = ("bench200k", "bench200k_eta0", "fe200k", "multi200k",
                   "pred200k", "equal_rho_200k")
@@ -703,7 +608,7 @@ def test_predetermined_warm_start_runs_one_pair_pass(monkeypatch):
     warm_start_pipeline(panel, "predetermined_start")
     assert len(passes) == 1
     # standard errors of the scored candidate roots only, not of the grid
-    names = PREDETERMINED_INSTRUMENTS.names
+    names = PREDETERMINED_INSTRUMENTS
     grid = np.linspace(-0.9, 0.9, 37)
     moment = [concentrate_rho(panel, rho, solve_instruments=names[:2],
                               report_instruments=names[2:]).moments[0]
@@ -788,13 +693,13 @@ def test_location_shift_in_y_moves_only_alpha(multi6k, c):
             ("quasi_diff", (1.0, 0.6, 0.7), (c, 0.0, 0.0)),
             ("double_diff", (0.6, 0.7), (0.0, 0.0)),
             ("multi_input", (1.0, 0.6, 0.3, 0.7), (c, 0.0, 0.0, 0.0))):
-        for spec in (estimate._FAMILY_DEFAULTS[family],
+        for spec in (estimate._FAMILIES[family].instruments,
                      PREDETERMINED_INSTRUMENTS):
             want = gmm_objective(multi6k, family, params, spec)
             got = gmm_objective(shifted, family,
                                 np.add(params, shift).tolist(), spec)
-            mean_r = want.moments[spec.names.index("const")]
-            on_y = np.array([nm.startswith("y_") for nm in spec.names])
+            mean_r = want.moments[spec.index("const")]
+            on_y = np.array([nm.startswith("y_") for nm in spec])
             assert_rel(got.moments, want.moments + c * mean_r * on_y,
                        rtol=1e-8, scale=np.max(want.std_errors))
             assert_rel(got.std_errors[~on_y], want.std_errors[~on_y],

@@ -81,6 +81,23 @@ class TestScanCurve:
         assert find_local_minima(curve) == []
         assert flatness_guard(curve).verdict == "inconclusive"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_panel_scans_to_failed_points(self, bad):
+        # a non-finite observation makes every cross-product non-finite: each
+        # point's solve fails as rank deficient, and the scan goes on
+        panel = draw_panel(make_spec(n_firms=200, seed=2))
+        y = panel.y.copy()
+        y[7, 3] = bad
+        panel = dataclasses.replace(panel, y=y)
+        for axis, grid in (("beta", np.linspace(0.0, 2.0, 5)),
+                           ("rho", np.linspace(-0.5, 0.5, 5))):
+            curve = scan_curve(panel, axis, grid)
+            assert np.isnan(curve.m).all()
+            assert find_zeros(curve) == []
+        with pytest.raises(RankDeficiencyError):
+            concentrate_rho(panel, 0.5)
+
     def test_rho_scan_locates_three_persistences(self, multi200k):
         grid = np.round(np.arange(-0.895, 0.8951, 0.01), 10)
         curve = scan_curve(multi200k, "rho", grid, family="multi_input")
@@ -135,6 +152,25 @@ class TestFindZeros:
         assert roots == [identify.RootInfo(location=1.0, bracket=(1.0, 1.0),
                                            m_value=0.0, iterations=1,
                                            converged=True)]
+
+    def test_exact_midpoint_zero_with_zero_tolerance(self):
+        # half the grid m is exactly 0, so the median |m| and the m
+        # tolerance are 0: an exact midpoint zero still ends its bracket
+        calls = []
+
+        def evaluator(v):
+            calls.append(v)
+            return v - 3.5
+
+        m = np.array([0.0, 0.0, 0.0, -1.0, 1.0])
+        curve = ObjectiveCurve(axis="beta", grid=np.arange(5.0), m=m,
+                               msq=m * m, evaluator=evaluator)
+        roots = find_zeros(curve)
+        assert calls == [3.5]
+        assert roots[-1] == identify.RootInfo(
+            location=3.5, bracket=(3.5, 3.5), m_value=0.0, iterations=1,
+            converged=True)
+        assert [r.location for r in roots[:-1]] == [0.0, 1.0, 2.0]
 
     def test_zero_at_last_grid_point(self):
         roots = find_zeros(synthetic_curve(lambda b: b - 1.0,

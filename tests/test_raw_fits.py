@@ -5,11 +5,12 @@
 ``moment_inequality``) read the panel only through its cached
 cross-moments: each residual is a linear form in the lagged columns, so its
 moments, their outer-product and the standard errors are small dense
-algebra.  The oracles below are the earlier formulas, which pool the raw
-arrays: full-length GEMMs (``Z.T @ X``) on ``column_stack`` designs, the
-per-period residual matrices with ``moment_stats``, ``np.corrcoef`` and a
-two-pass standard deviation.  On every conftest panel the fits and reports
-must agree with them to 1e-10 relative.
+algebra.  The oracles (``tests/oracles.py``) are the earlier formulas,
+which pool the raw arrays: full-length GEMMs (``Z.T @ X``) on
+``column_stack`` designs, the per-period residual matrices with
+``moment_stats``, ``np.corrcoef`` and a two-pass standard deviation.  On
+every conftest panel the fits and reports must agree with them to 1e-10
+relative.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from dynpan.estimate import (
     BENCHMARK_INSTRUMENTS,
     CONCENTRATED_BETA_INSTRUMENTS,
     FIXED_EFFECTS_INSTRUMENTS,
-    InstrumentSpec,
     MULTI_INPUT_INSTRUMENTS,
     PREDETERMINED_INSTRUMENTS,
     fit_reduced_form,
@@ -35,103 +35,21 @@ from dynpan.estimate import (
     two_sls,
 )
 from dynpan.model import ParamPoint, pseudo_point
-from test_estimate import (
-    FIXTURE_PANELS,
+from oracles import (
     assert_rel,
-    double_diff_residual,
-    multi_input_residual,
-    quasi_diff_residual,
+    corrcoef_sign,
+    gemm_two_sls,
+    max_lag,
+    stacked_ar_order,
+    stacked_gmm,
+    stacked_instruments,
+    stacked_reduced_form,
+    two_pass_inequality,
 )
+from test_estimate import FIXTURE_PANELS
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 POINTS = (TRUTH, pseudo_point(DEFAULTS), ParamPoint(1.0, -2.0, 0.7))
-
-
-# --- oracles: the formulas the fits used before ---------------------------
-
-def gemm_two_sls(dep, X, Z):
-    """(coefficients, residuals, Z'X, Z'Z, homoskedastic SEs)."""
-    zx = Z.T @ X
-    zz = Z.T @ Z
-    coef = np.linalg.solve(zx, Z.T @ dep)
-    r = dep - X @ coef
-    zxi = np.linalg.inv(zx)
-    cov = float(r @ r) / dep.size * zxi @ zz @ zxi.T
-    return coef, r, zx, zz, np.sqrt(np.diag(cov))
-
-
-def stacked_reduced_form(panel):
-    y, x = panel.y, panel.x
-    one = np.ones(y.shape[0] * (y.shape[1] - 2))
-    R = np.column_stack([one, y[:, 1:-1].ravel(), x[:, 1:-1].ravel()])
-    Z = np.column_stack([one, y[:, :-2].ravel(), x[:, 1:-1].ravel()])
-    return (gemm_two_sls(y[:, 2:].ravel(), R, Z),
-            gemm_two_sls(x[:, 2:].ravel(), R, Z))
-
-
-def stacked_ar_order(panel):
-    x = panel.x
-    X = np.column_stack([np.ones(x.shape[0] * (x.shape[1] - 2)),
-                         x[:, 1:-1].ravel(), x[:, :-2].ravel()])
-    coef, _, _, _, se = gemm_two_sls(x[:, 2:].ravel(), X, X)
-    return coef[2], se[2]
-
-
-def stacked_instruments(panel, names, t_min):
-    series = {"y": panel.y, "x": panel.x, "z": panel.z}
-    t_len = panel.spec.n_periods - t_min
-    cols = []
-    for name in names:
-        if name == "const":
-            cols.append(np.ones(panel.spec.n_firms * t_len))
-            continue
-        kind, lag = name.split("_lag")
-        lo = t_min - int(lag)
-        cols.append(series[kind][:, lo:lo + t_len].ravel())
-    return np.column_stack(cols)
-
-
-def family_residual(panel, family, params):
-    """Residual matrix plus the 0-based period of its first column."""
-    if family == "quasi_diff":
-        return quasi_diff_residual(panel, params), 1
-    if family == "double_diff":
-        return double_diff_residual(panel, *params), 2
-    return multi_input_residual(panel, *params), 1
-
-
-def moment_stats(Z, r, weighting):
-    """(m, objective, se): m = Z'r / n, objective m' W m with W the identity
-    or the inverse uncentered outer-product, ddof-0 standard errors."""
-    n = r.size
-    zr = Z * r[:, None]
-    m = zr.sum(axis=0) / n
-    S = zr.T @ zr / n
-    se = np.sqrt(np.clip(np.diag(S - np.outer(m, m)), 0.0, None) / n)
-    if weighting == "identity":
-        return m, float(m @ m), se
-    try:
-        return m, float(m @ np.linalg.solve(S, m)), se
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("singular outer-product") from exc
-
-
-def stacked_gmm(panel, family, params, spec, weighting):
-    resid, offset = family_residual(panel, family, params)
-    t_min = max(offset, spec.max_lag)
-    r = resid[:, t_min - offset:].ravel()
-    Z = stacked_instruments(panel, spec.names, t_min)
-    return moment_stats(Z, r, weighting) + (r.size,)
-
-
-def corrcoef_sign(panel, p):
-    e = (panel.y - p.alpha - p.beta * panel.x).ravel()
-    return float(np.corrcoef(panel.x.ravel(), e)[0, 1])
-
-
-def two_pass_inequality(panel, p):
-    prod = (panel.x * (panel.y - p.alpha - p.beta * panel.x)).ravel()
-    return prod.mean(), prod.std(ddof=1) / np.sqrt(prod.size)
 
 
 # --- agreement on every conftest panel ------------------------------------
@@ -165,7 +83,7 @@ GMM_SPECS = (BENCHMARK_INSTRUMENTS, FIXED_EFFECTS_INSTRUMENTS,
 
 
 def needs_z(spec):
-    return any(name.startswith("z_") for name in spec.names)
+    return any(name.startswith("z_") for name in spec)
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
@@ -174,14 +92,14 @@ def test_instrument_matrix_matches_column_stack(fixture, request):
     # Gram matrix are those of the stacked raw columns
     panel = request.getfixturevalue(fixture)
     for spec in GMM_SPECS:
-        for t_min in range(max(spec.max_lag, 1), panel.spec.n_periods):
+        for t_min in range(max(max_lag(spec), 1), panel.spec.n_periods):
             mom = moments._cross_moments(panel, t_min)
             if needs_z(spec) and panel.z is None:
                 with pytest.raises(ValidationError, match="no series 'z'"):
-                    mom.forms(spec.names)
+                    mom.forms(spec)
                 continue
-            Z = mom.forms(spec.names)
-            want = stacked_instruments(panel, spec.names, t_min)
+            Z = mom.forms(spec)
+            want = stacked_instruments(panel, spec, t_min)
             assert mom.n == want.shape[0]
             assert_rel(mom.cross(Z, mom.column("const")), want.mean(axis=0),
                        scale=np.max(np.abs(want.mean(axis=0))))
@@ -216,14 +134,14 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
                     m, objective, se, n = stacked_gmm(
                         panel, family, params, spec, weighting)
                     assert (rep.names, rep.weighting, rep.n_obs) == \
-                        (spec.names, weighting, n)
+                        (spec, weighting, n)
                     assert_rel(rep.moments, m)
                     assert_rel(rep.objective, objective)
                     assert_rel(rep.std_errors, se)
 
 
 def test_singular_two_step_outer_product_raises_like_oracle(bench200k):
-    spec = InstrumentSpec(("const", "x_lag1", "x_lag1"))
+    spec = ("const", "x_lag1", "x_lag1")
     with pytest.raises(RankDeficiencyError):
         stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step")
     with pytest.raises(RankDeficiencyError, match="two-step"):

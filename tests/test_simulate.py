@@ -532,6 +532,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sigma_eps"):
             draw_panel(spec_for("arma_x", ext=VariantParams(sigma_eps=-1.0)))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["beta", "theta", "alpha", "pi",
+                                      "sigma_xi", "sigma_eta"])
+    def test_non_finite_structural_number(self, name, value):
+        s = dataclasses.replace(BENCH, **{name: value})
+        with pytest.raises(ValidationError, match="finite") as err:
+            draw_panel(spec_for("benchmark", s=s))
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["theta2", "gamma", "sigma_v", "pi_z"])
+    def test_non_finite_ext_number(self, name, value):
+        # every ext field is checked, whichever variant reads it
+        ext = VariantParams(**{name: value})
+        with pytest.raises(ValidationError, match="finite") as err:
+            draw_panel(spec_for("benchmark", ext=ext))
+        assert err.value.field == f"ext.{name}"
+
 
 class TestCsvExport:
     def test_round_trip_and_header(self, tmp_path):

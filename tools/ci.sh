@@ -15,7 +15,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
-       reproduce_simulate failed_run_leaves_nothing out_file_must_be_plain bench_tests
+       reproduce_simulate failed_run_leaves_nothing out_file_must_be_plain
+       nonfinite_config_rejected bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
@@ -104,6 +105,30 @@ out_file_must_be_plain() {
         test ! -e ci/o
     done
     test ! -e ci/p.csv
+}
+
+# A non-finite number in a config file exits 1 with one JSON error record
+# that names its key, before any write.
+nonfinite_config_rejected() {
+    mkdir -p ci
+    rm -rf ci/n ci/nonfinite.cfg ci/nonfinite.err
+    local case command line status
+    for case in "simulate:dgp.theta = inf" "estimate:dgp.beta = nan"; do
+        command=${case%%:*}
+        line=${case#*:}
+        printf '%s\n' "$line" > ci/nonfinite.cfg
+        status=0
+        dynpan "$command" --config ci/nonfinite.cfg --out-dir ci/n \
+            2> ci/nonfinite.err || status=$?
+        test "$status" -eq 1
+        test "$(wc -l < ci/nonfinite.err)" -eq 1
+        python3 -c 'import json, sys
+record = json.loads(open(sys.argv[1]).read())
+assert record["error"] == "ValidationError", record
+assert record["message"].startswith(sys.argv[2] + ": "), record' \
+            ci/nonfinite.err "${line%% =*}"
+        test ! -e ci/n
+    done
 }
 
 bench_tests() {
