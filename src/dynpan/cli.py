@@ -12,6 +12,12 @@ configuration (defaults included) in the same format, plus the build
 identifier and the SHA-256 of each artifact as trailing comments, so a run
 can be reproduced byte-for-byte from its manifest alone with
 ``dynpan <command> --config run.manifest``.
+
+Commands run in one process (successive :func:`main` calls) reuse the
+previous command's panel, and the moments cached on it, when their resolved
+``dgp.*`` spec is identical (``repr``-equal, so ``-0.0`` is not ``0.0``).
+Between commands the CLI holds at most that one panel, and releases it
+before it draws another or starts a figure; no artifact byte changes.
 """
 
 from __future__ import annotations
@@ -227,13 +233,31 @@ def _lines_writer(lines):
         text, encoding="utf-8", newline="\n")
 
 
+#: (repr of a spec, its panel): the panel the last command drew.
+_held = (None, None)
+
+
+def _panel(spec: DgpSpec):
+    """The panel of ``spec``: the held one if its spec is the same, else a
+    fresh draw, held in its place (the old one is let go first)."""
+    global _held
+    held, panel = _held  # one read: a concurrent main costs a draw at most
+    key = repr(spec)  # not ==, which takes -0.0 for 0.0
+    if held == key:
+        return panel
+    _held = (None, None)
+    del panel  # the old panel goes before the new one is drawn
+    panel = draw_panel(spec)
+    _held = (key, panel)
+    return panel
+
+
 def _cmd_simulate(cfg: dict, out: _Outputs) -> None:
-    panel = draw_panel(config_to_spec(cfg))
+    panel = _panel(config_to_spec(cfg))
     out.write(cfg["out.file"], lambda path: write_panel_csv(panel, path))
 
 
-def _scan_one(spec: DgpSpec, cfg: dict):
-    panel = draw_panel(spec)
+def _scan_one(panel, cfg: dict):
     curve = scan_curve(panel, cfg["scan.axis"], parse_grid(cfg["scan.grid"]),
                        family=cfg["scan.family"])
     find_zeros(curve)
@@ -242,7 +266,7 @@ def _scan_one(spec: DgpSpec, cfg: dict):
 
 
 def _cmd_scan(cfg: dict, out: _Outputs) -> None:
-    curve = _scan_one(config_to_spec(cfg), cfg)
+    curve = _scan_one(_panel(config_to_spec(cfg)), cfg)
     out.write("curve.csv", lambda path: write_curve_csv(curve, path))
 
 
@@ -256,7 +280,7 @@ def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
     if cfg["estimate.method"] != "two_step":
         raise ValidationError("only estimate.method = two_step is available",
                               field="estimate.method")
-    panel = draw_panel(config_to_spec(cfg))
+    panel = _panel(config_to_spec(cfg))
     result = two_step_estimator(
         panel, _sign_label(cfg["estimate.sign"], "estimate.sign"))
     out.write("estimate.csv", lambda path: write_estimate_csv(result, path))
@@ -264,7 +288,7 @@ def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
 
 def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
     spec = config_to_spec(cfg)
-    panel = draw_panel(spec)
+    panel = _panel(spec)
     which = cfg["diagnose.point"]
     if which == "truth":
         point = ParamPoint(spec.structural.alpha, spec.structural.beta,
@@ -289,6 +313,7 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
 
 
 def _cmd_figure(cfg: dict, out: _Outputs) -> None:
+    global _held
     which = cfg["figure.which"]
     if which not in FIGURE_PRESETS:
         raise ValidationError("figure.which must be 1..5",
@@ -313,8 +338,9 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
             spec.validate()
         except ValidationError as exc:
             return (label, None, f"rejected: {exc}")
-        return (label, _scan_one(spec, sub), "ok")
+        return (label, _scan_one(draw_panel(spec), sub), "ok")
 
+    _held = (None, None)  # the jobs draw their own panels, several at once
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=min(4, len(jobs))) as pool:
         results = list(pool.map(run_job, jobs))

@@ -84,6 +84,10 @@ _FAMILIES = {
                            ("const", "x", "z"), MULTI_INPUT_INSTRUMENTS, 1),
 }
 
+#: The families ``concentrate_rho`` solves (the double difference has no
+#: concentrated form).
+_RHO_FAMILIES = ("quasi_diff", "multi_input")
+
 
 @dataclass
 class IvFit:
@@ -134,6 +138,8 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     instruments as regressors; a numerically singular E[Z X'] raises
     :class:`RankDeficiencyError` naming the smallest pivot.
     """
+    if not isinstance(dep, str):
+        raise ValidationError(f"dep must be a name, got {dep!r}", field="dep")
     regressors = _name_tuple(regressors, "regressors")
     instruments = _name_tuple(instruments, "instruments")
     if not regressors or len(regressors) != len(instruments):
@@ -303,7 +309,7 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     persistence.  Pass explicit instrument-name sequences to override
     either the solving subset or the reported moments.
     """
-    if family not in ("quasi_diff", "multi_input"):
+    if family not in _RHO_FAMILIES:
         raise ValidationError(
             "rho concentration supports quasi_diff or multi_input",
             field="family")

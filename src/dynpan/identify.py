@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DynpanError, InternalConsistencyError, ValidationError
 from .estimate import (
     PREDETERMINED_INSTRUMENTS,
+    _RHO_FAMILIES,
     _fmt,
     beta_scan_evaluator,
     concentrate_rho,
@@ -120,8 +121,9 @@ def scan_curve(panel, axis: str, grid,
     moment; m is the first of the point's ``Concentrated`` moments.  The
     scan solves each point's IV only: the curve's ``ses`` (and the panel's
     pair pass behind them) are computed when first read.  The grid must lie
-    within ``DEFAULT_BOUNDS`` of its axis.  Estimation failures at
-    individual points are recorded as NaN, not raised.
+    within ``DEFAULT_BOUNDS`` of its axis, and ``family`` is quasi_diff, or
+    on the rho axis also multi_input.  Estimation failures at individual
+    points are recorded as NaN, not raised.
     """
     if axis not in ("beta", "rho"):
         raise ValidationError("axis must be beta or rho", field="axis")
@@ -137,11 +139,12 @@ def scan_curve(panel, axis: str, grid,
             f"grid [{grid[0]}, {grid[-1]}] outside bounds [{lo}, {hi}]",
             field="grid")
 
+    families = ("quasi_diff",) if axis == "beta" else _RHO_FAMILIES
+    if family not in families:
+        raise ValidationError(f"{axis} scans concentrate the "
+                              f"{' or '.join(families)} family only",
+                              field="family")
     if axis == "beta":
-        if family != "quasi_diff":
-            raise ValidationError(
-                "beta scans concentrate the quasi_diff family only",
-                field="family")
         concentrate = beta_scan_evaluator(panel)
     else:
         concentrate = partial(concentrate_rho, panel, family=family)

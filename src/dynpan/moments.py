@@ -57,11 +57,17 @@ def _parse_name(name: str):
 
 
 def _name_tuple(names, field: str) -> tuple:
-    """``names`` as a tuple; a bare string raises, naming ``field``."""
+    """``names`` as a tuple of strings; a bare string or an entry that is
+    not a string raises, naming ``field``."""
     if isinstance(names, str):
         raise ValidationError(f"{field} must be a sequence of names, "
                               f"not the string {names!r}", field=field)
-    return tuple(names)
+    names = tuple(names)
+    for name in names:
+        if not isinstance(name, str):
+            raise ValidationError(f"{field} must be names, got {name!r}",
+                                  field=field)
+    return names
 
 
 def cached(panel, key, build: Callable[[], object]):

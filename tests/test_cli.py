@@ -6,12 +6,14 @@ full default size is the acceptance suite's job.
 
 import gc
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from dynpan import cli
+from dynpan import cli, simulate
 from dynpan.cli import main, parse_config_text, parse_grid, resolve_config
 from dynpan.errors import ValidationError
 
@@ -352,6 +354,23 @@ class TestFailedRunsLeaveNothing:
             resolve_config(parse_config_text(lines), {})
         assert err.value.field == key
 
+    @pytest.mark.parametrize("family", ["double_diff", "levels"])
+    def test_rho_scan_of_a_family_it_cannot_concentrate(self, family,
+                                                        tmp_path, capsys):
+        # before the family was checked up front, this wrote an all-NaN
+        # curve and exited 0
+        config = tmp_path / "run.cfg"
+        config.write_text(f"scan.axis = rho\nscan.grid = -0.9:0.9:0.1\n"
+                          f"scan.family = {family}\n")
+        out = tmp_path / "out"
+        assert run_cli("scan", "--config", str(config), "--n-firms", "200",
+                       "--out-dir", str(out)) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("family:")
+        assert not out.exists()
+
     def test_failed_writer_leaves_no_temp_or_partial_file(self, tmp_path):
         def failing(path):
             with open(path, "w") as fh:
@@ -361,6 +380,128 @@ class TestFailedRunsLeaveNothing:
         with pytest.raises(OSError, match="disk full"):
             cli._atomic_via(failing, str(tmp_path / "out" / "curve.csv"))
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestPanelReuse:
+    """Commands in one process share the panel of an identical spec."""
+
+    @pytest.fixture(autouse=True)
+    def draws(self, monkeypatch):
+        """The specs ``cli`` draws, with the slot empty before and after."""
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return simulate.draw_panel(spec)
+
+        monkeypatch.setattr(cli, "draw_panel", counting)
+        cli._held = (None, None)
+        yield specs
+        cli._held = (None, None)
+
+    def test_estimate_and_both_diagnoses_draw_once(self, draws, tmp_path):
+        pseudo = tmp_path / "pseudo.cfg"
+        pseudo.write_text("diagnose.point = pseudo\n")
+        for argv in (("estimate",), ("diagnose",),
+                     ("diagnose", "--config", str(pseudo))):
+            assert run_cli(*argv, "--seed", "3", "--n-firms", "2000",
+                           "--out-dir", str(tmp_path / argv[0])) == 0
+        assert len(draws) == 1
+        assert run_cli("estimate", "--seed", "4", "--n-firms", "2000",
+                       "--out-dir", str(tmp_path / "next")) == 0
+        assert [spec.seed for spec in draws] == [3, 4]
+        assert cli._held[0] == repr(draws[-1])
+
+    def test_a_failed_draw_holds_nothing(self, draws, tmp_path):
+        assert run_cli("simulate", "--n-firms", "50",
+                       "--out-dir", str(tmp_path / "a")) == 0
+        assert run_cli("estimate", "--n-periods", "2", "--n-firms", "50",
+                       "--out-dir", str(tmp_path / "b")) == 1
+        assert len(draws) == 2
+        assert cli._held == (None, None)
+
+    def test_figure_empties_the_slot(self, draws, tmp_path):
+        assert run_cli("simulate", "--n-firms", "50",
+                       "--out-dir", str(tmp_path / "a")) == 0
+        assert run_cli("figure", "--which", "5", "--n-firms", "2000",
+                       "--grid", "0:2.2:0.1",
+                       "--out-dir", str(tmp_path / "b")) == 0
+        assert len(draws) == 2 and draws[1].variant == "reversed_curvature"
+        assert cli._held == (None, None)
+
+    def test_artifacts_match_a_cleared_slot(self, draws, tmp_path):
+        # scan first and simulate last, so each command meets moments
+        # another command cached on the panel
+        pseudo = tmp_path / "pseudo.cfg"
+        pseudo.write_text("diagnose.point = pseudo\n")
+        commands = [("scan", "--grid", "0:2:0.05"), ("estimate",),
+                    ("diagnose",), ("diagnose", "--config", str(pseudo)),
+                    ("simulate",)]
+        for held in (True, False):
+            for k, argv in enumerate(commands):
+                if not held:
+                    cli._held = (None, None)
+                assert run_cli(*argv, "--seed", "5", "--n-firms", "2000",
+                               "--out-dir", str(tmp_path / f"{held}{k}")) == 0
+        assert len(draws) == 1 + len(commands)
+        for k in range(len(commands)):
+            names = sorted(p.name for p in (tmp_path / f"True{k}").iterdir())
+            assert names == sorted(
+                p.name for p in (tmp_path / f"False{k}").iterdir())
+            assert "run.manifest" in names and len(names) > 1
+            for name in names:
+                assert (tmp_path / f"True{k}" / name).read_bytes() == \
+                    (tmp_path / f"False{k}" / name).read_bytes(), name
+
+    def test_a_signed_zero_is_a_different_spec(self, draws, tmp_path):
+        # 0.0 == -0.0, but the eps column's zeros keep the sign of its scale
+        for name, value in (("plus", "0.0"), ("minus", "-0.0")):
+            (tmp_path / f"{name}.cfg").write_text(
+                f"dgp.variant = arma_x\ndgp.ext.sigma_eps = {value}\n")
+        for name, config in (("plus", "plus"), ("minus", "minus"),
+                             ("fresh", "minus")):
+            if name == "fresh":
+                cli._held = (None, None)
+            assert run_cli("simulate", "--config",
+                           str(tmp_path / f"{config}.cfg"), "--n-firms", "50",
+                           "--out-dir", str(tmp_path / name)) == 0
+        assert len(draws) == 3
+        panels = {name: (tmp_path / name / "panel.csv").read_bytes()
+                  for name in ("plus", "minus", "fresh")}
+        assert panels["minus"] == panels["fresh"]
+        assert panels["minus"] != panels["plus"]
+
+    def test_concurrent_callers_get_the_panel_of_their_spec(self, draws):
+        # the slot is read once per call, so a caller racing another can
+        # only draw again; a split read of key and panel would mix them
+        specs = [cli.config_to_spec(resolve_config(
+            {}, {"dgp.seed": seed, "dgp.n_firms": 20})) for seed in range(3)]
+        want = [simulate.draw_panel(spec).y for spec in specs]
+        wrong = []
+
+        def run(k):
+            try:
+                for i in range(200):
+                    j = (i // 4 + k) % len(specs)
+                    panel = cli._panel(specs[j])
+                    if panel.spec != specs[j] or \
+                            not np.array_equal(panel.y, want[j]):
+                        wrong.append((k, i))
+            except Exception as exc:  # a torn read can hand back None
+                wrong.append((k, exc))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
 
 class TestParser:

@@ -114,6 +114,20 @@ class TestTwoSls:
                     ("const", "x_lag1"))
         assert err.value.field == "instruments"
 
+    @pytest.mark.parametrize("args, field", [
+        ((1, ("const", "x_lag1"), ("const", "x_lag2")), "dep"),
+        ((None, ("const",), ("const",)), "dep"),
+        (("y_lag0", (1,), ("x_lag1",)), "regressors"),
+        (("y_lag0", ("const", b"x_lag1"), ("const", "x_lag2")),
+         "regressors"),
+        (("y_lag0", ("const", "x_lag1"), ("const", 2.0)), "instruments"),
+    ])
+    def test_non_string_names_name_their_field(self, args, field):
+        panel = linear_panel(np.ones((10, 3)), np.ones((10, 3)))
+        with pytest.raises(ValidationError) as err:
+            two_sls(panel, *args)
+        assert err.value.field == field
+
     def test_residual_orthogonality_in_sample(self, bench200k):
         rf, fit_y, fit_x = fit_reduced_form(bench200k)
         y, x = bench200k.y, bench200k.x
@@ -271,6 +285,9 @@ class TestGmmObjective:
         (("quasi_diff", (1.0, "a", 0.7)), {}, "params"),
         (("quasi_diff", ("1", 0.6, 0.7)), {}, "params"),
         (("quasi_diff", (1.0, None, 0.7)), {}, "params"),
+        (("quasi_diff", TRUTH), dict(instruments=("const", 2)),
+         "instruments"),
+        (("quasi_diff", TRUTH), dict(instruments=[None]), "instruments"),
     ])
     def test_bad_calls_name_their_field(self, args, kwargs, field):
         panel = draw_panel(make_spec(n_firms=200, seed=1))
@@ -387,6 +404,18 @@ class TestConcentrateRho:
     def test_unknown_family_rejected(self, bench200k):
         with pytest.raises(ValidationError, match="family"):
             concentrate_rho(bench200k, 0.5, family="double_diff")
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(solve_instruments=("const", 1)), "solve_instruments"),
+        (dict(report_instruments=(None,)), "report_instruments"),
+        (dict(report_instruments=["x_lag2", b"y_lag2"]),
+         "report_instruments"),
+    ])
+    def test_non_string_names_name_their_field(self, kwargs, field):
+        panel = draw_panel(make_spec(n_firms=200, seed=1))
+        with pytest.raises(ValidationError) as err:
+            concentrate_rho(panel, 0.5, **kwargs)
+        assert err.value.field == field
 
 
 class TestInstrumentSpec:

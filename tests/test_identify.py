@@ -69,6 +69,17 @@ class TestScanCurve:
         with pytest.raises(ValidationError, match="axis"):
             scan_curve(bench200k, "gamma", [0.0, 1.0])
 
+    @pytest.mark.parametrize("axis, family", [
+        ("rho", "double_diff"), ("rho", "levels"),
+        ("beta", "multi_input"), ("beta", "double_diff"),
+    ])
+    def test_family_the_axis_cannot_concentrate_raises(self, axis, family):
+        # a rho scan used to return an all-NaN curve for these
+        panel = draw_panel(make_spec(n_firms=200, seed=1))
+        with pytest.raises(ValidationError) as err:
+            scan_curve(panel, axis, [0.1, 0.2], family=family)
+        assert err.value.field == "family"
+
     def test_all_failing_scan_is_all_nan(self):
         # with every shock switched off each grid point's solve is singular:
         # the curve is all NaN, has no zeros and cannot pass as flat

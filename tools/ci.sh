@@ -15,7 +15,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
-       reproduce_simulate failed_run_leaves_nothing out_file_must_be_plain
+       reproduce_simulate batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
        nonfinite_config_rejected bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
@@ -87,6 +87,29 @@ reproduce_simulate() {
     dynpan simulate --config ci/u/run.manifest --out-dir ci/v
     cmp ci/u/panel.csv ci/v/panel.csv
     cmp ci/u/run.manifest ci/v/run.manifest
+}
+
+# Three commands on one panel write the same bytes as three processes and
+# as one batch in one process, where they share the panel.
+batch_matches_commands() {
+    rm -rf ci/m ci/w ci/pseudo.cfg
+    mkdir -p ci
+    printf 'diagnose.point = pseudo\n' > ci/pseudo.cfg
+    dynpan estimate --seed 1 --n-firms 2000 --out-dir ci/m/estimate
+    dynpan diagnose --seed 1 --n-firms 2000 --out-dir ci/m/truth
+    dynpan diagnose --config ci/pseudo.cfg --seed 1 --n-firms 2000 \
+        --out-dir ci/m/pseudo
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c 'import sys
+from dynpan.cli import main
+for out, argv in (("estimate", ["estimate"]), ("truth", ["diagnose"]),
+                  ("pseudo", ["diagnose", "--config", "ci/pseudo.cfg"])):
+    argv += ["--seed", "1", "--n-firms", "2000", "--out-dir", "ci/w/" + out]
+    if main(argv) != 0:
+        sys.exit(1)'
+    for f in ci/m/*/*; do
+        cmp "$f" "ci/w/${f#ci/m/}"
+    done
+    test "$(ls ci/m/*/* | wc -l)" -eq "$(ls ci/w/*/* | wc -l)"
 }
 
 failed_run_leaves_nothing() {
