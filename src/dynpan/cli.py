@@ -61,9 +61,10 @@ from .diagnostics import (
     write_diagnostic_csv,
 )
 
-_STRUCT_FIELDS = ("beta", "theta", "rho_omega", "rho_x", "alpha", "pi",
-                  "sigma_xi", "sigma_u", "sigma_eta")
-_EXT_FIELDS = tuple(f.name for f in dataclasses.fields(VariantParams))
+#: The structural parameters, each with its CLI default (``dgp.<name>``).
+_STRUCT_DEFAULTS = {"beta": 0.6, "theta": 1.0, "rho_omega": 0.7, "rho_x": 0.5,
+                    "alpha": 1.0, "pi": 0.0, "sigma_xi": 1.0, "sigma_u": 1.0,
+                    "sigma_eta": 1.0}
 
 #: key -> (type, default).  The resolved mapping is the whole run state.
 CONFIG_SCHEMA = {
@@ -85,14 +86,10 @@ CONFIG_SCHEMA = {
     "diagnose.beta": (float, 0.0),
     "diagnose.rho": (float, 0.0),
     "figure.which": (int, 1),
+    **{f"dgp.{name}": (float, v) for name, v in _STRUCT_DEFAULTS.items()},
+    **{f"dgp.ext.{f.name}": (float, f.default)
+       for f in dataclasses.fields(VariantParams)},
 }
-for _name, _default in (("beta", 0.6), ("theta", 1.0), ("rho_omega", 0.7),
-                        ("rho_x", 0.5), ("alpha", 1.0), ("pi", 0.0),
-                        ("sigma_xi", 1.0), ("sigma_u", 1.0),
-                        ("sigma_eta", 1.0)):
-    CONFIG_SCHEMA[f"dgp.{_name}"] = (float, _default)
-for _f in dataclasses.fields(VariantParams):
-    CONFIG_SCHEMA[f"dgp.ext.{_f.name}"] = (float, _f.default)
 
 #: Figure presets: (variant, swept ext field, values).  The first value of
 #: each sweep reproduces the benchmark member of the family.
@@ -148,9 +145,9 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
 
 def config_to_spec(cfg: dict) -> DgpSpec:
     structural = StructuralParams(
-        **{name: cfg[f"dgp.{name}"] for name in _STRUCT_FIELDS})
-    ext = VariantParams(**{name: cfg[f"dgp.ext.{name}"]
-                           for name in _EXT_FIELDS})
+        **{name: cfg[f"dgp.{name}"] for name in _STRUCT_DEFAULTS})
+    ext = VariantParams(**{f.name: cfg[f"dgp.ext.{f.name}"]
+                           for f in dataclasses.fields(VariantParams)})
     return DgpSpec(variant=cfg["dgp.variant"], structural=structural,
                    n_firms=cfg["dgp.n_firms"], n_periods=cfg["dgp.n_periods"],
                    seed=cfg["dgp.seed"], ext=ext)
@@ -324,10 +321,9 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
 
     jobs = []
     for value in values:
-        sub = dict(base)
-        label = variant if sweep_field is None else \
-            f"{sweep_field}_{value:g}"
+        sub, label = dict(base), variant
         if sweep_field is not None:
+            label = f"{sweep_field}_{value:g}"
             sub[f"dgp.ext.{sweep_field}"] = value
         jobs.append((label, sub))
 
@@ -345,44 +341,41 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
             max_workers=min(4, len(jobs))) as pool:
         results = list(pool.map(run_job, jobs))
 
-    curves = [(label, curve) for label, curve, status in results
-              if curve is not None]
+    curves = [result for result in results if result[1] is not None]
     if not curves:
         raise ValidationError("every sub-model of the preset was rejected",
                               field="figure.which")
 
     # raw per-sub-model curve files
-    for label, curve in curves:
+    for label, curve, _ in curves:
         out.write(f"figure{which}_{label}.csv",
                   lambda path, c=curve: write_curve_csv(c, path))
 
     # plot file with objectives rescaled to agree at the lowest grid point
     ref = curves[0][1]
     ref_at_zero = ref.msq[0]
-    header = ["axis_value"] + [label for label, _ in curves]
+    header = ["axis_value"] + [label for label, _, _ in curves]
     rows = [",".join(header)]
     factors = []
-    for _, curve in curves:
+    for _, curve, _ in curves:
         base_val = curve.msq[0]
         factors.append(ref_at_zero / base_val
                        if np.isfinite(base_val) and base_val != 0.0 else 1.0)
     for i, g in enumerate(ref.grid):
         cells = [_fmt(g)]
-        for (label, curve), factor in zip(curves, factors):
+        for (_, curve, _), factor in zip(curves, factors):
             cells.append(_fmt(curve.msq[i] * factor))
         rows.append(",".join(cells))
     out.write(f"figure{which}_plot.csv", _lines_writer(rows))
 
     # zeros/minima summary, including rejected sub-models
     lines = ["sub_model,status,zeros,minima"]
-    status_by_label = {label: status for label, _, status in results}
-    for label, _, status in results:
-        if status != "ok":
-            lines.append(f"{label},{status},,")
-    for label, curve in curves:
+    lines += [f"{label},{status},," for label, curve, status in results
+              if curve is None]
+    for label, curve, status in curves:
         zeros = ";".join(_fmt(z.location) for z in curve.zeros if z.converged)
         minima = ";".join(_fmt(m.location) for m in curve.minima)
-        lines.append(f"{label},{status_by_label[label]},{zeros},{minima}")
+        lines.append(f"{label},{status},{zeros},{minima}")
     out.write(f"figure{which}_summary.csv", _lines_writer(lines))
 
 
@@ -411,6 +404,24 @@ def run(cfg: dict) -> int:
     return 0
 
 
+#: Each command-line flag (after ``--config``): the configuration keys its
+#: value sets, and its argparse options.
+_FLAGS = {
+    "--seed": (("dgp.seed",), dict(type=int)),
+    "--out-dir": (("out.dir",), {}),
+    "--out": (("out.file",), dict(help="output file name (simulate)")),
+    "--method": (("estimate.method",), dict(
+        type=lambda v: v.replace("-", "_"), help="estimator (two-step)")),
+    "--grid": (("scan.grid",), dict(help="scan grid as lo:hi:step")),
+    "--sign-theta": (("estimate.sign", "diagnose.sign"),
+                     dict(choices=("positive", "negative"))),
+    "--which": (("figure.which",), dict(type=int, help="figure preset 1..5")),
+    "--n-firms": (("dgp.n_firms",), dict(type=int)),
+    "--n-periods": (("dgp.n_periods",), dict(type=int)),
+    "--variant": (("dgp.variant",), dict(choices=VARIANTS)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynpan",
@@ -420,16 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir")
-        p.add_argument("--out", help="output file name (simulate)")
-        p.add_argument("--method", help="estimator (two-step)")
-        p.add_argument("--grid", help="scan grid as lo:hi:step")
-        p.add_argument("--sign-theta", choices=("positive", "negative"))
-        p.add_argument("--which", type=int, help="figure preset 1..5")
-        p.add_argument("--n-firms", type=int)
-        p.add_argument("--n-periods", type=int)
-        p.add_argument("--variant", choices=VARIANTS)
+        for flag, (_, options) in _FLAGS.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -441,16 +444,11 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    flags = {"seed": "dgp.seed", "out_dir": "out.dir", "grid": "scan.grid",
-             "sign_theta": "estimate.sign", "which": "figure.which",
-             "n_firms": "dgp.n_firms", "n_periods": "dgp.n_periods",
-             "variant": "dgp.variant", "out": "out.file"}
-    out = {key: getattr(args, attr) for attr, key in flags.items()
-           if getattr(args, attr, None) is not None}
-    if getattr(args, "sign_theta", None) is not None:
-        out["diagnose.sign"] = args.sign_theta
-    if getattr(args, "method", None) is not None:
-        out["estimate.method"] = args.method.replace("-", "_")
+    out = {}
+    for flag, (keys, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            out.update(dict.fromkeys(keys, value))
     return out
 
 

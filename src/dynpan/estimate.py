@@ -32,12 +32,13 @@ errors of all reported moments, one quadratic form in the fourth moments,
 are computed on their first read, so no scan or bisection runs the
 panel's pair pass.
 
-One table, ``_FAMILIES``, describes each residual family, and its cached
-rho plan (``_family_plan``) serves both readers: ``concentrate_rho`` solves
-it at a held rho, ``gmm_objective`` evaluates it at given coefficients.
-Instrument sets are plain tuples of names.  The level diagnostics share the
-all-period depth (L = 0) of a panel, the reduced form and the AR-order
-test depth 2.
+One table, ``_FAMILIES``, describes each residual family down to the scan
+axes that concentrate it, and ``_checked_family`` checks a family, an axis
+and a panel against it.  A family's cached rho plan (``_family_plan``)
+serves two readers: ``concentrate_rho`` solves it at a held rho,
+``gmm_objective`` evaluates it at given coefficients.  Instrument sets are
+plain tuples of names.  The level diagnostics share the all-period depth
+(L = 0) of a panel, the reduced form and the AR-order test depth 2.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .moments import (
     _cross_moments,
     _moments_from,
     _name_tuple,
+    _parse_name,
     cached,
 )
 
@@ -71,22 +73,35 @@ MULTI_INPUT_INSTRUMENTS = ("const", "x_lag1", "z_lag1", "x_lag2", "y_lag2",
 
 
 #: A moment family: its parameters in the order ``gmm_objective`` takes
-#: them (rho last), the regressors they multiply, its default instruments
-#: and the first period of its residual.
-_Family = namedtuple("_Family", "params regressors instruments first")
+#: them (rho last), the regressors they multiply, its default instruments,
+#: the first period of its residual and the scan axes that concentrate it.
+_Family = namedtuple("_Family", "params regressors instruments first axes")
 _FAMILIES = {
     "quasi_diff": _Family(("alpha", "beta", "rho"), ("const", "x"),
-                          BENCHMARK_INSTRUMENTS, 1),
+                          BENCHMARK_INSTRUMENTS, 1, ("beta", "rho")),
     # the double difference removes the intercept, and with it alpha
     "double_diff": _Family(("beta", "rho"), ("x",),
-                           FIXED_EFFECTS_INSTRUMENTS, 2),
+                           FIXED_EFFECTS_INSTRUMENTS, 2, ()),
     "multi_input": _Family(("alpha", "beta", "gamma", "rho"),
-                           ("const", "x", "z"), MULTI_INPUT_INSTRUMENTS, 1),
+                           ("const", "x", "z"), MULTI_INPUT_INSTRUMENTS, 1,
+                           ("rho",)),
 }
 
-#: The families ``concentrate_rho`` solves (the double difference has no
-#: concentrated form).
-_RHO_FAMILIES = ("quasi_diff", "multi_input")
+
+def _checked_family(family: str, axis=None, panel=None) -> _Family:
+    """The table entry of ``family``; raises unless it is known, ``axis``
+    (if given) concentrates it and ``panel`` (if given) holds its inputs."""
+    fam = _FAMILIES.get(family)
+    if fam is None:
+        raise ValidationError(f"unknown moment family {family!r}",
+                              field="family")
+    if axis is not None and axis not in fam.axes:
+        names = " or ".join(n for n, f in _FAMILIES.items() if axis in f.axes)
+        raise ValidationError(f"{axis} scans concentrate the {names} family "
+                              "only", field="family")
+    if panel is not None and "z" in fam.regressors and panel.z is None:
+        raise ValidationError("panel has no second input z", field="panel")
+    return fam
 
 
 @dataclass
@@ -138,8 +153,7 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     instruments as regressors; a numerically singular E[Z X'] raises
     :class:`RankDeficiencyError` naming the smallest pivot.
     """
-    if not isinstance(dep, str):
-        raise ValidationError(f"dep must be a name, got {dep!r}", field="dep")
+    _parse_name(dep, "dep")
     regressors = _name_tuple(regressors, "regressors")
     instruments = _name_tuple(instruments, "instruments")
     if not regressors or len(regressors) != len(instruments):
@@ -273,9 +287,7 @@ def _family_plan(panel, family: str, solve: tuple, report: tuple) -> _Plan:
     at lag 0 minus rho times lag 1 (the constant is its own lag), for the
     double difference (lag 0 - lag 1) minus rho times (lag 1 - lag 2), then
     the instruments.  A set that fails validation is not cached."""
-    fam = _FAMILIES[family]
-    if "z" in fam.regressors and panel.z is None:
-        raise ValidationError("panel has no second input z", field="panel")
+    fam = _checked_family(family, panel=panel)
 
     def build():
         mom = _moments_from(panel, fam.first, solve + report)
@@ -307,14 +319,11 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     pins the linear block; the lag-2 instruments are then free to move away
     from zero except at the true persistence and at each market-factor
     persistence.  Pass explicit instrument-name sequences to override
-    either the solving subset or the reported moments.
+    either the solving subset or the reported moments.  The family, the
+    names and the panel's inputs are checked before any moment is formed.
     """
-    if family not in _RHO_FAMILIES:
-        raise ValidationError(
-            "rho concentration supports quasi_diff or multi_input",
-            field="family")
     # the family's instruments: one solving instrument per coefficient first
-    fam = _FAMILIES[family]
+    fam = _checked_family(family, "rho")
     defaults, n = fam.instruments, len(fam.params) - 1  # all but rho
     solve = (defaults[:n] if solve_instruments is None
              else _name_tuple(solve_instruments, "solve_instruments"))
@@ -364,10 +373,7 @@ def gmm_objective(panel, family: str, params,
                               field="weighting")
     if isinstance(params, ParamPoint):
         params = (params.alpha, params.beta, params.rho)
-    if family not in _FAMILIES:
-        raise ValidationError(f"unknown moment family {family!r}",
-                              field="family")
-    fam = _FAMILIES[family]
+    fam = _checked_family(family)
     try:
         values = tuple(params)
     except TypeError:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DynpanError, InternalConsistencyError, ValidationError
 from .estimate import (
     PREDETERMINED_INSTRUMENTS,
-    _RHO_FAMILIES,
+    _checked_family,
     _fmt,
     beta_scan_evaluator,
     concentrate_rho,
@@ -121,12 +121,14 @@ def scan_curve(panel, axis: str, grid,
     moment; m is the first of the point's ``Concentrated`` moments.  The
     scan solves each point's IV only: the curve's ``ses`` (and the panel's
     pair pass behind them) are computed when first read.  The grid must lie
-    within ``DEFAULT_BOUNDS`` of its axis, and ``family`` is quasi_diff, or
-    on the rho axis also multi_input.  Estimation failures at individual
-    points are recorded as NaN, not raised.
+    within ``DEFAULT_BOUNDS`` of its axis, which must concentrate
+    ``family`` (``estimate``'s family table), on a panel that holds the
+    family's inputs; all are checked before any point is evaluated.  Fits
+    that fail at individual points are recorded as NaN, not raised.
     """
-    if axis not in ("beta", "rho"):
-        raise ValidationError("axis must be beta or rho", field="axis")
+    if axis not in DEFAULT_BOUNDS:
+        raise ValidationError(f"axis must be {' or '.join(DEFAULT_BOUNDS)}",
+                              field="axis")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("grid is empty", field="grid")
@@ -138,16 +140,9 @@ def scan_curve(panel, axis: str, grid,
         raise ValidationError(
             f"grid [{grid[0]}, {grid[-1]}] outside bounds [{lo}, {hi}]",
             field="grid")
-
-    families = ("quasi_diff",) if axis == "beta" else _RHO_FAMILIES
-    if family not in families:
-        raise ValidationError(f"{axis} scans concentrate the "
-                              f"{' or '.join(families)} family only",
-                              field="family")
-    if axis == "beta":
-        concentrate = beta_scan_evaluator(panel)
-    else:
-        concentrate = partial(concentrate_rho, panel, family=family)
+    _checked_family(family, axis, panel)
+    concentrate = (beta_scan_evaluator(panel) if axis == "beta"
+                   else partial(concentrate_rho, panel, family=family))
     return _evaluate(axis, grid, concentrate)
 
 

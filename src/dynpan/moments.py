@@ -45,28 +45,29 @@ _SERIES = ("y", "x", "z")
 _BLOCK_ROWS = 8192
 
 
-def _parse_name(name: str):
+def _parse_name(name: str, field: str = "instruments"):
+    if not isinstance(name, str):
+        raise ValidationError(f"{name!r} in {field} is not a name",
+                              field=field)
     if name == "const":
         return ("const", 0)
     series, sep, lag = name.partition("_lag")
     if not sep or series not in _SERIES or not lag.isdigit():
         raise ValidationError(
             f"bad instrument name {name!r}; use 'const' or "
-            "'<y|x|z>_lag<k>'", field="instruments")
+            "'<y|x|z>_lag<k>'", field=field)
     return (series, int(lag))
 
 
 def _name_tuple(names, field: str) -> tuple:
-    """``names`` as a tuple of strings; a bare string or an entry that is
-    not a string raises, naming ``field``."""
+    """``names`` as a tuple of column names; a bare string or an entry
+    that is not a column name raises, naming ``field``."""
     if isinstance(names, str):
         raise ValidationError(f"{field} must be a sequence of names, "
                               f"not the string {names!r}", field=field)
     names = tuple(names)
     for name in names:
-        if not isinstance(name, str):
-            raise ValidationError(f"{field} must be names, got {name!r}",
-                                  field=field)
+        _parse_name(name, field)
     return names
 
 

@@ -75,6 +75,9 @@ VARIANTS = (
     "predetermined",
 )
 
+#: Variants with a second input z (both read the "v" stream and rho_z).
+_SECOND_INPUT = ("multi_input", "dynamic_input")
+
 #: Stable sub-stream identifiers; the Philox key is (seed, label id).
 _LABEL_IDS = {
     "xi": 1, "u": 2, "eta": 3, "eps": 4, "v": 5,
@@ -145,7 +148,7 @@ class DgpSpec:
                 raise ValidationError(
                     "rho1_x + rho2_x must be < 1 (stationarity)",
                     field="ext.rho1_x")
-        if self.variant in ("multi_input", "dynamic_input"):
+        if self.variant in _SECOND_INPUT:
             if not abs(self.ext.rho_z) < 1.0:
                 raise ValidationError("|rho_z| must be < 1 (stationarity)",
                                       field="ext.rho_z")
@@ -180,10 +183,9 @@ class PanelData:
     fe_pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("y", "x", "omega", "kappa", "xi", "u", "eta",
-                     "z", "wp", "eps", "v", "fe_alpha", "fe_pi"):
-            arr = getattr(self, name)
-            if arr is not None:
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         # statistics derived from the frozen arrays (the estimators' pooled
         # cross-moments), keyed by their parameters; an attribute rather
@@ -246,7 +248,7 @@ def _substreams(spec: DgpSpec) -> list[tuple[str, object, float]]:
         inits.append(("kappa_init", n, 1.0))
     if variant == "ar2_kappa":
         inits.append(("kappa_init2", n, 1.0))
-    elif variant in ("multi_input", "dynamic_input"):
+    elif variant in _SECOND_INPUT:
         shocks.append(("v", (n, t), ext.sigma_v))
         inits.append(("wp_init" if variant == "multi_input" else "z_init",
                       n, 1.0))
@@ -420,13 +422,9 @@ def write_panel_csv(panel: PanelData, path) -> None:
     """Write one row per (firm, period): firm,period,y,x[,z],omega,kappa,
     xi,u,eta[,eps].  UTF-8, LF line endings, full double precision (the
     shortest decimal that round-trips each double)."""
-    cols = [("y", panel.y), ("x", panel.x)]
-    if panel.z is not None:
-        cols.append(("z", panel.z))
-    cols += [("omega", panel.omega), ("kappa", panel.kappa),
-             ("xi", panel.xi), ("u", panel.u), ("eta", panel.eta)]
-    if panel.eps is not None:
-        cols.append(("eps", panel.eps))
+    cols = [(name, getattr(panel, name)) for name in
+            ("y", "x", "z", "omega", "kappa", "xi", "u", "eta", "eps")
+            if getattr(panel, name) is not None]
     header = "firm,period," + ",".join(name for name, _ in cols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")

@@ -7,7 +7,8 @@ and rho moments with their influence-function standard errors, the
 full-length GEMM two-stage least squares on ``column_stack`` designs, the
 per-period GMM moments with ``moment_stats``, ``np.corrcoef`` and a
 two-pass standard deviation.  ``assert_rel`` is the comparison every test
-of the engine against them uses.
+of the engine against them uses.  ``population_gram`` is the seed-free
+oracle: the exact period Gram of a benchmark panel, from the model alone.
 """
 
 import numpy as np
@@ -221,3 +222,35 @@ def corrcoef_sign(panel, p):
 def two_pass_inequality(panel, p):
     prod = (panel.x * (panel.y - p.alpha - p.beta * panel.x)).ravel()
     return prod.mean(), prod.std(ddof=1) / np.sqrt(prod.size)
+
+
+# --- the population period Gram of the benchmark variant -------------------
+
+def population_gram(spec):
+    """The exact period Gram of a benchmark-variant panel, in the form
+    ``moments._period_gram`` caches it: (series means, E[c c'] over the
+    (series, period) columns c with y first, E[c]).
+
+    With gamma_w(h) = sigma_xi^2 rho_omega^h / (1 - rho_omega^2) and
+    gamma_k(h) likewise in (sigma_u, rho_x), x_t = pi + theta omega_t +
+    kappa_t and y_t = alpha + beta x_t + omega_t + eta_t give
+
+        Cov(x_s, x_t) = theta^2 gamma_w + gamma_k
+        Cov(y_s, x_t) = (1 + beta theta) theta gamma_w + beta gamma_k
+        Cov(y_s, y_t) = (1 + beta theta)^2 gamma_w + beta^2 gamma_k
+                        + sigma_eta^2 1{s = t}
+
+    at lag |s - t|.  The states start stationary, so every period's mean
+    is the series mean (alpha + beta pi, pi) and the shift E[c] is 0.
+    """
+    assert spec.variant == "benchmark", spec.variant
+    s, t = spec.structural, spec.n_periods
+    lag = np.abs(np.subtract.outer(np.arange(t), np.arange(t)))
+    g_w = s.sigma_xi ** 2 * s.rho_omega ** lag / (1.0 - s.rho_omega ** 2)
+    g_k = s.sigma_u ** 2 * s.rho_x ** lag / (1.0 - s.rho_x ** 2)
+    a = 1.0 + s.beta * s.theta  # the loading of y on omega
+    xx = s.theta ** 2 * g_w + g_k
+    yx = a * s.theta * g_w + s.beta * g_k
+    yy = a * a * g_w + s.beta ** 2 * g_k + s.sigma_eta ** 2 * np.eye(t)
+    means = np.array([s.alpha + s.beta * s.pi, s.pi])
+    return means, np.block([[yy, yx], [yx.T, xx]]), np.zeros(2 * t)

@@ -371,6 +371,22 @@ class TestFailedRunsLeaveNothing:
         assert record["message"].startswith("family:")
         assert not out.exists()
 
+    def test_rho_scan_of_a_family_whose_input_the_panel_lacks(self, tmp_path,
+                                                              capsys):
+        # a multi_input scan of a benchmark panel (no z) used to write an
+        # all-NaN curve and exit 0
+        config = tmp_path / "run.cfg"
+        config.write_text("scan.axis = rho\nscan.grid = -0.9:0.9:0.1\n"
+                          "scan.family = multi_input\n")
+        out = tmp_path / "out"
+        assert run_cli("scan", "--config", str(config), "--n-firms", "200",
+                       "--out-dir", str(out)) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("panel:")
+        assert not out.exists()
+
     def test_failed_writer_leaves_no_temp_or_partial_file(self, tmp_path):
         def failing(path):
             with open(path, "w") as fh:
@@ -505,6 +521,23 @@ class TestPanelReuse:
 
 
 class TestParser:
+    def test_every_flag_lands_on_its_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--seed", "3", "--out-dir", str(out),
+                       "--out", "p.csv", "--method", "two-step",
+                       "--grid", "0:1:0.5", "--sign-theta", "negative",
+                       "--which", "4", "--n-firms", "12", "--n-periods", "6",
+                       "--variant", "arma_x") == 0
+        lines = (out / "run.manifest").read_text().splitlines()
+        for want in ("dgp.seed = 3", "out.file = p.csv",
+                     "estimate.method = two_step", "scan.grid = 0:1:0.5",
+                     "estimate.sign = negative", "diagnose.sign = negative",
+                     "figure.which = 4", "dgp.n_firms = 12",
+                     "dgp.n_periods = 6", "dgp.variant = arma_x"):
+            assert want in lines
+        assert (out / "p.csv").exists()
+        assert not any(line.startswith("out.dir") for line in lines)
+
     def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
         built, original = [], cli.build_parser
 

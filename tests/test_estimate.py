@@ -121,6 +121,8 @@ class TestTwoSls:
         (("y_lag0", ("const", b"x_lag1"), ("const", "x_lag2")),
          "regressors"),
         (("y_lag0", ("const", "x_lag1"), ("const", 2.0)), "instruments"),
+        (("w_lag0", ("const",), ("const",)), "dep"),
+        (("y_lag0", ("const", "q_lag1"), ("const", "x_lag1")), "regressors"),
     ])
     def test_non_string_names_name_their_field(self, args, field):
         panel = linear_panel(np.ones((10, 3)), np.ones((10, 3)))
@@ -794,7 +796,7 @@ class TestRhoPlanCache:
         (dict(solve_instruments=("const",)), "solve_instruments"),
         (dict(solve_instruments=("const", "x_lag1", "x_lag2")),
          "solve_instruments"),
-        (dict(report_instruments=("w_lag2",)), "instruments"),
+        (dict(report_instruments=("w_lag2",)), "report_instruments"),
         (dict(report_instruments=("z_lag2",)), "instruments"),
         (dict(report_instruments=("x_lag5",)), "n_periods"),
         (dict(family="multi_input"), "panel"),

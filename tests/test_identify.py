@@ -80,6 +80,24 @@ class TestScanCurve:
             scan_curve(panel, axis, [0.1, 0.2], family=family)
         assert err.value.field == "family"
 
+    def test_family_input_missing_from_the_panel_raises_before_any_point(
+            self, monkeypatch):
+        # a multi_input rho scan of a panel without z used to evaluate every
+        # point and return an all-NaN curve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return concentrate_rho(*args, **kwargs)
+
+        monkeypatch.setattr(identify, "concentrate_rho", counting)
+        panel = draw_panel(make_spec(n_firms=200, seed=1))
+        with pytest.raises(ValidationError) as err:
+            scan_curve(panel, "rho", np.linspace(-0.9, 0.9, 19),
+                       family="multi_input")
+        assert err.value.field == "panel"
+        assert calls == []
+
     def test_all_failing_scan_is_all_nan(self):
         # with every shock switched off each grid point's solve is singular:
         # the curve is all NaN, has no zeros and cannot pass as flat

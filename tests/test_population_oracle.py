@@ -19,10 +19,18 @@ agreement between the analytic zeros and the simulated scans is a genuine
 cross-check of the whole pipeline.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import make_spec
+from dynpan import moments
+from dynpan.estimate import fit_reduced_form
 from dynpan.identify import find_zeros, scan_curve
+from dynpan.model import forward_map
+from dynpan.simulate import draw_panel
+from oracles import population_gram
 
 RHO_W, RHO_X = 0.7, 0.5
 BETA0, THETA = 0.6, 1.0
@@ -171,3 +179,60 @@ class TestSimulationMatchesOracle:
             want = population_moment(bt, gw, gk)
             assert cb.moments[0] == pytest.approx(
                 want, abs=6.0 * cb.moment_ses[0])
+
+
+# --- the engine on the exact period Gram ------------------------------------
+#
+# ``population_gram`` (tests/oracles.py) puts the population second moments
+# of a benchmark panel into a small panel's moment cache before its first
+# fit.  Every depth, plan, fit and scan then reads them through the engine's
+# own path, so the paper's claims hold to the bisection width, with no seed.
+
+CALIBRATIONS = [{}, dict(rho_x=0.3), dict(rho_x=0.3, theta=0.8)]
+CALIBRATION_IDS = ["default", "rho_x_0.3", "rho_x_0.3_theta_0.8"]
+
+
+def population_panel(overrides):
+    spec = make_spec(n_firms=50, **overrides)
+    panel = draw_panel(spec)
+    gram = population_gram(spec)
+    moments.cached(panel, "gram", lambda: gram)
+    return panel
+
+
+def converged_zeros(panel, axis, grid):
+    curve = scan_curve(panel, axis, grid)
+    return [z.location for z in find_zeros(curve) if z.converged]
+
+
+@pytest.mark.parametrize("overrides", CALIBRATIONS, ids=CALIBRATION_IDS)
+class TestPopulationGram:
+    def test_reduced_form_is_the_forward_map(self, overrides):
+        panel = population_panel(overrides)
+        got = dataclasses.astuple(fit_reduced_form(panel)[0])
+        want = dataclasses.astuple(forward_map(panel.spec.structural))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_beta_scan_zeros_are_the_truth_and_the_pseudo_slope(
+            self, overrides):
+        panel = population_panel(overrides)
+        s = panel.spec.structural
+        # the grid avoids both zeros; a third, smooth one at beta +
+        # rho_omega / (theta (rho_omega - rho_x)) lies inside it at
+        # rho_x = 0.3 (2.35, and 2.7875 with theta = 0.8), at 4.1 outside
+        # it at the default calibration
+        got = converged_zeros(panel, "beta",
+                              np.round(np.arange(-0.995, 2.996, 0.01), 10))
+        for want in (s.beta, s.beta + 1.0 / s.theta):
+            assert min(abs(g - want) for g in got) < 1e-5, (got, want)
+        if not overrides:
+            assert len(got) == 2, got
+
+    def test_rho_scan_zeros_are_the_two_persistences(self, overrides):
+        panel = population_panel(overrides)
+        s = panel.spec.structural
+        # the pole between them is reported unconverged
+        got = converged_zeros(panel, "rho",
+                              np.round(np.arange(-0.895, 0.8951, 0.01), 10))
+        assert len(got) == 2, got
+        assert got == pytest.approx([s.rho_x, s.rho_omega], abs=1e-5)

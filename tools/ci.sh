@@ -47,46 +47,38 @@ moment_bits_one_blas_thread() {
         tests/test_simulate.py::TestPinnedBits
 }
 
-# Each reproduce step runs a command, reruns it from its manifest and
-# compares the artifacts byte for byte.
+# Each reproduce step runs a command into ci/<first>, reruns it from its
+# manifest into ci/<second> and compares the two directories, every
+# artifact and the manifest, byte for byte.
+#
+#   reproduce <first> <second> <command> [<flag>...]
+reproduce() {
+    local first=ci/$1 second=ci/$2 command=$3
+    shift 3
+    rm -rf "$first" "$second"
+    dynpan "$command" "$@" --out-dir "$first"
+    dynpan "$command" --config "$first/run.manifest" --out-dir "$second"
+    diff -r "$first" "$second"
+}
+
 reproduce_diagnose() {
-    rm -rf ci/a ci/b
-    dynpan diagnose --seed 1 --n-firms 2000 --out-dir ci/a
-    dynpan diagnose --config ci/a/run.manifest --out-dir ci/b
-    cmp ci/a/run.manifest ci/b/run.manifest
+    reproduce a b diagnose --seed 1 --n-firms 2000
 }
 
 reproduce_estimate() {
-    rm -rf ci/e ci/f
-    dynpan estimate --seed 1 --n-firms 2000 --out-dir ci/e
-    dynpan estimate --config ci/e/run.manifest --out-dir ci/f
-    cmp ci/e/run.manifest ci/f/run.manifest
+    reproduce e f estimate --seed 1 --n-firms 2000
 }
 
 reproduce_scan() {
-    rm -rf ci/s ci/t
-    dynpan scan --seed 1 --n-firms 2000 --grid 0:2:0.05 --out-dir ci/s
-    dynpan scan --config ci/s/run.manifest --out-dir ci/t
-    cmp ci/s/curve.csv ci/t/curve.csv
-    cmp ci/s/run.manifest ci/t/run.manifest
+    reproduce s t scan --seed 1 --n-firms 2000 --grid 0:2:0.05
 }
 
 reproduce_figure() {
-    rm -rf ci/g ci/h
-    dynpan figure --which 5 --seed 1 --n-firms 2000 --grid 0:2.2:0.1 \
-        --out-dir ci/g
-    dynpan figure --config ci/g/run.manifest --out-dir ci/h
-    for f in ci/g/figure5_*.csv ci/g/run.manifest; do
-        cmp "$f" "ci/h/$(basename "$f")"
-    done
+    reproduce g h figure --which 5 --seed 1 --n-firms 2000 --grid 0:2.2:0.1
 }
 
 reproduce_simulate() {
-    rm -rf ci/u ci/v
-    dynpan simulate --seed 1 --n-firms 2000 --out-dir ci/u
-    dynpan simulate --config ci/u/run.manifest --out-dir ci/v
-    cmp ci/u/panel.csv ci/v/panel.csv
-    cmp ci/u/run.manifest ci/v/run.manifest
+    reproduce u v simulate --seed 1 --n-firms 2000
 }
 
 # Three commands on one panel write the same bytes as three processes and
