@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DynpanError, ValidationError
-from .estimate import _fmt
 from .model import ParamPoint, StructuralParams, _theta_sign, pseudo_point
 from .simulate import (
     DgpSpec,
@@ -51,14 +50,11 @@ from .identify import (
     find_zeros,
     scan_curve,
     two_step_estimator,
-    write_curve_csv,
-    write_estimate_csv,
 )
 from .diagnostics import (
     ar_order_test,
     moment_inequality,
     residual_sign_test,
-    write_diagnostic_csv,
 )
 
 #: The structural parameters, each with its CLI default (``dgp.<name>``).
@@ -230,6 +226,53 @@ def _lines_writer(lines):
         text, encoding="utf-8", newline="\n")
 
 
+def _fmt(value) -> str:
+    """The float format of every artifact: the shortest decimal that
+    round-trips the double, which is also how ``write_panel_csv`` writes
+    the panel."""
+    return repr(float(value))
+
+
+def _curve_lines(curve) -> list[str]:
+    """axis_value,m,objective rows, the objective being m^2, plus a
+    trailing comment block with the located zeros and minima."""
+    return (["axis_value,m,objective"]
+            + [",".join(map(_fmt, row))
+               for row in zip(curve.grid, curve.m, curve.msq)]
+            + [f"# axis,{curve.axis}"]
+            + [f"# zero,{_fmt(root.location)},m={_fmt(root.m_value)},"
+               f"converged={root.converged}" for root in curve.zeros]
+            + [f"# minimum,{_fmt(mn.location)},objective={_fmt(mn.value)}"
+               for mn in curve.minima])
+
+
+def _estimate_lines(result) -> list[str]:
+    """Both branches with labels; a degenerate result records its
+    diagnosis."""
+    lines = ["branch,selected,beta,theta,rho_omega,rho_x,alpha,pi"]
+    if not result.degenerate:
+        for br, selected in ((result.chosen, 1), (result.rejected, 0)):
+            p = br.params
+            values = (p.beta, p.theta, p.rho_omega, p.rho_x, p.alpha, p.pi)
+            lines.append(f"{br.branch_sign},{selected},"
+                         + ",".join(map(_fmt, values)))
+    lines += [f"# selection_rule,{result.selection_rule}",
+              f"# provenance,{result.provenance}"]
+    if result.degenerate:
+        lines.append(f"# degenerate,{result.diagnosis}")
+    return lines
+
+
+def _report_lines(report) -> list[str]:
+    """name,value rows including the rule text."""
+    rows = (("statistic", _fmt(report.statistic)),
+            ("standard_error", _fmt(report.standard_error)),
+            ("verdict", report.verdict),
+            ("rule_applied", report.rule_applied))
+    return ["name,value"] + [f'{name},"{value}"' if "," in value
+                             else f"{name},{value}" for name, value in rows]
+
+
 #: (repr of a spec, its panel): the panel the last command drew.
 _held = (None, None)
 
@@ -264,7 +307,7 @@ def _scan_one(panel, cfg: dict):
 
 def _cmd_scan(cfg: dict, out: _Outputs) -> None:
     curve = _scan_one(_panel(config_to_spec(cfg)), cfg)
-    out.write("curve.csv", lambda path: write_curve_csv(curve, path))
+    out.write("curve.csv", _lines_writer(_curve_lines(curve)))
 
 
 def _sign_label(cfg_value: str, field: str) -> str:
@@ -280,7 +323,7 @@ def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
     panel = _panel(config_to_spec(cfg))
     result = two_step_estimator(
         panel, _sign_label(cfg["estimate.sign"], "estimate.sign"))
-    out.write("estimate.csv", lambda path: write_estimate_csv(result, path))
+    out.write("estimate.csv", _lines_writer(_estimate_lines(result)))
 
 
 def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
@@ -305,8 +348,7 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
             ("diagnose_inequality.csv",
              moment_inequality(panel, point, sign)),
             ("diagnose_ar_order.csv", ar_order_test(panel))):
-        out.write(name, lambda path, rep=report:
-                  write_diagnostic_csv(rep, path))
+        out.write(name, _lines_writer(_report_lines(report)))
 
 
 def _cmd_figure(cfg: dict, out: _Outputs) -> None:
@@ -349,23 +391,15 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
     # raw per-sub-model curve files
     for label, curve, _ in curves:
         out.write(f"figure{which}_{label}.csv",
-                  lambda path, c=curve: write_curve_csv(c, path))
+                  _lines_writer(_curve_lines(curve)))
 
     # plot file with objectives rescaled to agree at the lowest grid point
-    ref = curves[0][1]
-    ref_at_zero = ref.msq[0]
-    header = ["axis_value"] + [label for label, _, _ in curves]
-    rows = [",".join(header)]
-    factors = []
-    for _, curve, _ in curves:
-        base_val = curve.msq[0]
-        factors.append(ref_at_zero / base_val
-                       if np.isfinite(base_val) and base_val != 0.0 else 1.0)
-    for i, g in enumerate(ref.grid):
-        cells = [_fmt(g)]
-        for (_, curve, _), factor in zip(curves, factors):
-            cells.append(_fmt(curve.msq[i] * factor))
-        rows.append(",".join(cells))
+    msqs = [curve.msq for _, curve, _ in curves]
+    scaled = [msq * (msqs[0][0] / msq[0] if np.isfinite(msq[0])
+                     and msq[0] != 0.0 else 1.0) for msq in msqs]
+    rows = [",".join(["axis_value"] + [label for label, _, _ in curves])]
+    rows += [",".join(map(_fmt, (g, *column)))
+             for g, *column in zip(curves[0][1].grid, *scaled)]
     out.write(f"figure{which}_plot.csv", _lines_writer(rows))
 
     # zeros/minima summary, including rejected sub-models

@@ -7,7 +7,8 @@ spurious parameter point the level residual y - alpha - beta*x flips the
 sign of its correlation with the input, which is what the first two checks
 exploit; the third tests the observable footprint of unequal persistence
 (the input gains a second autoregressive lag); the last guards a whole scan
-against the flat no-information case.
+against the flat no-information case.  Nothing here writes a file:
+:mod:`dynpan.cli` renders the reports.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _fmt, two_sls
+from .estimate import two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint, _theta_sign
 from .moments import _cross_moments
@@ -34,12 +35,6 @@ class DiagnosticReport:
     standard_error: float
     verdict: str
     rule_applied: str
-
-    def csv_rows(self):
-        return (("statistic", _fmt(self.statistic)),
-                ("standard_error", _fmt(self.standard_error)),
-                ("verdict", self.verdict),
-                ("rule_applied", self.rule_applied))
 
 
 def _level_forms(panel, p: ParamPoint):
@@ -114,15 +109,21 @@ def ar_order_test(panel) -> DiagnosticReport:
     whose projection needs two lags; with equal persistence it is exactly
     AR(1).  |t| > AR_TEST_REJECT supports unequal persistence, |t| <
     AR_TEST_FLAT warns that the persistences look equal, in between is
-    inconclusive.
+    inconclusive.  A fit with no residual degrees of freedom, or no
+    positive standard error, is inconclusive.
     """
     names = ("const", "x_lag1", "x_lag2")
     fit = two_sls(panel, "x_lag0", names, names)
     coef2, se2 = float(fit.coefficients[2]), float(fit.std_errors[2])
-    t = abs(coef2) / se2 if se2 > 0 else float("inf")
     rule = (f"x on (1, x_lag1, x_lag2): second-lag |t| > "
             f"{AR_TEST_REJECT:.0f} supports unequal persistence; |t| < "
             f"{AR_TEST_FLAT:.0f} warns of equal persistence")
+    if fit.n_obs <= len(names) or not se2 > 0.0:
+        why = ("no residual degrees of freedom" if fit.n_obs <= len(names)
+               else "zero standard error")
+        return DiagnosticReport(coef2, float("nan"), "inconclusive",
+                                f"{rule} (degenerate: {why})")
+    t = abs(coef2) / se2
     if t > AR_TEST_REJECT:
         verdict = "consistent_with_truth"
     elif t < AR_TEST_FLAT:
@@ -152,12 +153,3 @@ def flatness_guard(curve: ObjectiveCurve) -> DiagnosticReport:
     else:
         verdict = "consistent_with_truth"
     return DiagnosticReport(stat, 1.0, verdict, rule)
-
-
-def write_diagnostic_csv(report: DiagnosticReport, path) -> None:
-    """name,value rows including the rule text."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,value\n")
-        for name, value in report.csv_rows():
-            fh.write(f"{name},\"{value}\"\n" if "," in str(value)
-                     else f"{name},{value}\n")

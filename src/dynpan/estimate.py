@@ -166,8 +166,10 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     coef = inverse @ mom.cross(Z, y)
     r = y - X @ coef
     cov = mom.cross(r, r) * inverse @ mom.cross(Z, Z) @ inverse.T
-    return IvFit(coefficients=coef, std_errors=np.sqrt(cov.diagonal() / mom.n),
-                 n_obs=mom.n, names=regressors)
+    # rounding can leave a zero variance just below 0
+    ses = np.sqrt(np.maximum(cov.diagonal(), 0.0) / mom.n)
+    return IvFit(coefficients=coef, std_errors=ses, n_obs=mom.n,
+                 names=regressors)
 
 
 def fit_reduced_form(panel):
@@ -404,10 +406,3 @@ def gmm_objective(panel, family: str, params,
     return MomentReport(names=instruments, moments=m, objective=objective,
                         weighting=weighting, n_obs=mom.n,
                         std_errors=mom.ses(Z, r, m))
-
-
-def _fmt(value) -> str:
-    """The float format of every CSV the package writes: the shortest
-    decimal that round-trips the double."""
-    return repr(float(value))
-

@@ -6,6 +6,7 @@ moment m and its square.  Zeros of m are the candidate solutions; a second
 zero away from the truth is the pseudo-solution signature.  The two-step
 estimator instead fits the reduced form once, inverts it into its two
 branches, and lets a declared sign of the endogeneity direction pick one.
+Nothing here writes a file: :mod:`dynpan.cli` renders curves and estimates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import DynpanError, InternalConsistencyError, ValidationError
 from .estimate import (
     PREDETERMINED_INSTRUMENTS,
     _checked_family,
-    _fmt,
     beta_scan_evaluator,
     concentrate_rho,
     fit_reduced_form,
@@ -118,13 +118,17 @@ def scan_curve(panel, axis: str, grid,
     ``axis='beta'`` concentrates (alpha, rho) at each candidate slope and
     uses the single instrument x_{t-1}; ``axis='rho'`` concentrates the
     linear block at each candidate persistence and reports the x_{t-2}
-    moment; m is the first of the point's ``Concentrated`` moments.  The
-    scan solves each point's IV only: the curve's ``ses`` (and the panel's
-    pair pass behind them) are computed when first read.  The grid must lie
-    within ``DEFAULT_BOUNDS`` of its axis, which must concentrate
-    ``family`` (``estimate``'s family table), on a panel that holds the
-    family's inputs; all are checked before any point is evaluated.  Fits
-    that fail at individual points are recorded as NaN, not raised.
+    moment; m is the first of the point's ``Concentrated`` moments.  On the
+    beta axis m has three exact zeros: beta, the pseudo slope beta +
+    1/theta, and beta + rho_omega/(theta (rho_omega - rho_x)), which is 4.1
+    at the default calibration (outside ``DEFAULT_BOUNDS``) and 2.35 at
+    rho_x = 0.3.  The scan solves each point's IV only: the curve's ``ses``
+    (and the panel's pair pass behind them) are computed when first read.
+    The grid must lie within ``DEFAULT_BOUNDS`` of its axis, which must
+    concentrate ``family`` (``estimate``'s family table), on a panel that
+    holds the family's inputs; all are checked before any point is
+    evaluated.  Fits that fail at individual points are recorded as NaN,
+    not raised.
     """
     if axis not in DEFAULT_BOUNDS:
         raise ValidationError(f"axis must be {' or '.join(DEFAULT_BOUNDS)}",
@@ -154,7 +158,10 @@ def find_zeros(curve: ObjectiveCurve) -> list[RootInfo]:
     bracket is narrower than 1e-6 of the grid span, or 60 halvings.  A
     bracket whose bisection hits a failed fit (a pole) ends there,
     unconverged with m_value NaN.  Returns the roots and attaches them to
-    the curve.  A curve without sign changes yields an empty list.
+    the curve.  A curve without sign changes yields an empty list.  A
+    converged root is a zero of m, not a solution: the third beta zero (see
+    :func:`scan_curve`) converges like the other two, and only the two-step
+    sign restriction separates the true pair from it.
     """
     curve.zeros = _refine_zeros(curve)
     return curve.zeros
@@ -383,35 +390,3 @@ def warm_start_pipeline(panel, strategy: str,
     raise ValidationError(
         "strategy must be predetermined_start or reduced_form_start",
         field="strategy")
-
-
-def write_curve_csv(curve: ObjectiveCurve, path) -> None:
-    """axis_value,m,objective rows, the objective being m^2, plus a
-    trailing comment block with the located zeros and minima."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("axis_value,m,objective\n")
-        for g, m, q in zip(curve.grid, curve.m, curve.msq):
-            fh.write(f"{_fmt(g)},{_fmt(m)},{_fmt(q)}\n")
-        fh.write(f"# axis,{curve.axis}\n")
-        for root in curve.zeros:
-            fh.write(f"# zero,{_fmt(root.location)},m={_fmt(root.m_value)},"
-                     f"converged={root.converged}\n")
-        for mn in curve.minima:
-            fh.write(f"# minimum,{_fmt(mn.location)},"
-                     f"objective={_fmt(mn.value)}\n")
-
-
-def write_estimate_csv(result: EstimateResult, path) -> None:
-    """Both branches with labels; a degenerate result records its diagnosis."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("branch,selected,beta,theta,rho_omega,rho_x,alpha,pi\n")
-        if not result.degenerate:
-            for br, selected in ((result.chosen, 1), (result.rejected, 0)):
-                p = br.params
-                fh.write(f"{br.branch_sign},{selected},{_fmt(p.beta)},"
-                         f"{_fmt(p.theta)},{_fmt(p.rho_omega)},"
-                         f"{_fmt(p.rho_x)},{_fmt(p.alpha)},{_fmt(p.pi)}\n")
-        fh.write(f"# selection_rule,{result.selection_rule}\n")
-        fh.write(f"# provenance,{result.provenance}\n")
-        if result.degenerate:
-            fh.write(f"# degenerate,{result.diagnosis}\n")

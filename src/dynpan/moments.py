@@ -54,7 +54,7 @@ def _parse_name(name: str, field: str = "instruments"):
     series, sep, lag = name.partition("_lag")
     if not sep or series not in _SERIES or not lag.isdigit():
         raise ValidationError(
-            f"bad instrument name {name!r}; use 'const' or "
+            f"bad column name {name!r}; use 'const' or "
             "'<y|x|z>_lag<k>'", field=field)
     return (series, int(lag))
 

@@ -8,7 +8,8 @@ full-length GEMM two-stage least squares on ``column_stack`` designs, the
 per-period GMM moments with ``moment_stats``, ``np.corrcoef`` and a
 two-pass standard deviation.  ``assert_rel`` is the comparison every test
 of the engine against them uses.  ``population_gram`` is the seed-free
-oracle: the exact period Gram of a benchmark panel, from the model alone.
+oracle: the exact period Gram of a benchmark or predetermined panel, from
+the model alone.
 """
 
 import numpy as np
@@ -227,7 +228,7 @@ def two_pass_inequality(panel, p):
 # --- the population period Gram of the benchmark variant -------------------
 
 def population_gram(spec):
-    """The exact period Gram of a benchmark-variant panel, in the form
+    """The exact period Gram of a benchmark or predetermined panel, in the form
     ``moments._period_gram`` caches it: (series means, E[c c'] over the
     (series, period) columns c with y first, E[c]).
 
@@ -240,17 +241,36 @@ def population_gram(spec):
         Cov(y_s, y_t) = (1 + beta theta)^2 gamma_w + beta^2 gamma_k
                         + sigma_eta^2 1{s = t}
 
-    at lag |s - t|.  The states start stationary, so every period's mean
-    is the series mean (alpha + beta pi, pi) and the shift E[c] is 0.
+    at lag |s - t|.  In the predetermined variant the input is chosen one
+    period ahead, x_t = pi + c omega_{t-1} + kappa_{t-1} with c = theta
+    rho_omega, so with W(s, t) = Cov(x_s, omega_t) = c gamma_w(s - 1 - t)
+
+        Cov(x_s, x_t) = c^2 gamma_w + gamma_k                 at lag |s - t|
+        Cov(y_s, x_t) = beta Cov(x_s, x_t) + W(t, s)
+        Cov(y_s, y_t) = beta^2 Cov(x_s, x_t) + beta (W(s, t) + W(t, s))
+                        + gamma_w + sigma_eta^2 1{s = t}
+
+    The states start stationary, so every period's mean is the series mean
+    (alpha + beta pi, pi) and the shift E[c] is 0.
     """
-    assert spec.variant == "benchmark", spec.variant
+    assert spec.variant in ("benchmark", "predetermined"), spec.variant
     s, t = spec.structural, spec.n_periods
-    lag = np.abs(np.subtract.outer(np.arange(t), np.arange(t)))
+    diff = np.subtract.outer(np.arange(t), np.arange(t))
+    lag = np.abs(diff)
     g_w = s.sigma_xi ** 2 * s.rho_omega ** lag / (1.0 - s.rho_omega ** 2)
     g_k = s.sigma_u ** 2 * s.rho_x ** lag / (1.0 - s.rho_x ** 2)
-    a = 1.0 + s.beta * s.theta  # the loading of y on omega
-    xx = s.theta ** 2 * g_w + g_k
-    yx = a * s.theta * g_w + s.beta * g_k
-    yy = a * a * g_w + s.beta ** 2 * g_k + s.sigma_eta ** 2 * np.eye(t)
+    if spec.variant == "benchmark":
+        a = 1.0 + s.beta * s.theta  # the loading of y on omega
+        xx = s.theta ** 2 * g_w + g_k
+        yx = a * s.theta * g_w + s.beta * g_k
+        yy = a * a * g_w + s.beta ** 2 * g_k + s.sigma_eta ** 2 * np.eye(t)
+    else:
+        c = s.theta * s.rho_omega
+        w = (c * s.sigma_xi ** 2 * s.rho_omega ** np.abs(diff - 1)
+             / (1.0 - s.rho_omega ** 2))
+        xx = c * c * g_w + g_k
+        yx = s.beta * xx + w.T
+        yy = (s.beta ** 2 * xx + s.beta * (w + w.T) + g_w
+              + s.sigma_eta ** 2 * np.eye(t))
     means = np.array([s.alpha + s.beta * s.pi, s.pi])
     return means, np.block([[yy, yx], [yx.T, xx]]), np.zeros(2 * t)

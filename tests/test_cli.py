@@ -5,8 +5,11 @@ full default size is the acceptance suite's job.
 """
 
 import gc
+import hashlib
 import json
+import pathlib
 import sys
+import tempfile
 import threading
 import warnings
 
@@ -560,3 +563,66 @@ class TestParser:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+# --- pinned bytes: every artifact of every command ------------------------
+
+#: name -> (argv, config text): one run of each artifact format.  Every
+#: case but ``simulate`` draws 2,000 firms.
+ARTIFACT_CASES = {
+    "simulate-benchmark": (["simulate", "--n-firms", "500"], ""),
+    "simulate-multi_input": (["simulate", "--n-firms", "500",
+                              "--variant", "multi_input"], ""),
+    "simulate-arma_x": (["simulate", "--n-firms", "500",
+                         "--variant", "arma_x"], ""),
+    "scan-beta": (["scan", "--grid", "0:2:0.05"], ""),
+    "scan-rho-quasi_diff": (["scan", "--grid", "0:0.95:0.05"],
+                            "scan.axis = rho\n"),
+    "scan-rho-multi_input": (["scan", "--grid", "0:0.95:0.05",
+                              "--variant", "multi_input"],
+                             "scan.axis = rho\nscan.family = multi_input\n"),
+    "estimate-positive": (["estimate", "--sign-theta", "positive"], ""),
+    "estimate-negative": (["estimate", "--sign-theta", "negative"], ""),
+    "estimate-equal-persistence": (["estimate"], "dgp.rho_omega = 0.5\n"),
+    "diagnose-truth": (["diagnose"], ""),
+    "diagnose-pseudo": (["diagnose"], "diagnose.point = pseudo\n"),
+    "diagnose-custom": (["diagnose"], "diagnose.point = custom\n"
+                        "diagnose.alpha = 0.5\ndiagnose.beta = 1.2\n"
+                        "diagnose.rho = 0.4\n"),
+    "figure-3": (["figure", "--which", "3", "--grid", "0:2:0.1"], ""),
+    "figure-5": (["figure", "--which", "5", "--grid", "0:2.2:0.1"], ""),
+}
+#: Recorded with :func:`artifact_digests`: ``PYTHONPATH=src python
+#: tests/test_cli.py`` prints the file.
+ARTIFACT_PINS = json.loads((pathlib.Path(__file__).parent
+                            / "artifact_sha256.json").read_text())
+
+
+def artifact_digests(case, out_dir):
+    """sha256 of every file case ``case`` writes, ``run.manifest``
+    included, keyed by file name."""
+    argv, config = ARTIFACT_CASES[case]
+    out_dir = pathlib.Path(out_dir)
+    cfg = out_dir.parent / f"{out_dir.name}.cfg"
+    cfg.write_text(config)
+    n_firms = [] if "--n-firms" in argv else ["--n-firms", "2000"]
+    assert main(argv + n_firms + ["--seed", "3", "--config", str(cfg),
+                                  "--out-dir", str(out_dir)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CASES)
+def test_artifacts_match_their_recorded_hashes(case, tmp_path):
+    """Every file of ``case``, manifest included, keeps its recorded bytes.
+    Panels, scans and fits rest on BLAS products, so, like
+    ``tests/moment_sha256.json``, the pins hold for the OpenBLAS kernels
+    they were recorded with, on one BLAS thread or two."""
+    assert artifact_digests(case, tmp_path / "out") == ARTIFACT_PINS[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({case: artifact_digests(case, f"{tmp}/{case}")
+                          for case in ARTIFACT_CASES}, indent=1,
+                         sort_keys=True))

@@ -1,9 +1,12 @@
 """Tests for the pseudo-solution and flatness diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import DEFAULTS, make_spec
+from dynpan import cli
 from dynpan.errors import RankDeficiencyError, ValidationError
 from dynpan.model import ParamPoint, pseudo_point
 from dynpan.simulate import draw_panel
@@ -13,7 +16,6 @@ from dynpan.diagnostics import (
     flatness_guard,
     moment_inequality,
     residual_sign_test,
-    write_diagnostic_csv,
 )
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
@@ -89,6 +91,18 @@ class TestArOrderTest:
         with pytest.raises(RankDeficiencyError):
             ar_order_test(panel)
 
+    def test_fit_without_residual_degrees_of_freedom_is_inconclusive(self):
+        # one firm at five periods: three observations, three coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [ar_order_test(draw_panel(make_spec(n_firms=1,
+                                                          seed=seed)))
+                       for seed in range(20)]
+        assert {rep.verdict for rep in reports} == {"inconclusive"}
+        assert all(rep.rule_applied.endswith(
+            "(degenerate: no residual degrees of freedom)")
+            for rep in reports)
+
 
 class TestFlatnessGuard:
     def test_equal_persistence_curve_triggers(self, equal_rho_200k):
@@ -130,7 +144,7 @@ class TestPurityAndExport:
     def test_csv_render(self, bench200k, tmp_path):
         rep = ar_order_test(bench200k)
         out = tmp_path / "diag.csv"
-        write_diagnostic_csv(rep, out)
+        cli._lines_writer(cli._report_lines(rep))(out)
         text = out.read_text()
         assert text.startswith("name,value\n")
         assert "verdict," in text

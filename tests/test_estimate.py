@@ -433,9 +433,9 @@ class TestInstrumentSpec:
 
     def test_bad_names_rejected(self, bench200k):
         for bad in (("w_lag1",), ("x_lagX",)):
-            with pytest.raises(ValidationError, match="bad instrument name"):
+            with pytest.raises(ValidationError, match="bad column name"):
                 gmm_objective(bench200k, "quasi_diff", TRUTH, bad)
-            with pytest.raises(ValidationError, match="bad instrument name"):
+            with pytest.raises(ValidationError, match="bad column name"):
                 two_sls(bench200k, "y_lag0", ("x_lag0",), bad)
 
 

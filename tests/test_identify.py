@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
-from dynpan import identify
+from dynpan import cli, identify
 from dynpan.diagnostics import flatness_guard
 from dynpan.errors import (
     InternalConsistencyError,
@@ -37,8 +37,6 @@ from dynpan.identify import (
     select_by_sign,
     two_step_estimator,
     warm_start_pipeline,
-    write_curve_csv,
-    write_estimate_csv,
 )
 
 BETA_GRID = np.round(np.arange(0.0, 2.0001, 0.01), 10)
@@ -495,7 +493,7 @@ class TestCsvOutputs:
         find_zeros(curve)
         find_local_minima(curve)
         out = tmp_path / "curve.csv"
-        write_curve_csv(curve, out)
+        cli._lines_writer(cli._curve_lines(curve))(out)
         lines = out.read_text().splitlines()
         assert lines[0] == "axis_value,m,objective"
         assert sum(1 for ln in lines if not ln.startswith("#")) == 1 + 9
@@ -504,7 +502,7 @@ class TestCsvOutputs:
     def test_estimate_csv_has_both_branches(self, bench200k, tmp_path):
         result = two_step_estimator(bench200k)
         out = tmp_path / "est.csv"
-        write_estimate_csv(result, out)
+        cli._lines_writer(cli._estimate_lines(result))(out)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("branch,selected")
         body = [ln for ln in lines if not ln.startswith("#")]
@@ -515,6 +513,6 @@ class TestCsvOutputs:
     def test_degenerate_estimate_csv(self, equal_rho_200k, tmp_path):
         result = two_step_estimator(equal_rho_200k)
         out = tmp_path / "deg.csv"
-        write_estimate_csv(result, out)
+        cli._lines_writer(cli._estimate_lines(result))(out)
         text = out.read_text()
         assert "# degenerate," in text

@@ -26,9 +26,13 @@ import pytest
 
 from conftest import make_spec
 from dynpan import moments
-from dynpan.estimate import fit_reduced_form
+from dynpan.estimate import (
+    PREDETERMINED_INSTRUMENTS,
+    fit_reduced_form,
+    gmm_objective,
+)
 from dynpan.identify import find_zeros, scan_curve
-from dynpan.model import forward_map
+from dynpan.model import ParamPoint, forward_map, pseudo_point
 from dynpan.simulate import draw_panel
 from oracles import population_gram
 
@@ -192,8 +196,8 @@ CALIBRATIONS = [{}, dict(rho_x=0.3), dict(rho_x=0.3, theta=0.8)]
 CALIBRATION_IDS = ["default", "rho_x_0.3", "rho_x_0.3_theta_0.8"]
 
 
-def population_panel(overrides):
-    spec = make_spec(n_firms=50, **overrides)
+def population_panel(overrides, variant="benchmark"):
+    spec = make_spec(variant, n_firms=50, **overrides)
     panel = draw_panel(spec)
     gram = population_gram(spec)
     moments.cached(panel, "gram", lambda: gram)
@@ -217,16 +221,38 @@ class TestPopulationGram:
             self, overrides):
         panel = population_panel(overrides)
         s = panel.spec.structural
-        # the grid avoids both zeros; a third, smooth one at beta +
-        # rho_omega / (theta (rho_omega - rho_x)) lies inside it at
-        # rho_x = 0.3 (2.35, and 2.7875 with theta = 0.8), at 4.1 outside
-        # it at the default calibration
-        got = converged_zeros(panel, "beta",
-                              np.round(np.arange(-0.995, 2.996, 0.01), 10))
-        for want in (s.beta, s.beta + 1.0 / s.theta):
-            assert min(abs(g - want) for g in got) < 1e-5, (got, want)
-        if not overrides:
-            assert len(got) == 2, got
+        # the grid avoids every zero: the truth, the pseudo slope and a
+        # third, smooth one at beta + rho_omega / (theta (rho_omega - rho_x)),
+        # which lies inside it at rho_x = 0.3 (2.35, and 2.7875 with
+        # theta = 0.8) and at 4.1 outside it at the default calibration
+        grid = np.round(np.arange(-0.995, 2.996, 0.01), 10)
+        closed_form = (s.beta, s.beta + 1.0 / s.theta,
+                       s.beta + s.rho_omega
+                       / (s.theta * (s.rho_omega - s.rho_x)))
+        want = sorted(z for z in closed_form if grid[0] < z < grid[-1])
+        assert len(want) == (2 if not overrides else 3)
+        got = converged_zeros(panel, "beta", grid)
+        assert got == pytest.approx(want, abs=1e-5), got
+
+    def test_predetermined_timing_rejects_the_pseudo_solution(
+            self, overrides):
+        # criterion 06: with the input chosen one period ahead, x_lag0 is a
+        # valid instrument; every moment is zero at the truth, and at the
+        # pseudo-solution the x_lag0 moment alone is -(theta rho_omega rho_x
+        # sigma_xi^2 + sigma_u^2 / theta): -1.35, -1.21 and -1.418 here
+        panel = population_panel(overrides, "predetermined")
+        s = panel.spec.structural
+        truth = gmm_objective(panel, "quasi_diff",
+                              ParamPoint(s.alpha, s.beta, s.rho_omega),
+                              PREDETERMINED_INSTRUMENTS)
+        assert np.abs(truth.moments).max() < 1e-14, truth.moments
+        pseudo = gmm_objective(panel, "quasi_diff", pseudo_point(s),
+                               PREDETERMINED_INSTRUMENTS)
+        got = dict(zip(pseudo.names, pseudo.moments))
+        want = -(s.theta * s.rho_omega * s.rho_x * s.sigma_xi ** 2
+                 + s.sigma_u ** 2 / s.theta)
+        assert got.pop("x_lag0") == pytest.approx(want, abs=1e-12)
+        assert max(map(abs, got.values())) < 1e-14, got
 
     def test_rho_scan_zeros_are_the_two_persistences(self, overrides):
         panel = population_panel(overrides)

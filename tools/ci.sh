@@ -38,13 +38,14 @@ unclosed_files() {
         tests/test_cli.py tests/test_simulate.py
 }
 
-# tier1 runs with the runner's default BLAS thread count; the pinned moment
-# and panel bits must also hold with BLAS on one thread.
+# tier1 runs with the runner's default BLAS thread count; the pinned moment,
+# panel and artifact bits must also hold with BLAS on one thread.
 moment_bits_one_blas_thread() {
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
         python -m pytest -q \
         tests/test_estimate.py::test_moments_match_their_recorded_hashes \
-        tests/test_simulate.py::TestPinnedBits
+        tests/test_simulate.py::TestPinnedBits \
+        tests/test_cli.py::test_artifacts_match_their_recorded_hashes
 }
 
 # Each reproduce step runs a command into ci/<first>, reruns it from its
