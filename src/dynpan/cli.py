@@ -320,15 +320,13 @@ def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
     if cfg["estimate.method"] != "two_step":
         raise ValidationError("only estimate.method = two_step is available",
                               field="estimate.method")
-    panel = _panel(config_to_spec(cfg))
-    result = two_step_estimator(
-        panel, _sign_label(cfg["estimate.sign"], "estimate.sign"))
+    sign = _sign_label(cfg["estimate.sign"], "estimate.sign")
+    result = two_step_estimator(_panel(config_to_spec(cfg)), sign)
     out.write("estimate.csv", _lines_writer(_estimate_lines(result)))
 
 
 def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
     spec = config_to_spec(cfg)
-    panel = _panel(spec)
     which = cfg["diagnose.point"]
     if which == "truth":
         point = ParamPoint(spec.structural.alpha, spec.structural.beta,
@@ -343,6 +341,7 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
             "diagnose.point must be truth, pseudo, or custom",
             field="diagnose.point")
     sign = _sign_label(cfg["diagnose.sign"], "diagnose.sign")
+    panel = _panel(spec)  # drawn once the point and the sign are known
     for name, report in (
             ("diagnose_sign.csv", residual_sign_test(panel, point, sign)),
             ("diagnose_inequality.csv",

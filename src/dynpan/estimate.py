@@ -161,7 +161,8 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
             f"need a just-identified system: {len(instruments)} instruments "
             f"for {len(regressors)} regressors", field="instruments")
     mom = _moments_from(panel, 0, (dep,) + regressors + instruments)
-    y, X, Z = mom.column(dep), mom.forms(regressors), mom.forms(instruments)
+    y, X = mom.column(dep, "dep"), mom.forms(regressors, "regressors")
+    Z = mom.forms(instruments)
     inverse = _checked_inverse(mom.cross(Z, X))
     coef = inverse @ mom.cross(Z, y)
     r = y - X @ coef
@@ -283,12 +284,14 @@ def beta_scan_evaluator(panel):
     return evaluate
 
 
-def _family_plan(panel, family: str, solve: tuple, report: tuple) -> _Plan:
+def _family_plan(panel, family: str, solve: tuple, report: tuple,
+                 report_field: str) -> _Plan:
     """The panel's cached rho plan of a family with the instruments
-    ``solve`` (one per regressor, or none) and ``report``: (y, *regressors)
-    at lag 0 minus rho times lag 1 (the constant is its own lag), for the
-    double difference (lag 0 - lag 1) minus rho times (lag 1 - lag 2), then
-    the instruments.  A set that fails validation is not cached."""
+    ``solve`` (one per regressor, or none) and ``report`` (the argument
+    ``report_field``): (y, *regressors) at lag 0 minus rho times lag 1 (the
+    constant is its own lag), for the double difference (lag 0 - lag 1)
+    minus rho times (lag 1 - lag 2), then the instruments.  A set that
+    fails validation is not cached."""
     fam = _checked_family(family, panel=panel)
 
     def build():
@@ -301,7 +304,8 @@ def _family_plan(panel, family: str, solve: tuple, report: tuple) -> _Plan:
         base, slope = lagged(0), lagged(1)
         if fam.first == 2:
             base, slope = base - slope, slope - lagged(2)
-        Z = mom.forms(solve + report)
+        Z = np.hstack([mom.forms(solve, "solve_instruments"),
+                       mom.forms(report, report_field)])
         return _Plan(mom, np.hstack([base, Z]),
                      np.hstack([slope, np.zeros_like(Z)]), fam.params[:-1],
                      report)
@@ -334,7 +338,8 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     if len(solve) != n:
         raise ValidationError(f"need {n} solving instruments, got "
                               f"{len(solve)}", field="solve_instruments")
-    return _family_plan(panel, family, solve, report).at(rho_tilde)
+    return _family_plan(panel, family, solve, report,
+                        "report_instruments").at(rho_tilde)
 
 
 @dataclass
@@ -387,7 +392,10 @@ def gmm_objective(panel, family: str, params,
     *coef, rho = map(float, values)
     instruments = (fam.instruments if instruments is None
                    else _name_tuple(instruments, "instruments"))
-    plan = _family_plan(panel, family, (), instruments)
+    if not instruments:
+        raise ValidationError("need at least one instrument",
+                              field="instruments")
+    plan = _family_plan(panel, family, (), instruments, "instruments")
     mom, n = plan.mom, len(coef)
     W = plan.base - rho * plan.slope
     r = W[:, 0] - W[:, 1:n + 1] @ np.array(coef)

@@ -286,32 +286,43 @@ def select_by_sign(branches, sign: str) -> SolutionBranch:
 def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
     """Reduced-form IV fit, closed-form inversion, sign-restricted choice.
 
-    When the estimated discriminant is non-positive, or the y-feedback
-    coefficient pi_xy is within ``PI_XY_GUARD_SE`` standard errors of zero,
-    the equal-persistence diagnosis is reported instead of an estimate.
-    An unknown ``sign`` raises before the fit, degenerate or not.
+    When the x-equation fit has no residual degrees of freedom or no
+    positive standard error on pi_xy, the exact-fit diagnosis is reported
+    instead of an estimate.  When the estimated discriminant is
+    non-positive, or the y-feedback coefficient pi_xy is within
+    ``PI_XY_GUARD_SE`` standard errors of zero, the equal-persistence
+    diagnosis is.  An unknown ``sign`` raises before the fit, degenerate
+    or not.
     """
     _theta_sign(sign, "sign")
     rf, _, fit_x = fit_reduced_form(panel)
     se_pi_xy = float(fit_x.std_errors[1])
     disc = rf.discriminant()
-    if disc <= 0.0 or abs(rf.pi_xy) < PI_XY_GUARD_SE * se_pi_xy:
+    k = len(fit_x.names)
+    if fit_x.n_obs <= k or not se_pi_xy > 0.0:
+        reason = (f"{fit_x.n_obs} pooled rows for {k} coefficients"
+                  if fit_x.n_obs <= k
+                  else "pi_xy has no positive standard error")
+        diagnosis = (f"degenerate reduced form: {reason}; the fit is exact, "
+                     "so the pi_xy guard cannot separate feedback from noise")
+    elif disc <= 0.0 or abs(rf.pi_xy) < PI_XY_GUARD_SE * se_pi_xy:
         reason = ("estimated discriminant is non-positive"
                   if disc <= 0.0 else
                   f"pi_xy = {rf.pi_xy:.4g} is within {PI_XY_GUARD_SE:.0f} "
                   f"standard errors ({se_pi_xy:.4g}) of zero")
-        return EstimateResult(
-            chosen=None, rejected=None, selection_rule="none",
-            reduced_form=rf, provenance="two_step", degenerate=True,
-            diagnosis=f"degenerate reduced form: {reason}; the two "
-                      "persistence parameters appear equal, under which the "
-                      "moment carries no slope information")
-    plus, minus = invert_reduced_form(rf)
-    chosen = select_by_sign((plus, minus), sign)
-    rejected = minus if chosen is plus else plus
-    return EstimateResult(chosen=chosen, rejected=rejected,
-                          selection_rule=sign, reduced_form=rf,
-                          provenance="two_step")
+        diagnosis = (f"degenerate reduced form: {reason}; the two "
+                     "persistence parameters appear equal, under which the "
+                     "moment carries no slope information")
+    else:
+        plus, minus = invert_reduced_form(rf)
+        chosen = select_by_sign((plus, minus), sign)
+        rejected = minus if chosen is plus else plus
+        return EstimateResult(chosen=chosen, rejected=rejected,
+                              selection_rule=sign, reduced_form=rf,
+                              provenance="two_step")
+    return EstimateResult(chosen=None, rejected=None, selection_rule="none",
+                          reduced_form=rf, provenance="two_step",
+                          degenerate=True, diagnosis=diagnosis)
 
 
 @dataclass
@@ -333,7 +344,8 @@ def _predetermined_point(panel) -> ParamPoint:
     among candidate roots the one with the smallest joint
     over-identification score wins.  A bracket whose bisection hits a
     failed fit (a pole) yields no candidate.  Raises ValidationError when
-    the fit fails at every point of the rho grid.
+    the fit fails at every point of the rho grid or no candidate has a
+    finite score.
     """
     names = PREDETERMINED_INSTRUMENTS  # {1, x_t}, then the reported
 
@@ -353,9 +365,15 @@ def _predetermined_point(panel) -> ParamPoint:
     best, best_score = None, np.inf
     for rho in candidates:
         cr = concentrate(rho)
-        score = float(np.sum((cr.moments / cr.moment_ses) ** 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = float(np.sum((cr.moments / cr.moment_ses) ** 2))
         if score < best_score:
             best, best_score = cr, score
+    if best is None:
+        raise ValidationError(
+            "predetermined start unavailable: no candidate rho has a finite "
+            "over-identification score (the moments' standard errors are "
+            "zero or undefined), so none can be chosen", field="strategy")
     return ParamPoint(alpha=best.coefficients["alpha"],
                       beta=best.coefficients["beta"], rho=best.at)
 

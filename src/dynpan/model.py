@@ -150,6 +150,11 @@ def _one_branch(r: ReducedFormParams, theta: float, sign: str) -> SolutionBranch
     beta = 0.5 * ((r.pi_yy - r.pi_xx) / r.pi_xy - 1.0 / theta)
     rho_omega = 0.5 * (r.pi_yy + r.pi_xx + r.pi_xy / theta)
     rho_x = 0.5 * (r.pi_yy + r.pi_xx - r.pi_xy / theta)
+    for name, value in (("rho_omega", rho_omega), ("rho_x", rho_x)):
+        if not abs(value) < 1.0:
+            raise DegenerateReducedFormError(
+                f"{sign} branch is not stationary: its estimated {name} = "
+                f"{value:.6g} lies outside (-1, 1)")
     # Intercepts solve the exact 2x2 linear system implied by the forward map:
     #   (1 - rho_x)*pi - pi_xy*alpha        = pi_x0
     #   beta*(1 - rho_x)*pi + (1 - pi_yy)*alpha = pi_y0
@@ -186,7 +191,8 @@ def invert_reduced_form(
 
     Raises :class:`NoEndogeneityError` when pi_xy == 0 and
     :class:`DegenerateReducedFormError` when D <= 0 (both signal an
-    equal-persistence or inconsistent input).
+    equal-persistence or inconsistent input) or when a branch's persistence
+    lies outside (-1, 1), naming the branch and the parameter.
     """
     if r.pi_xy == 0.0:
         raise NoEndogeneityError(

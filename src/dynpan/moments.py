@@ -22,10 +22,11 @@ each block's Gram into ``fourth`` in block order, so its bits do not depend
 on the thread that runs it.  Scans, bisection steps and IV fits never run
 it: the first read of a standard error that needs the fourth moments does
 (a ``Concentrated``'s ``moment_ses``, a curve's ``ses``, the moment
-inequality, ``gmm_objective``).  :func:`cached` is the only reader and
-writer of a panel's moment cache.  Every standard error of a moment mean
-is :meth:`_CrossMoments.ses`: the product's sample standard deviation, ddof
-1, over sqrt(n).
+inequality, ``gmm_objective``).  :func:`cached` is the only code that
+creates, reads or writes a panel's moment cache; it makes the cache on the
+panel's first use.  Every standard error of a moment mean is
+:meth:`_CrossMoments.ses`: the product's sample standard deviation, ddof 1,
+over sqrt(n).
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ def _name_tuple(names, field: str) -> tuple:
 
 def cached(panel, key, build: Callable[[], object]):
     """The panel's statistic ``key``, made by ``build()`` on first use and
-    kept in its moment cache; a build that raises keeps nothing."""
-    cache = panel._moment_cache
+    kept in its moment cache, which the first call makes (a replaced panel
+    starts without one); a build that raises keeps nothing."""
+    cache = vars(panel).setdefault("_moment_cache", {})
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -109,18 +111,22 @@ class _CrossMoments:
     def fourth(self) -> np.ndarray:
         return self.pair_pass()
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str, field: str = "instruments") -> np.ndarray:
+        """The form of the raw column ``name``; a series the panel does not
+        hold raises, naming the argument ``field`` that asked for it."""
         if name not in self.index:
             raise ValidationError(
-                f"panel has no series {_parse_name(name)[0]!r}",
-                field="instruments")
+                f"panel has no series {_parse_name(name)[0]!r}", field=field)
         return self.basis[:, self.index[name]]
 
-    def forms(self, names) -> np.ndarray:
-        """The forms of the raw columns ``names``, one column each; None
-        gives the zero form."""
-        return np.column_stack([np.zeros(len(self.index)) if nm is None
-                                else self.column(nm) for nm in names])
+    def forms(self, names, field: str = "instruments") -> np.ndarray:
+        """The forms of the raw columns ``names`` (of the argument
+        ``field``), one column each; None gives the zero form."""
+        out = np.zeros((len(self.index), len(names)))
+        for j, name in enumerate(names):
+            if name is not None:
+                out[:, j] = self.column(name, field)
+        return out
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """E[(a'd)(b'd)]; columns of matrix arguments are separate forms."""

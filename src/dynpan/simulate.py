@@ -25,6 +25,11 @@ omega and on the persistent market factors kappa and wp:
     predetermined         x is chosen one period ahead:
                           x_t = pi + theta*rho_omega*omega_{t-1} + kappa_{t-1}
 
+``draw_panel`` writes each variant's x, z and y as the plain numpy
+expressions of this table, summed left to right.  numpy reuses their large
+temporaries in place, so a draw holds what an in-place sum would, except
+one more (n, t) array for the broadcast fixed_effects intercepts.
+
 Randomness is a Philox (counter-based) stream per (seed, shock label); each
 label is read once, row-major with rows as firms, so output is independent
 of any parallel schedule and the first k rows of a larger panel equal the
@@ -187,11 +192,6 @@ class PanelData:
             arr = getattr(self, f.name)
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        # statistics derived from the frozen arrays (the estimators' pooled
-        # cross-moments), keyed by their parameters; an attribute rather
-        # than a field, so ``dataclasses.fields`` lists only the data and
-        # ``dataclasses.replace`` starts with an empty cache
-        object.__setattr__(self, "_moment_cache", {})
 
 
 #: Firms handled at once by the blocked loops (the nonlinear-kappa draw and
@@ -276,20 +276,8 @@ def _ar1(shocks, init, rho, sigma) -> np.ndarray:
     states = np.empty_like(shocks)
     states[:, 0] = stationary_ar1_init(rho, sigma, init)
     for j in range(1, shocks.shape[1]):
-        np.multiply(states[:, j - 1], rho, out=states[:, j])
-        states[:, j] += shocks[:, j]
+        states[:, j] = rho * states[:, j - 1] + shocks[:, j]
     return states
-
-
-def _combine(const, *terms) -> np.ndarray:
-    """const + c_1 a_1 + c_2 a_2 + ... for ``terms`` (c_i, a_i), built in
-    place and summed left to right: the plain expression's bits exactly."""
-    (c, a), rest = terms[0], terms[1:]
-    out = np.multiply(a, c)
-    out += const
-    for c, a in rest:
-        out += a if c == 1.0 else c * a
-    return out
 
 
 def logistic_persistence(kappa: np.ndarray, theta2: float) -> np.ndarray:
@@ -380,8 +368,7 @@ def draw_panel(spec: DgpSpec) -> PanelData:
     v, eps = drawn("v"), drawn("eps")
 
     if variant == "predetermined":
-        x = _combine(s.pi, (s.theta * s.rho_omega, omega[:, :-1]),
-                     (1.0, kappa[:, :-1]))
+        x = s.pi + s.theta * s.rho_omega * omega[:, :-1] + kappa[:, :-1]
         # owned (n, t) copies; each (n, t + 1) array is released in turn
         omega = omega[:, 1:].copy()
         kappa = kappa[:, 1:].copy()
@@ -389,30 +376,31 @@ def draw_panel(spec: DgpSpec) -> PanelData:
         u = u[:, 1:].copy()
     elif variant == "multi_input":
         wp = _ar1(v, drawn("wp_init"), ext.rho_z, ext.sigma_v)
-        x = _combine(s.pi, (ext.theta_omega, omega), (ext.theta_kappa, kappa),
-                     (ext.theta_wp, wp))
-        z = _combine(ext.pi_z, (ext.delta_omega, omega),
-                     (ext.delta_kappa, kappa), (ext.delta_wp, wp))
+        x = (s.pi + ext.theta_omega * omega + ext.theta_kappa * kappa
+             + ext.theta_wp * wp)
+        z = (ext.pi_z + ext.delta_omega * omega + ext.delta_kappa * kappa
+             + ext.delta_wp * wp)
     elif variant == "dynamic_input":
         z = _ar1(v, drawn("z_init"), ext.rho_z, ext.sigma_v)
         z += ext.pi_z
-        x = _combine(s.pi, (s.theta, omega), (ext.theta_z, z), (1.0, kappa))
+        x = s.pi + s.theta * omega + ext.theta_z * z + kappa
     elif variant == "fixed_effects":
         fe_alpha = s.alpha + drawn("fe_alpha")
         fe_pi = s.pi + drawn("fe_pi")
         alpha = fe_alpha[:, None]
-        x = _combine(fe_pi[:, None], (s.theta, omega), (1.0, kappa))
+        x = fe_pi[:, None] + s.theta * omega + kappa
     elif variant == "nonlinear_omega_input":
-        x = _combine(s.pi, (s.theta, omega), (ext.theta2, omega ** 2),
-                     (1.0, kappa))
+        x = s.pi + s.theta * omega + ext.theta2 * omega ** 2 + kappa
     elif variant == "arma_x":
-        x = _combine(s.pi, (s.theta, omega), (1.0, kappa), (1.0, eps))
+        x = s.pi + s.theta * omega + kappa + eps
     else:
         # benchmark, logistic_kappa, ar2_kappa, reversed_curvature
-        x = _combine(s.pi, (s.theta, omega), (1.0, kappa))
-    gamma_z = () if z is None else ((ext.gamma, z),)
+        x = s.pi + s.theta * omega + kappa
     eta = drawn("eta")
-    y = _combine(alpha, (s.beta, x), *gamma_z, (1.0, omega), (1.0, eta))
+    if z is None:
+        y = alpha + s.beta * x + omega + eta
+    else:
+        y = alpha + s.beta * x + ext.gamma * z + omega + eta
     return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
                      xi=xi, u=u, eta=eta, wp=wp, eps=eps, v=v,
                      fe_alpha=fe_alpha, fe_pi=fe_pi)

@@ -182,6 +182,17 @@ class TestEstimateCommand:
         assert [w for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
 
+    def test_one_firm_panels_report_a_degenerate_fit(self, tmp_path):
+        # one firm pools 3 rows for the reduced form's 3 coefficients: the
+        # exact fit is reported as degenerate, never as a config error
+        for seed in range(50):
+            out = tmp_path / str(seed)
+            assert run_cli("estimate", "--n-firms", "1", "--seed", str(seed),
+                           "--out-dir", str(out)) == 0
+            lines = (out / "estimate.csv").read_text().splitlines()
+            assert lines[-1].startswith("# degenerate,degenerate reduced "
+                                        "form: 3 pooled rows for 3 ")
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("estimate.method = magic\n")
@@ -471,6 +482,20 @@ class TestPanelReuse:
             for name in names:
                 assert (tmp_path / f"True{k}" / name).read_bytes() == \
                     (tmp_path / f"False{k}" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command,line", [
+        ("diagnose", "diagnose.point = midway"),
+        ("diagnose", "diagnose.sign = sideways"),
+        ("estimate", "estimate.sign = sideways"),
+    ])
+    def test_bad_labels_fail_before_the_draw(self, draws, tmp_path, command,
+                                             line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(command, "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert draws == []
+        assert not (tmp_path / "out").exists()
 
     def test_a_signed_zero_is_a_different_spec(self, draws, tmp_path):
         # 0.0 == -0.0, but the eps column's zeros keep the sign of its scale

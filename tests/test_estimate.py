@@ -112,7 +112,11 @@ class TestTwoSls:
         with pytest.raises(ValidationError, match="no series 'z'") as err:
             two_sls(panel, "y_lag0", ("const", "z_lag1"),
                     ("const", "x_lag1"))
-        assert err.value.field == "instruments"
+        assert err.value.field == "regressors"
+        with pytest.raises(ValidationError, match="no series 'z'") as err:
+            two_sls(panel, "z_lag0", ("const", "x_lag1"),
+                    ("const", "x_lag1"))
+        assert err.value.field == "dep"
 
     @pytest.mark.parametrize("args, field", [
         ((1, ("const", "x_lag1"), ("const", "x_lag2")), "dep"),
@@ -290,6 +294,7 @@ class TestGmmObjective:
         (("quasi_diff", TRUTH), dict(instruments=("const", 2)),
          "instruments"),
         (("quasi_diff", TRUTH), dict(instruments=[None]), "instruments"),
+        (("quasi_diff", TRUTH), dict(instruments=()), "instruments"),
     ])
     def test_bad_calls_name_their_field(self, args, kwargs, field):
         panel = draw_panel(make_spec(n_firms=200, seed=1))
@@ -777,7 +782,7 @@ class TestRhoPlanCache:
             for kwargs in OVERRIDES + OVERRIDES[::-1]:
                 got = concentrate_rho(panel, rho, **kwargs)
                 fresh = dataclasses.replace(panel)
-                assert fresh._moment_cache == {}
+                assert "_moment_cache" not in vars(fresh)
                 assert_same_result(got, concentrate_rho(fresh, rho,
                                                         **kwargs))
 
@@ -797,7 +802,8 @@ class TestRhoPlanCache:
         (dict(solve_instruments=("const", "x_lag1", "x_lag2")),
          "solve_instruments"),
         (dict(report_instruments=("w_lag2",)), "report_instruments"),
-        (dict(report_instruments=("z_lag2",)), "instruments"),
+        (dict(report_instruments=("z_lag2",)), "report_instruments"),
+        (dict(solve_instruments=("const", "z_lag1")), "solve_instruments"),
         (dict(report_instruments=("x_lag5",)), "n_periods"),
         (dict(family="multi_input"), "panel"),
         (dict(family="double_diff"), "family"),

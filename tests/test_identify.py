@@ -415,6 +415,32 @@ class TestWarmStart:
             warm_start_pipeline(panel, "predetermined_start")
         assert err.value.field == "strategy"
 
+    @pytest.mark.parametrize("variant,n_periods,seeds", [
+        ("predetermined", 4, [0, 2, 8, 10, 13, 14, 19, 21, 22, 24, 29, 30,
+                              31, 32, 36, 38, 39]),
+        ("benchmark", 4, [4, 5, 6, 8, 10, 11, 17, 18, 20, 21, 26, 30, 33,
+                          34, 37]),
+        ("predetermined", 5, [4]),
+    ])
+    def test_no_finite_score_names_the_strategy(self, variant, n_periods,
+                                                seeds):
+        # one firm pools too few rows for five instruments: every moment
+        # standard error is zero, so no candidate root has a finite score
+        failed = []
+        for seed in range(40):
+            panel = draw_panel(make_spec(variant, n_firms=1,
+                                         n_periods=n_periods, seed=seed))
+            try:
+                ws = warm_start_pipeline(panel, "predetermined_start")
+            except ValidationError as err:
+                assert err.field == "strategy"
+                assert str(err).startswith("strategy: predetermined start "
+                                           "unavailable: no candidate rho")
+                failed.append(seed)
+            else:
+                assert np.isfinite(ws.point.rho)
+        assert failed == seeds
+
     def test_strategy_mismatch_is_flagged(self, bench200k):
         ws = warm_start_pipeline(bench200k, "predetermined_start")
         assert ws.flagged

@@ -146,6 +146,16 @@ class TestInvertReducedForm:
         with pytest.raises(NoEndogeneityError):
             invert_reduced_form(r)
 
+    def test_non_stationary_branch_names_itself(self):
+        # an estimated reduced form can imply a persistence outside (-1, 1);
+        # that is a property of the fit, not a bad configuration
+        r = ReducedFormParams(0.1, 1.05, -0.05, 0.0, 0.3, 0.6)
+        with pytest.raises(DegenerateReducedFormError,
+                           match=r"plus branch is not stationary: its "
+                                 r"estimated rho_omega = 1\.01\d* lies "
+                                 r"outside \(-1, 1\)"):
+            invert_reduced_form(r)
+
     def test_negative_discriminant_raises(self):
         r = ReducedFormParams(pi_y0=0.0, pi_yy=0.5, pi_yx=-1.0,
                               pi_x0=0.0, pi_xy=1.0, pi_xx=0.5)

@@ -16,7 +16,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        reproduce_simulate batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
-       nonfinite_config_rejected bench_tests
+       nonfinite_config_rejected one_firm_panels_exit_cleanly bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
@@ -145,6 +145,18 @@ assert record["message"].startswith(sys.argv[2] + ": "), record' \
             ci/nonfinite.err "${line%% =*}"
         test ! -e ci/n
     done
+}
+
+# A one-firm panel pools as many rows as the reduced form has coefficients:
+# estimate reports the exact fit as degenerate and diagnose still reports.
+one_firm_panels_exit_cleanly() {
+    rm -rf ci/one
+    local seed
+    for seed in 1 2; do
+        dynpan estimate --n-firms 1 --seed "$seed" --out-dir "ci/one/e$seed"
+        grep -q '^# degenerate,' "ci/one/e$seed/estimate.csv"
+    done
+    dynpan diagnose --n-firms 1 --seed 2 --out-dir ci/one/d2
 }
 
 bench_tests() {
