@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -485,8 +486,22 @@ def _overrides_from_args(args) -> dict:
     return out
 
 
+def _glued(argv) -> list:
+    """``argv`` with each flag's value that starts like a negative number,
+    such as the grid -0.5:2:0.05, joined to it as ``--flag=value``:
+    argparse takes such a token for a flag of its own."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLAGS and re.match(r"-\.?[0-9]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _main_parser().parse_args(argv)
+    args = _main_parser().parse_args(
+        _glued(sys.argv[1:] if argv is None else argv))
     try:
         file_values = {}
         if args.config:

@@ -109,8 +109,8 @@ def ar_order_test(panel) -> DiagnosticReport:
     whose projection needs two lags; with equal persistence it is exactly
     AR(1).  |t| > AR_TEST_REJECT supports unequal persistence, |t| <
     AR_TEST_FLAT warns that the persistences look equal, in between is
-    inconclusive.  A fit with no residual degrees of freedom, or no
-    positive standard error, is inconclusive.
+    inconclusive.  An exact fit, which ``two_sls`` judges and reports with
+    no positive standard error, is inconclusive.
     """
     names = ("const", "x_lag1", "x_lag2")
     fit = two_sls(panel, "x_lag0", names, names)
@@ -118,11 +118,9 @@ def ar_order_test(panel) -> DiagnosticReport:
     rule = (f"x on (1, x_lag1, x_lag2): second-lag |t| > "
             f"{AR_TEST_REJECT:.0f} supports unequal persistence; |t| < "
             f"{AR_TEST_FLAT:.0f} warns of equal persistence")
-    if fit.n_obs <= len(names) or not se2 > 0.0:
-        why = ("no residual degrees of freedom" if fit.n_obs <= len(names)
-               else "zero standard error")
+    if not se2 > 0.0:
         return DiagnosticReport(coef2, float("nan"), "inconclusive",
-                                f"{rule} (degenerate: {why})")
+                                rule + " (degenerate: exact fit)")
     t = abs(coef2) / se2
     if t > AR_TEST_REJECT:
         verdict = "consistent_with_truth"

@@ -27,10 +27,12 @@ class RankDeficiencyError(DynpanError):
 
 
 class DegenerateReducedFormError(DynpanError):
-    """Reduced-form discriminant is non-positive.
+    """The reduced form does not invert into two stationary branches.
 
-    Signals an equal-persistence configuration (the two AR parameters
-    coincide, so the inversion collapses) or an inconsistent input.
+    A non-positive discriminant signals an equal-persistence configuration
+    (the two AR parameters coincide, so the inversion collapses) or an
+    inconsistent input; a branch can also be non-stationary or have a
+    singular intercept system.
     """
 
 

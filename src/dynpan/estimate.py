@@ -151,7 +151,9 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
 
     Reads the panel only through its cached cross-moments.  Needs as many
     instruments as regressors; a numerically singular E[Z X'] raises
-    :class:`RankDeficiencyError` naming the smallest pivot.
+    :class:`RankDeficiencyError` naming the smallest pivot.  The package's
+    one exact-fit rule: no more pooled rows than coefficients leave no
+    residual to measure errors from, so the standard errors are NaN.
     """
     _parse_name(dep, "dep")
     regressors = _name_tuple(regressors, "regressors")
@@ -168,7 +170,8 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     r = y - X @ coef
     cov = mom.cross(r, r) * inverse @ mom.cross(Z, Z) @ inverse.T
     # rounding can leave a zero variance just below 0
-    ses = np.sqrt(np.maximum(cov.diagonal(), 0.0) / mom.n)
+    ses = (np.sqrt(np.maximum(cov.diagonal(), 0.0) / mom.n)
+           if mom.n > len(regressors) else np.full(len(regressors), np.nan))
     return IvFit(coefficients=coef, std_errors=ses, n_obs=mom.n,
                  names=regressors)
 

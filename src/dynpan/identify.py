@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DynpanError, InternalConsistencyError, ValidationError
+from .errors import (DegenerateReducedFormError, DynpanError,
+                     InternalConsistencyError, ValidationError)
 from .estimate import (
     PREDETERMINED_INSTRUMENTS,
     _checked_family,
@@ -136,6 +137,8 @@ def scan_curve(panel, axis: str, grid,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("grid is empty", field="grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("grid values must be finite", field="grid")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing",
                               field="grid")
@@ -286,43 +289,39 @@ def select_by_sign(branches, sign: str) -> SolutionBranch:
 def two_step_estimator(panel, sign: str = "theta_positive") -> EstimateResult:
     """Reduced-form IV fit, closed-form inversion, sign-restricted choice.
 
-    When the x-equation fit has no residual degrees of freedom or no
-    positive standard error on pi_xy, the exact-fit diagnosis is reported
-    instead of an estimate.  When the estimated discriminant is
-    non-positive, or the y-feedback coefficient pi_xy is within
-    ``PI_XY_GUARD_SE`` standard errors of zero, the equal-persistence
-    diagnosis is.  An unknown ``sign`` raises before the fit, degenerate
-    or not.
+    A degenerate reduced form is reported, not raised, and each case has
+    one judge: ``two_sls`` gives pi_xy no standard error on an exact fit,
+    this guard flags a pi_xy within ``PI_XY_GUARD_SE`` standard errors of
+    zero (equal persistence), and :func:`invert_reduced_form` every other
+    case.  An unknown ``sign`` raises before the fit, degenerate or not.
     """
     _theta_sign(sign, "sign")
     rf, _, fit_x = fit_reduced_form(panel)
     se_pi_xy = float(fit_x.std_errors[1])
-    disc = rf.discriminant()
-    k = len(fit_x.names)
-    if fit_x.n_obs <= k or not se_pi_xy > 0.0:
-        reason = (f"{fit_x.n_obs} pooled rows for {k} coefficients"
-                  if fit_x.n_obs <= k
-                  else "pi_xy has no positive standard error")
-        diagnosis = (f"degenerate reduced form: {reason}; the fit is exact, "
-                     "so the pi_xy guard cannot separate feedback from noise")
-    elif disc <= 0.0 or abs(rf.pi_xy) < PI_XY_GUARD_SE * se_pi_xy:
-        reason = ("estimated discriminant is non-positive"
-                  if disc <= 0.0 else
-                  f"pi_xy = {rf.pi_xy:.4g} is within {PI_XY_GUARD_SE:.0f} "
-                  f"standard errors ({se_pi_xy:.4g}) of zero")
-        diagnosis = (f"degenerate reduced form: {reason}; the two "
-                     "persistence parameters appear equal, under which the "
-                     "moment carries no slope information")
+    if not se_pi_xy > 0.0:
+        reason = (f"{fit_x.n_obs} pooled rows for {len(fit_x.names)} "
+                  "coefficients; the fit is exact, so the pi_xy guard cannot "
+                  "separate feedback from noise")
+    elif abs(rf.pi_xy) < PI_XY_GUARD_SE * se_pi_xy:
+        reason = (f"pi_xy = {rf.pi_xy:.4g} is within {PI_XY_GUARD_SE:.0f} "
+                  f"standard errors ({se_pi_xy:.4g}) of zero; the two "
+                  "persistence parameters appear equal, under which the "
+                  "moment carries no slope information")
     else:
-        plus, minus = invert_reduced_form(rf)
-        chosen = select_by_sign((plus, minus), sign)
-        rejected = minus if chosen is plus else plus
-        return EstimateResult(chosen=chosen, rejected=rejected,
-                              selection_rule=sign, reduced_form=rf,
-                              provenance="two_step")
+        try:
+            plus, minus = invert_reduced_form(rf)
+        except DegenerateReducedFormError as exc:
+            reason = str(exc)
+        else:
+            chosen = select_by_sign((plus, minus), sign)
+            rejected = minus if chosen is plus else plus
+            return EstimateResult(chosen=chosen, rejected=rejected,
+                                  selection_rule=sign, reduced_form=rf,
+                                  provenance="two_step")
     return EstimateResult(chosen=None, rejected=None, selection_rule="none",
                           reduced_form=rf, provenance="two_step",
-                          degenerate=True, diagnosis=diagnosis)
+                          degenerate=True,
+                          diagnosis="degenerate reduced form: " + reason)
 
 
 @dataclass

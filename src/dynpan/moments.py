@@ -31,6 +31,7 @@ over sqrt(n).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -38,8 +39,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-
-_SERIES = ("y", "x", "z")
 
 #: Pooled rows per accumulation block; with k = 10 columns the block and its
 #: 55 pair products take about 4 MB.
@@ -52,12 +51,13 @@ def _parse_name(name: str, field: str = "instruments"):
                               field=field)
     if name == "const":
         return ("const", 0)
-    series, sep, lag = name.partition("_lag")
-    if not sep or series not in _SERIES or not lag.isdigit():
+    # the canonical spelling only: the engine indexes columns by it
+    match = re.fullmatch(r"([yxz])_lag(0|[1-9][0-9]*)", name)
+    if match is None:
         raise ValidationError(
             f"bad column name {name!r}; use 'const' or "
             "'<y|x|z>_lag<k>'", field=field)
-    return (series, int(lag))
+    return (match[1], int(match[2]))
 
 
 def _name_tuple(names, field: str) -> tuple:

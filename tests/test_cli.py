@@ -99,6 +99,22 @@ class TestScanCommand:
         zero_lines = [ln for ln in lines if ln.startswith("# zero,")]
         assert len(zero_lines) == 2  # truth and pseudo crossings
 
+    def test_negative_grid_start_takes_every_spelling(self, tmp_path):
+        # argparse takes a bare "-0.5:1:0.1" for a flag of its own
+        cfg = tmp_path / "cfg"
+        cfg.write_text("scan.grid = -0.5:1:0.1\n")
+        runs = {"space": ["--grid", "-0.5:1:0.1"],
+                "equals": ["--grid=-0.5:1:0.1"],
+                "config": ["--config", str(cfg)]}
+        for name, flag in runs.items():
+            assert run_cli("scan", "--seed", "3", "--n-firms", "2000", *flag,
+                           "--out-dir", str(tmp_path / name)) == 0
+        for artifact in ("curve.csv", "run.manifest"):
+            got = {(tmp_path / name / artifact).read_bytes() for name in runs}
+            assert len(got) == 1
+        lines = (tmp_path / "space" / "curve.csv").read_text().splitlines()
+        assert lines[1].startswith("-0.5,")
+
     def test_error_record_is_machine_readable(self, tmp_path, capsys):
         code = run_cli("scan", "--seed", "3", "--n-firms", "100",
                        "--grid", "0:9:1", "--out-dir", str(tmp_path))

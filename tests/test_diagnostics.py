@@ -91,6 +91,17 @@ class TestArOrderTest:
         with pytest.raises(RankDeficiencyError):
             ar_order_test(panel)
 
+    @pytest.mark.parametrize("n_firms, n_periods",
+                             [(1, 5), (1, 6), (1, 7), (2, 4)])
+    def test_tiny_panels_report_instead_of_raising(self, n_firms, n_periods):
+        for seed in range(60):
+            rep = ar_order_test(draw_panel(make_spec(
+                n_firms=n_firms, n_periods=n_periods, seed=seed)))
+            assert rep.verdict in ("consistent_with_truth", "inconclusive",
+                                   "equal_rho_warning")
+            if not rep.standard_error > 0.0:  # only two_sls's exact fit
+                assert rep.rule_applied.endswith("(degenerate: exact fit)")
+
     def test_fit_without_residual_degrees_of_freedom_is_inconclusive(self):
         # one firm at five periods: three observations, three coefficients
         with warnings.catch_warnings():
@@ -99,9 +110,8 @@ class TestArOrderTest:
                                                           seed=seed)))
                        for seed in range(20)]
         assert {rep.verdict for rep in reports} == {"inconclusive"}
-        assert all(rep.rule_applied.endswith(
-            "(degenerate: no residual degrees of freedom)")
-            for rep in reports)
+        assert all(rep.rule_applied.endswith("(degenerate: exact fit)")
+                   for rep in reports)
 
 
 class TestFlatnessGuard:

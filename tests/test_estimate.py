@@ -437,11 +437,15 @@ class TestInstrumentSpec:
         assert CONCENTRATED_BETA_INSTRUMENTS == ("x_lag1",)
 
     def test_bad_names_rejected(self, bench200k):
-        for bad in (("w_lag1",), ("x_lagX",)):
-            with pytest.raises(ValidationError, match="bad column name"):
+        # only the canonical spelling: ASCII digits, no leading zero
+        for bad in (("w_lag1",), ("x_lagX",), ("x_lag\u00b2",),
+                    ("x_lag\u0661",), ("x_lag01",)):
+            with pytest.raises(ValidationError, match="bad column name") as e:
                 gmm_objective(bench200k, "quasi_diff", TRUTH, bad)
-            with pytest.raises(ValidationError, match="bad column name"):
+            assert e.value.field == "instruments"
+            with pytest.raises(ValidationError, match="bad column name") as e:
                 two_sls(bench200k, "y_lag0", ("x_lag0",), bad)
+            assert e.value.field == "instruments"
 
 
 # --- the cross-moment engine against the raw-array formulas ---------------

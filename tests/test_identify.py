@@ -64,6 +64,10 @@ class TestScanCurve:
             scan_curve(bench200k, "beta", [0.5, 0.4])
         with pytest.raises(ValidationError, match="grid"):
             scan_curve(bench200k, "beta", [-2.0, 0.0, 1.0])
+        for bad in ([np.nan], [0.5, np.nan]):
+            with pytest.raises(ValidationError, match="finite") as err:
+                scan_curve(bench200k, "beta", bad)
+            assert err.value.field == "grid"
         with pytest.raises(ValidationError, match="axis"):
             scan_curve(bench200k, "gamma", [0.0, 1.0])
 
@@ -289,6 +293,31 @@ class TestTwoStepEstimator:
         with pytest.raises(ValidationError, match="sign") as err:
             two_step_estimator(equal_rho_200k, "bogus")
         assert err.value.field == "sign"
+
+    @pytest.mark.parametrize("n_firms, n_periods",
+                             [(1, 5), (1, 6), (1, 7), (2, 4)])
+    def test_tiny_panels_report_instead_of_raising(self, n_firms, n_periods):
+        # a tiny panel's reduced form may be exact, look equal-persistence,
+        # or invert to a non-stationary branch: each is a degenerate result
+        for seed in range(60):
+            result = two_step_estimator(draw_panel(make_spec(
+                n_firms=n_firms, n_periods=n_periods, seed=seed)))
+            if result.degenerate:
+                assert result.chosen is result.rejected is None
+                assert result.diagnosis.startswith("degenerate reduced form: ")
+            else:
+                for branch in (result.chosen, result.rejected):
+                    assert abs(branch.params.rho_omega) < 1.0
+                    assert abs(branch.params.rho_x) < 1.0
+
+    def test_non_stationary_branch_is_the_inversion_diagnosis(self):
+        # one firm at six periods, seed 8: the plus branch's rho_omega lies
+        # outside (-1, 1), which the inversion raised through the estimator
+        result = two_step_estimator(draw_panel(make_spec(
+            n_firms=1, n_periods=6, seed=8)))
+        assert result.degenerate
+        assert result.diagnosis.startswith(
+            "degenerate reduced form: plus branch is not stationary")
 
     def test_pseudo_parameter_panel_gives_same_branch_pair(self):
         # observational equivalence: simulating at the other branch's

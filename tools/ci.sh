@@ -147,14 +147,19 @@ assert record["message"].startswith(sys.argv[2] + ": "), record' \
     done
 }
 
-# A one-firm panel pools as many rows as the reduced form has coefficients:
-# estimate reports the exact fit as degenerate and diagnose still reports.
+# Tiny panels report a degenerate reduced form instead of failing.  One firm
+# at five periods pools as many rows as the reduced form has coefficients
+# (an exact fit); one firm at six periods (seed 8) and two firms at four
+# (seed 22) fit, but invert to a non-stationary branch.  Estimate writes the
+# diagnosis and diagnose still reports.
 one_firm_panels_exit_cleanly() {
     rm -rf ci/one
-    local seed
-    for seed in 1 2; do
-        dynpan estimate --n-firms 1 --seed "$seed" --out-dir "ci/one/e$seed"
-        grep -q '^# degenerate,' "ci/one/e$seed/estimate.csv"
+    local run firms periods seed
+    for run in 1:5:1 1:5:2 1:6:8 2:4:22; do
+        IFS=: read -r firms periods seed <<< "$run"
+        dynpan estimate --n-firms "$firms" --n-periods "$periods" \
+            --seed "$seed" --out-dir "ci/one/e$firms-$periods-$seed"
+        grep -q '^# degenerate,' "ci/one/e$firms-$periods-$seed/estimate.csv"
     done
     dynpan diagnose --n-firms 1 --seed 2 --out-dir ci/one/d2
 }
