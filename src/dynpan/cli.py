@@ -169,7 +169,9 @@ def parse_grid(text: str) -> np.ndarray:
     if (hi - lo) / step + 0.5 > MAX_GRID_POINTS:
         raise ValidationError(f"grid {text!r} has more than "
                               f"{MAX_GRID_POINTS} points", field="scan.grid")
+    # the half-step margin keeps a rounded hi; drop the point past it
     grid = np.round(np.arange(lo, hi + 0.5 * step, step), 10)
+    grid = grid[grid <= np.round(hi, 10)]
     if np.any(np.diff(grid) <= 0):
         raise ValidationError(f"grid step {step!r} is too fine: rounding "
                               "to 1e-10 merges points", field="scan.grid")

@@ -24,21 +24,22 @@ Every fit reads the panel only through its cross-moments (see
 of a just-identified IV and its reported instruments, linear in the held
 slope or persistence t (``base - t * slope``).  The panel caches one rho
 plan per instrument set (family, solving and reported names) next to the
-cross-moments, and a beta evaluator holds its own.  Each evaluation factors
-its rank-checked cross-product once (one SVD gives the check, the
-coefficients and the first-step correction), so a grid point or a
-bisection step costs the IV solve and its moments only.  The standard
-errors of all reported moments, one quadratic form in the fourth moments,
-are computed on their first read, so no scan or bisection runs the
-panel's pair pass.
+cross-moments, and a beta evaluator holds its own.  Every just-identified
+IV (``two_sls``, each plan evaluation) is one solve, ``_iv``, on the
+E[Z (y, X)'] its caller forms once: it refuses fewer pooled rows than
+coefficients, then one SVD gives the rank check, the coefficients and the
+first-step correction, so a grid point or a bisection step costs the IV
+solve and its moments only.  The standard errors of all reported moments,
+one quadratic form in the fourth moments, are computed on first read.
 
 One table, ``_FAMILIES``, describes each residual family down to the scan
 axes that concentrate it, and ``_checked_family`` checks a family, an axis
-and a panel against it.  A family's cached rho plan (``_family_plan``)
-serves two readers: ``concentrate_rho`` solves it at a held rho,
-``gmm_objective`` evaluates it at given coefficients.  Instrument sets are
-plain tuples of names.  The level diagnostics share the all-period depth
-(L = 0) of a panel, the reduced form and the AR-order test depth 2.
+and a panel against it.  Each public fit checks its family and names
+(``_name_tuple``) against the panel once, where they enter; below that,
+plans only form columns.  A family's cached rho plan (``_family_plan``)
+serves ``concentrate_rho`` at a held rho and ``gmm_objective`` at given
+coefficients.  The level diagnostics share the all-period depth (L = 0)
+of a panel, the reduced form and the AR-order test depth 2.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .moments import (
     _cross_moments,
     _moments_from,
     _name_tuple,
-    _parse_name,
     cached,
 )
 
@@ -142,6 +142,20 @@ def _checked_inverse(zx: np.ndarray) -> np.ndarray:
     return (vt.T / pivots) @ u.T / d[:, None] / e
 
 
+def _iv(G: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The just-identified IV on G = E[Z (y, X)'] over ``n_rows`` pooled
+    rows: E[Z X']^{-1} E[Z y] and that inverse.  E[Z X'] has rank at most
+    ``n_rows``, so fewer rows than coefficients raise before the SVD."""
+    k = G.shape[1] - 1
+    if n_rows < k:
+        raise RankDeficiencyError(
+            f"{n_rows} pooled row{'s' * (n_rows != 1)} for {k} coefficients:"
+            " the instrument-regressor cross-product has rank at most "
+            f"{n_rows}", smallest_pivot=0.0)
+    inverse = _checked_inverse(G[:, 1:])
+    return inverse @ G[:, 0], inverse
+
+
 def two_sls(panel, dep: str, regressors: Sequence[str],
             instruments: Sequence[str]) -> IvFit:
     """Just-identified IV on named panel columns: coefficients =
@@ -150,24 +164,22 @@ def two_sls(panel, dep: str, regressors: Sequence[str],
     ("const", "x_lag2"))``.
 
     Reads the panel only through its cached cross-moments.  Needs as many
-    instruments as regressors; a numerically singular E[Z X'] raises
-    :class:`RankDeficiencyError` naming the smallest pivot.  The package's
+    instruments as regressors; too few pooled rows or a numerically
+    singular E[Z X'] raise :class:`RankDeficiencyError`.  The package's
     one exact-fit rule: no more pooled rows than coefficients leave no
     residual to measure errors from, so the standard errors are NaN.
     """
-    _parse_name(dep, "dep")
-    regressors = _name_tuple(regressors, "regressors")
-    instruments = _name_tuple(instruments, "instruments")
+    _name_tuple((dep,), "dep", panel)
+    regressors = _name_tuple(regressors, "regressors", panel)
+    instruments = _name_tuple(instruments, "instruments", panel)
     if not regressors or len(regressors) != len(instruments):
         raise ValidationError(
             f"need a just-identified system: {len(instruments)} instruments "
             f"for {len(regressors)} regressors", field="instruments")
     mom = _moments_from(panel, 0, (dep,) + regressors + instruments)
-    y, X = mom.column(dep, "dep"), mom.forms(regressors, "regressors")
-    Z = mom.forms(instruments)
-    inverse = _checked_inverse(mom.cross(Z, X))
-    coef = inverse @ mom.cross(Z, y)
-    r = y - X @ coef
+    F, Z = mom.forms((dep,) + regressors), mom.forms(instruments)
+    coef, inverse = _iv(mom.cross(Z, F), mom.n)
+    r = F[:, 0] - F[:, 1:] @ coef
     cov = mom.cross(r, r) * inverse @ mom.cross(Z, Z) @ inverse.T
     # rounding can leave a zero variance just below 0
     ses = (np.sqrt(np.maximum(cov.diagonal(), 0.0) / mom.n)
@@ -236,8 +248,7 @@ class _Plan:
         W = self.base - t * self.slope
         F, ZR = W[:, :n + 1], W[:, n + 1:]
         G = self.mom.cross(ZR, F)
-        inverse = _checked_inverse(G[:n, 1:])
-        coef = inverse @ G[:n, 0]
+        coef, inverse = _iv(G[:n], self.mom.n)
         moments = G[n:, 0] - G[n:, 1:] @ coef
 
         def ses():
@@ -287,16 +298,13 @@ def beta_scan_evaluator(panel):
     return evaluate
 
 
-def _family_plan(panel, family: str, solve: tuple, report: tuple,
-                 report_field: str) -> _Plan:
-    """The panel's cached rho plan of a family with the instruments
-    ``solve`` (one per regressor, or none) and ``report`` (the argument
-    ``report_field``): (y, *regressors) at lag 0 minus rho times lag 1 (the
-    constant is its own lag), for the double difference (lag 0 - lag 1)
-    minus rho times (lag 1 - lag 2), then the instruments.  A set that
-    fails validation is not cached."""
-    fam = _checked_family(family, panel=panel)
-
+def _family_plan(panel, fam: _Family, solve: tuple, report: tuple) -> _Plan:
+    """The panel's cached rho plan of the family ``fam`` with the
+    instruments ``solve`` (one per regressor, or none) and ``report``, all
+    checked against the panel: (y, *regressors) at lag 0 minus rho times
+    lag 1 (the constant is its own lag), for the double difference (lag 0 -
+    lag 1) minus rho times (lag 1 - lag 2), then the instruments.  A set
+    too deep for the panel's periods is not cached."""
     def build():
         mom = _moments_from(panel, fam.first, solve + report)
 
@@ -307,13 +315,12 @@ def _family_plan(panel, family: str, solve: tuple, report: tuple,
         base, slope = lagged(0), lagged(1)
         if fam.first == 2:
             base, slope = base - slope, slope - lagged(2)
-        Z = np.hstack([mom.forms(solve, "solve_instruments"),
-                       mom.forms(report, report_field)])
+        Z = mom.forms(solve + report)
         return _Plan(mom, np.hstack([base, Z]),
                      np.hstack([slope, np.zeros_like(Z)]), fam.params[:-1],
                      report)
 
-    return cached(panel, ("rho", family, solve, report), build)
+    return cached(panel, ("rho", fam, solve, report), build)
 
 
 def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
@@ -332,17 +339,16 @@ def concentrate_rho(panel, rho_tilde: float, family: str = "quasi_diff",
     names and the panel's inputs are checked before any moment is formed.
     """
     # the family's instruments: one solving instrument per coefficient first
-    fam = _checked_family(family, "rho")
+    fam = _checked_family(family, "rho", panel)
     defaults, n = fam.instruments, len(fam.params) - 1  # all but rho
     solve = (defaults[:n] if solve_instruments is None
-             else _name_tuple(solve_instruments, "solve_instruments"))
-    report = (defaults[n:] if report_instruments is None
-              else _name_tuple(report_instruments, "report_instruments"))
+             else _name_tuple(solve_instruments, "solve_instruments", panel))
+    report = (defaults[n:] if report_instruments is None else
+              _name_tuple(report_instruments, "report_instruments", panel))
     if len(solve) != n:
         raise ValidationError(f"need {n} solving instruments, got "
                               f"{len(solve)}", field="solve_instruments")
-    return _family_plan(panel, family, solve, report,
-                        "report_instruments").at(rho_tilde)
+    return _family_plan(panel, fam, solve, report).at(rho_tilde)
 
 
 @dataclass
@@ -393,12 +399,13 @@ def gmm_objective(panel, family: str, params,
         raise ValidationError(f"{family} takes ({', '.join(fam.params)}), got "
                               f"{params!r}", field="params")
     *coef, rho = map(float, values)
+    _checked_family(family, panel=panel)
     instruments = (fam.instruments if instruments is None
-                   else _name_tuple(instruments, "instruments"))
+                   else _name_tuple(instruments, "instruments", panel))
     if not instruments:
         raise ValidationError("need at least one instrument",
                               field="instruments")
-    plan = _family_plan(panel, family, (), instruments, "instruments")
+    plan = _family_plan(panel, fam, (), instruments)
     mom, n = plan.mom, len(coef)
     W = plan.base - rho * plan.slope
     r = W[:, 0] - W[:, 1:n + 1] @ np.array(coef)

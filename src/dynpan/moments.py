@@ -13,20 +13,20 @@ IV fit such as ``estimate.two_sls`` is k x k algebra.  The fourth
 cross-moments (the Gram matrix of the pairwise products of the columns,
 centered by their pooled means so that no variance is a small difference
 of large products), which the influence-function standard errors need,
-take one blocked pass per lag depth on first use.  It holds about
-``_BLOCK_ROWS`` rows and their pair products at a time, never an n x k^2
-matrix.
+take one blocked pass per lag depth on first use, holding about
+``_BLOCK_ROWS`` rows and their pair products at a time, never n x k^2.
 
 The pass is one serial loop over firm blocks on one block buffer that adds
 each block's Gram into ``fourth`` in block order, so its bits do not depend
 on the thread that runs it.  Scans, bisection steps and IV fits never run
 it: the first read of a standard error that needs the fourth moments does
 (a ``Concentrated``'s ``moment_ses``, a curve's ``ses``, the moment
-inequality, ``gmm_objective``).  :func:`cached` is the only code that
-creates, reads or writes a panel's moment cache; it makes the cache on the
-panel's first use.  Every standard error of a moment mean is
-:meth:`_CrossMoments.ses`: the product's sample standard deviation, ddof 1,
-over sqrt(n).
+inequality, ``gmm_objective``).  :func:`cached` alone creates, reads and
+writes a panel's moment cache, on the panel's first use.  Every standard
+error of a moment mean is :meth:`_CrossMoments.ses`: the product's sample
+standard deviation, ddof 1, over sqrt(n).  A fit checks its column names
+against the panel where it takes them (``_name_tuple``); the engine only
+forms the columns of checked names.
 """
 
 from __future__ import annotations
@@ -60,15 +60,18 @@ def _parse_name(name: str, field: str = "instruments"):
     return (match[1], int(match[2]))
 
 
-def _name_tuple(names, field: str) -> tuple:
-    """``names`` as a tuple of column names; a bare string or an entry
-    that is not a column name raises, naming ``field``."""
+def _name_tuple(names, field: str, panel) -> tuple:
+    """``names`` as a tuple of names of columns ``panel`` holds; a bare
+    string or any other entry raises, naming ``field``."""
     if isinstance(names, str):
         raise ValidationError(f"{field} must be a sequence of names, "
                               f"not the string {names!r}", field=field)
     names = tuple(names)
     for name in names:
-        _parse_name(name, field)
+        series = _parse_name(name, field)[0]
+        if series != "const" and getattr(panel, series) is None:
+            raise ValidationError(f"panel has no series {series!r}",
+                                  field=field)
     return names
 
 
@@ -111,21 +114,17 @@ class _CrossMoments:
     def fourth(self) -> np.ndarray:
         return self.pair_pass()
 
-    def column(self, name: str, field: str = "instruments") -> np.ndarray:
-        """The form of the raw column ``name``; a series the panel does not
-        hold raises, naming the argument ``field`` that asked for it."""
-        if name not in self.index:
-            raise ValidationError(
-                f"panel has no series {_parse_name(name)[0]!r}", field=field)
+    def column(self, name: str) -> np.ndarray:
+        """The form of the raw column ``name`` (checked by ``_name_tuple``)."""
         return self.basis[:, self.index[name]]
 
-    def forms(self, names, field: str = "instruments") -> np.ndarray:
-        """The forms of the raw columns ``names`` (of the argument
-        ``field``), one column each; None gives the zero form."""
+    def forms(self, names) -> np.ndarray:
+        """The forms of the raw columns ``names``, one column each; None
+        gives the zero form."""
         out = np.zeros((len(self.index), len(names)))
         for j, name in enumerate(names):
             if name is not None:
-                out[:, j] = self.column(name, field)
+                out[:, j] = self.column(name)
         return out
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -115,6 +115,20 @@ class TestScanCommand:
         lines = (tmp_path / "space" / "curve.csv").read_text().splitlines()
         assert lines[1].startswith("-0.5,")
 
+    def test_grid_ends_at_or_below_hi(self):
+        # the lattice stops at its last point at or below hi, never past it
+        assert parse_grid("0:1:0.35").tolist() == [0.0, 0.35, 0.7]
+
+    def test_grid_up_to_hi_stays_inside_the_axis_bounds(self, tmp_path):
+        # 3.1, the next lattice point, lies past both hi and the bound 3.0
+        assert run_cli("scan", "--seed", "3", "--n-firms", "100",
+                       "--grid", "0.3:2.99:0.7",
+                       "--out-dir", str(tmp_path)) == 0
+        rows = [ln.split(",")[0] for ln in
+                (tmp_path / "curve.csv").read_text().splitlines()[1:]
+                if not ln.startswith("#")]
+        assert rows == ["0.3", "1.0", "1.7", "2.4"]
+
     def test_error_record_is_machine_readable(self, tmp_path, capsys):
         code = run_cli("scan", "--seed", "3", "--n-firms", "100",
                        "--grid", "0:9:1", "--out-dir", str(tmp_path))
@@ -312,6 +326,27 @@ class TestFigureCommand:
 
 
 class TestCommandMismatch:
+    def test_run_rejects_an_unknown_command(self):
+        cfg = resolve_config({}, {})
+        cfg["command"] = "bogus"
+        with pytest.raises(ValidationError) as err:
+            cli.run(cfg)
+        assert err.value.field == "command"
+        assert str(err.value) == ("command: command must be one of simulate, "
+                                  "scan, estimate, diagnose, figure")
+
+    def test_config_variant_must_be_known(self, tmp_path, capsys):
+        # the --variant flag has argparse choices; a config file does not
+        cfg = tmp_path / "cfg"
+        cfg.write_text("dgp.variant = bogus\n")
+        code = run_cli("simulate", "--config", str(cfg), "--out-dir",
+                       str(tmp_path / "out"))
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"] == "dgp.variant: unknown variant 'bogus'"
+        assert not (tmp_path / "out").exists()
+
     def test_config_command_must_match_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("command = scan\n")

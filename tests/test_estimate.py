@@ -146,6 +146,35 @@ class TestTwoSls:
             assert np.max(np.abs(Z.T @ r)) / fit.n_obs < 1e-8 * scale
 
 
+TOO_FEW_ROWS = "^2 pooled rows for 3 coefficients: "
+
+
+class TestTooFewPooledRows:
+    """One firm at four periods pools 2 rows at lag depth 2, fewer than the
+    3 coefficients of these fits, so E[Z X'] is singular whatever its
+    rounding: the one IV solve says so before its SVD."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda p: two_sls(p, "y_lag0", ("const", "y_lag1", "x_lag1"),
+                          ("const", "y_lag2", "x_lag1")),
+        fit_reduced_form,
+        ar_order_test,
+    ], ids=["two_sls", "fit_reduced_form", "ar_order_test"])
+    def test_benchmark_fits_name_the_rows(self, fit):
+        for seed in range(10):
+            panel = draw_panel(make_spec(n_firms=1, n_periods=4, seed=seed))
+            with pytest.raises(RankDeficiencyError, match=TOO_FEW_ROWS) as err:
+                fit(panel)
+            assert err.value.smallest_pivot == 0.0
+
+    def test_multi_input_rho_concentration_names_the_rows(self):
+        for seed in range(10):
+            panel = draw_panel(make_spec("multi_input", n_firms=1,
+                                         n_periods=4, seed=seed))
+            with pytest.raises(RankDeficiencyError, match=TOO_FEW_ROWS):
+                concentrate_rho(panel, 0.5, family="multi_input")
+
+
 class TestResidualIdentities:
     def test_truth_recovers_productivity_innovation(self):
         panel = draw_panel(make_spec(sigma_eta=0.0, n_firms=2000))
@@ -318,6 +347,20 @@ class TestGmmObjective:
         assert rep.objective == 0.0 and not rep.std_errors.any()
         with pytest.raises(RankDeficiencyError, match="two-step"):
             gmm_objective(panel, "quasi_diff", TRUTH, weighting="two_step")
+
+    def test_scalar_params_name_their_field(self, bench200k):
+        with pytest.raises(ValidationError) as err:
+            gmm_objective(bench200k, "quasi_diff", 0.7)
+        assert err.value.field == "params"
+        assert str(err.value) == ("params: quasi_diff takes (alpha, beta, "
+                                  "rho), got 0.7")
+
+    def test_one_pooled_row_has_nan_standard_errors(self):
+        # x_lag3 leaves one firm at four periods a single pooled row
+        panel = draw_panel(make_spec(n_firms=1, n_periods=4, seed=0))
+        rep = gmm_objective(panel, "quasi_diff", TRUTH, ("const", "x_lag3"))
+        assert rep.n_obs == 1 and np.isfinite(rep.moments).all()
+        assert np.isnan(rep.std_errors).all() and rep.std_errors.shape == (2,)
 
 
 class TestFitReducedForm:

@@ -257,6 +257,27 @@ class TestFindLocalMinima:
                                 np.arange(0.0, 1.0001, 0.1))
         assert find_local_minima(curve) == []
 
+    def test_failed_vertex_fit_keeps_the_grid_value(self, monkeypatch):
+        # a fit that fails at the refined vertex values the minimum by the
+        # grid m^2 at its index
+        panel = draw_panel(make_spec(n_firms=2000, seed=1))
+        grid = np.round(np.arange(-0.9, 0.91, 0.1), 10)
+        injected = []
+
+        def failing(panel, rho, **kwargs):
+            if rho not in grid:
+                injected.append(rho)
+                raise RankDeficiencyError("injected failure")
+            return concentrate_rho(panel, rho, **kwargs)
+
+        monkeypatch.setattr(identify, "concentrate_rho", failing)
+        curve = scan_curve(panel, "rho", grid)
+        minima = find_local_minima(curve)
+        assert minima and len(injected) == len(minima)
+        for mn in minima:
+            assert mn.value == curve.msq[mn.grid_index]
+            assert mn.location in injected
+
     def test_parabolic_refinement_beats_grid(self):
         # vertex of (b - 0.63)^2 is recovered despite the 0.1 grid
         curve = synthetic_curve(lambda b: b - 0.63,
@@ -474,6 +495,17 @@ class TestWarmStart:
         ws = warm_start_pipeline(bench200k, "predetermined_start")
         assert ws.flagged
         assert "biased" in ws.note
+
+    def test_degenerate_reduced_form_start_names_the_strategy(
+            self, equal_rho_200k):
+        # equal persistence leaves pi_xy near zero: the two-step estimator
+        # reports a degenerate reduced form, which no start can use
+        with pytest.raises(ValidationError) as err:
+            warm_start_pipeline(equal_rho_200k, "reduced_form_start")
+        assert err.value.field == "strategy"
+        assert str(err.value).startswith(
+            "strategy: reduced-form start unavailable: degenerate reduced "
+            "form: pi_xy = ")
 
     def test_unknown_strategy(self, bench200k):
         with pytest.raises(ValidationError):

@@ -95,8 +95,11 @@ def test_instrument_matrix_matches_column_stack(fixture, request):
         for t_min in range(max(max_lag(spec), 1), panel.spec.n_periods):
             mom = moments._cross_moments(panel, t_min)
             if needs_z(spec) and panel.z is None:
-                with pytest.raises(ValidationError, match="no series 'z'"):
-                    mom.forms(spec)
+                # names are checked against the panel where a fit takes them
+                with pytest.raises(ValidationError,
+                                   match="no series 'z'") as err:
+                    gmm_objective(panel, "quasi_diff", TRUTH, spec)
+                assert err.value.field == "instruments"
                 continue
             Z = mom.forms(spec)
             want = stacked_instruments(panel, spec, t_min)

@@ -516,6 +516,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="n_periods"):
             draw_panel(spec_for("fixed_effects", n_periods=4))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_firms", 0, "n_firms must be >= 1"),
+        ("seed", -1, "seed must fit in 64 unsigned bits"),
+        ("seed", 2 ** 64, "seed must fit in 64 unsigned bits"),
+    ])
+    def test_firm_count_and_seed_range(self, field, value, message):
+        spec = dataclasses.replace(spec_for("benchmark"), **{field: value})
+        with pytest.raises(ValidationError) as err:
+            spec.validate()
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
     def test_ar2_stationarity(self):
         with pytest.raises(ValidationError, match="rho1_x"):
             draw_panel(spec_for("ar2_kappa",

@@ -8,10 +8,17 @@
 #   bash tools/ci.sh list     print the step names, in workflow order
 #
 # Run from any directory; the steps run at the repository root and write
-# their command outputs under ci/ (ignored by git).  Every step after
-# `install` expects the `dynpan` console script on PATH.
+# their command outputs under ci/ (ignored by git).  The steps after
+# `install` call the `dynpan` console script; in a checkout where it is not
+# on PATH, `dynpan` runs the package's CLI module from src/ instead.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+if ! command -v dynpan > /dev/null; then
+    dynpan() {
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m dynpan.cli "$@"
+    }
+fi
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
