@@ -230,9 +230,9 @@ def _lines_writer(lines):
 
 
 def _fmt(value) -> str:
-    """The float format of every artifact: the shortest decimal that
-    round-trips the double, which is also how ``write_panel_csv`` writes
-    the panel."""
+    """The float format of every artifact: ``repr``, the shortest decimal
+    that round-trips the double.  ``write_panel_csv`` writes the panel in
+    the same text, through orjson where its notation agrees with ``repr``."""
     return repr(float(value))
 
 

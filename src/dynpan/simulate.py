@@ -54,6 +54,7 @@ schedule or fork.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -408,18 +409,32 @@ def draw_panel(spec: DgpSpec) -> PanelData:
 
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write one row per (firm, period): firm,period,y,x[,z],omega,kappa,
-    xi,u,eta[,eps].  UTF-8, LF line endings, full double precision (the
-    shortest decimal that round-trips each double)."""
+    xi,u,eta[,eps].  UTF-8, LF line endings, full double precision: each
+    value is ``repr`` of the double, the shortest decimal that round-trips
+    it.  orjson's compiled writer formats a block of rows at once with the
+    same digits; ``repr`` itself writes every row holding a value whose two
+    notations differ (non-finite, 0 < |v| < 1e-4, |v| >= 1e16)."""
+    # Imported here: orjson loads uuid and zoneinfo, which the CLI's start
+    # and the scans never need.
+    import orjson
+
     cols = [(name, getattr(panel, name)) for name in
             ("y", "x", "z", "omega", "kappa", "xi", "u", "eta", "eps")
             if getattr(panel, name) is not None]
     header = "firm,period," + ",".join(name for name, _ in cols)
+    n_firms = panel.spec.n_firms
+    periods = [f",{j}," for j in range(1, panel.spec.n_periods + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, panel.spec.n_firms, _BLOCK_FIRMS):
-            block = np.stack([arr[lo:lo + _BLOCK_FIRMS]
-                              for _, arr in cols], axis=-1)
-            fh.write("".join(
-                f"{i},{j},{','.join(map(repr, row))}\n"
-                for i, firm in enumerate(block.tolist(), start=lo + 1)
-                for j, row in enumerate(firm, start=1)))
+        for lo in range(0, n_firms, _BLOCK_FIRMS):
+            rows = np.stack([arr[lo:lo + _BLOCK_FIRMS] for _, arr in cols],
+                            axis=-1).reshape(-1, len(cols))
+            lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY
+                                 )[2:-2].decode().split("],[")
+            mag = np.abs(rows)
+            same = (rows == 0) | ((mag >= 1e-4) & (mag < 1e16))
+            for r in np.flatnonzero(~same.all(axis=1)):
+                lines[r] = ",".join(map(repr, rows[r].tolist()))
+            firms = range(lo + 1, min(lo + _BLOCK_FIRMS, n_firms) + 1)
+            keys = [f"{i}{j}" for i in firms for j in periods]
+            fh.write("\n".join(map(operator.add, keys, lines)) + "\n")

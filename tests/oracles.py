@@ -9,7 +9,8 @@ per-period GMM moments with ``moment_stats``, ``np.corrcoef`` and a
 two-pass standard deviation.  ``assert_rel`` is the comparison every test
 of the engine against them uses.  ``population_gram`` is the seed-free
 oracle: the exact period Gram of a benchmark or predetermined panel, from
-the model alone.
+the model alone.  ``panel_csv_text`` is the panel CSV written one ``repr``
+per value, the text ``simulate.write_panel_csv`` must match byte for byte.
 """
 
 import numpy as np
@@ -274,3 +275,21 @@ def population_gram(spec):
               + s.sigma_eta ** 2 * np.eye(t))
     means = np.array([s.alpha + s.beta * s.pi, s.pi])
     return means, np.block([[yy, yx], [yx.T, xx]]), np.zeros(2 * t)
+
+
+# --- the panel CSV, one repr per value --------------------------------------
+
+def panel_csv_text(panel) -> str:
+    """The text of ``simulate.write_panel_csv(panel)``: a header, then one
+    LF-terminated row per (firm, period), firm-major, holding firm,period
+    and ``repr`` of each of the panel's series."""
+    names = [name for name in ("y", "x", "z", "omega", "kappa", "xi", "u",
+                               "eta", "eps")
+             if getattr(panel, name) is not None]
+    cols = [getattr(panel, name).tolist() for name in names]
+    lines = ["firm,period," + ",".join(names) + "\n"]
+    for i in range(panel.spec.n_firms):
+        for j in range(panel.spec.n_periods):
+            vals = ",".join(repr(col[i][j]) for col in cols)
+            lines.append(f"{i + 1},{j + 1},{vals}\n")
+    return "".join(lines)

@@ -26,6 +26,7 @@ from dynpan.simulate import (
     stationary_ar1_init,
     write_panel_csv,
 )
+from oracles import panel_csv_text
 
 BENCH = StructuralParams(beta=0.6, theta=1.0, rho_omega=0.7, rho_x=0.5,
                          alpha=1.0, pi=0.0)
@@ -600,14 +601,50 @@ class TestCsvExport:
         panel = dataclasses.replace(panel, eps=-panel.u)
         out = tmp_path / "p.csv"
         write_panel_csv(panel, out)
-        cols = [panel.y, panel.x, panel.z, panel.omega, panel.kappa,
-                panel.xi, panel.u, panel.eta, panel.eps]
-        want = ["firm,period,y,x,z,omega,kappa,xi,u,eta,eps\n"]
-        for i in range(panel.spec.n_firms):
-            for j in range(panel.spec.n_periods):
-                vals = ",".join(repr(float(arr[i, j])) for arr in cols)
-                want.append(f"{i + 1},{j + 1},{vals}\n")
-        assert out.read_bytes() == "".join(want).encode("utf-8")
+        want = panel_csv_text(panel)
+        assert want.startswith("firm,period,y,x,z,omega,kappa,xi,u,eta,eps\n")
+        assert out.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("n_periods", [4, 7])
+    def test_values_where_notations_differ_match_repr(self, tmp_path,
+                                                      n_periods):
+        # repr writes exponent notation below 1e-4 and from 1e16 up, and
+        # nan/inf: y and eps carry each such value and its neighbour across
+        # the switch, in rows whose other series are ordinary draws.  Every
+        # other row holds random finite doubles in every series: random
+        # sign and mantissa bits, the binary exponent spanning both switches
+        # (2^-17 to 2^56), and one in a hundred any finite bit pattern.
+        # 2049 firms make two blocks of rows.
+        panel = draw_panel(spec_for("multi_input", n_firms=2049,
+                                    n_periods=n_periods))
+        panel = dataclasses.replace(panel, eps=-panel.u)
+        special = np.array([np.nan, np.inf, 0.0, 5e-324,
+                            np.nextafter(1e-4, 0.0), 1e-4,
+                            np.nextafter(1e16, 0.0), 1e16,
+                            np.finfo(np.float64).max])
+        special = np.concatenate([special, -special])
+        m = len(special)
+        rng = np.random.default_rng(n_periods)
+        series = {}
+        for name in ("y", "x", "z", "omega", "kappa", "xi", "u", "eta",
+                     "eps"):
+            bits = rng.integers(0, 2 ** 64, size=panel.y.size - 2 * m,
+                                dtype=np.uint64)
+            exponent = rng.integers(1023 - 17, 1023 + 57, size=bits.size,
+                                    dtype=np.uint64)
+            banded = ((bits & ~np.uint64(0x7FF << 52))
+                      | (exponent << np.uint64(52)))
+            values = np.where(rng.random(bits.size) < 0.01, bits,
+                              banded).view(np.float64)
+            arr = getattr(panel, name).copy()
+            arr.flat[m:-m] = np.where(np.isfinite(values), values, 0.5)
+            series[name] = arr
+        series["y"].flat[:m] = special
+        series["eps"].flat[-m:] = special
+        panel = dataclasses.replace(panel, **series)
+        out = tmp_path / "p.csv"
+        write_panel_csv(panel, out)
+        assert out.read_bytes() == panel_csv_text(panel).encode("utf-8")
 
     def test_lf_line_endings(self, tmp_path):
         panel = draw_panel(spec_for("benchmark", n_firms=2, n_periods=4))

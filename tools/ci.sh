@@ -22,7 +22,7 @@ fi
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
-       reproduce_simulate batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
+       reproduce_simulate panel_csv_matches_oracle batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
        nonfinite_config_rejected one_firm_panels_exit_cleanly bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
@@ -87,6 +87,35 @@ reproduce_figure() {
 
 reproduce_simulate() {
     reproduce u v simulate --seed 1 --n-firms 2000
+}
+
+# A 40,000-firm panel CSV equals, byte for byte, the panel written one repr
+# per value by tests/oracles.py.  Panels this size hold values on both sides
+# of repr's switches to exponent notation (below 1e-4, from 1e16 up), which
+# the writer hands to repr itself.  arma_x's eps is all zeros unless its
+# scale is set.
+panel_csv_matches_oracle() {
+    rm -rf ci/csv ci/sigma_eps.cfg
+    mkdir -p ci
+    printf 'dgp.ext.sigma_eps = 0.5\n' > ci/sigma_eps.cfg
+    dynpan simulate --variant benchmark --n-firms 40000 \
+        --out-dir ci/csv/benchmark
+    dynpan simulate --variant multi_input --n-firms 40000 \
+        --out-dir ci/csv/multi_input
+    dynpan simulate --config ci/sigma_eps.cfg --variant arma_x \
+        --n-firms 40000 --out-dir ci/csv/arma_x
+    PYTHONPATH=src:tests${PYTHONPATH:+:$PYTHONPATH} python3 -c 'import sys
+from dynpan.cli import config_to_spec, parse_config_text, resolve_config
+from dynpan.simulate import draw_panel
+from oracles import panel_csv_text
+for run in sys.argv[1:]:
+    with open(run + "/run.manifest") as fh:
+        cfg = resolve_config(parse_config_text(fh.read()), {})
+    with open(run + "/" + cfg["out.file"], "rb") as fh:
+        got = fh.read()
+    if got != panel_csv_text(draw_panel(config_to_spec(cfg))).encode():
+        sys.exit(run + ": panel CSV differs from the repr oracle")' \
+        ci/csv/benchmark ci/csv/multi_input ci/csv/arma_x
 }
 
 # Three commands on one panel write the same bytes as three processes and
