@@ -137,7 +137,23 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValidationError(f"must be a plain file name, got {name!r}",
                               field="out.file")
+    for key, (kind, _) in CONFIG_SCHEMA.items():
+        # the manifest records the value as its own key = value line
+        if kind is str and key != "out.dir" and not _reads_back(
+                key, resolved[key]):
+            raise ValidationError(
+                f"{resolved[key]!r} would not read back from the manifest: "
+                "it holds a '#', a line break or surrounding whitespace",
+                field=key)
     return resolved
+
+
+def _reads_back(key: str, value: str) -> bool:
+    """Whether ``key = value`` parses back to exactly that pair."""
+    try:
+        return parse_config_text(f"{key} = {value}") == {key: value}
+    except ValidationError:
+        return False
 
 
 def config_to_spec(cfg: dict) -> DgpSpec:
@@ -374,11 +390,10 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
     def run_job(job):
         label, sub = job
         try:
-            spec = config_to_spec(sub)
-            spec.validate()
+            panel = draw_panel(config_to_spec(sub))  # validates the spec
         except ValidationError as exc:
             return (label, None, f"rejected: {exc}")
-        return (label, _scan_one(draw_panel(spec), sub), "ok")
+        return (label, _scan_one(panel, sub), "ok")
 
     _held = (None, None)  # the jobs draw their own panels, several at once
     with concurrent.futures.ThreadPoolExecutor(

@@ -20,7 +20,7 @@ import numpy as np
 from .estimate import two_sls
 from .identify import ObjectiveCurve
 from .model import ParamPoint, _theta_sign
-from .moments import _cross_moments
+from .moments import _moments_from
 
 #: Standard-error multiples used by the verdict rules.
 SIGN_TEST_BAND = 3.0
@@ -40,7 +40,7 @@ class DiagnosticReport:
 def _level_forms(panel, p: ParamPoint):
     """The panel's all-period cross-moments with the forms of x and of the
     level residual y - alpha - beta x; both checks on a panel share them."""
-    mom = _cross_moments(panel, 0)
+    mom = _moments_from(panel, 0, ())
     const, y, x = mom.forms(("const", "y_lag0", "x_lag0")).T
     return mom, x, y - p.alpha * const - p.beta * x
 

@@ -24,13 +24,15 @@ Every fit reads the panel only through its cross-moments (see
 of a just-identified IV and its reported instruments, linear in the held
 slope or persistence t (``base - t * slope``).  The panel caches one rho
 plan per instrument set (family, solving and reported names) next to the
-cross-moments, and a beta evaluator holds its own.  Every just-identified
-IV (``two_sls``, each plan evaluation) is one solve, ``_iv``, on the
-E[Z (y, X)'] its caller forms once: it refuses fewer pooled rows than
-coefficients, then one SVD gives the rank check, the coefficients and the
-first-step correction, so a grid point or a bisection step costs the IV
-solve and its moments only.  The standard errors of all reported moments,
-one quadratic form in the fourth moments, are computed on first read.
+cross-moments, and a beta evaluator holds its own.  ``_iv`` is the
+package's one square solve: every just-identified IV (``two_sls``, each
+plan evaluation) and the two-step weight of ``gmm_objective`` (S^{-1} m is
+the IV of m on the moment outer-product S) pass it the E[Z (y, X)'] their
+caller forms once.  It refuses fewer pooled rows than coefficients, then
+one SVD gives the rank check, the coefficients and the first-step
+correction, so a grid point or a bisection step costs the IV solve and its
+moments only.  The standard errors of all reported moments, one quadratic
+form in the fourth moments, are computed on first read.
 
 One table, ``_FAMILIES``, describes each residual family down to the scan
 axes that concentrate it, and ``_checked_family`` checks a family, an axis
@@ -38,8 +40,10 @@ and a panel against it.  Each public fit checks its family and names
 (``_name_tuple``) against the panel once, where they enter; below that,
 plans only form columns.  A family's cached rho plan (``_family_plan``)
 serves ``concentrate_rho`` at a held rho and ``gmm_objective`` at given
-coefficients.  The level diagnostics share the all-period depth (L = 0)
-of a panel, the reduced form and the AR-order test depth 2.
+coefficients.  Every fit reaches its lag depth through
+``moments._moments_from``, which checks that the panel has the periods:
+the level diagnostics share the all-period depth (L = 0) of a panel, the
+reduced form, the AR-order test and the beta evaluator depth 2.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .errors import RankDeficiencyError, ValidationError
 from .model import ParamPoint, ReducedFormParams
 from .moments import (
     _CrossMoments,
-    _cross_moments,
     _moments_from,
     _name_tuple,
     cached,
@@ -114,17 +117,26 @@ class IvFit:
     names: tuple[str, ...]
 
 
-def _checked_inverse(zx: np.ndarray) -> np.ndarray:
-    """Inverse of a square cross-product zx, after verifying that zx is
-    numerically full rank.
+def _iv(G: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one square solve: the just-identified IV on G = E[Z
+    (y, X)'] over ``n_rows`` pooled rows, E[Z X']^{-1} E[Z y] and that
+    inverse.  E[Z X'] has rank at most ``n_rows``, so fewer rows than
+    coefficients raise before the SVD.
 
-    The pivots judged are the singular values of zx with its columns, then
-    its rows, scaled to unit length, so a change of data units in a
-    regressor or an instrument cannot make a well-posed system look
-    singular.  The inverse is read off the same SVD, diag(1/e) zx diag(1/d)
-    = u diag(s) vt with d the column and e the row norms, so one
-    factorisation serves every solve with zx or its transpose.
+    The pivots judged are the singular values of A = E[Z X'] with its
+    columns, then its rows, scaled to unit length, so a change of data
+    units in a regressor or an instrument cannot make a well-posed system
+    look singular.  The inverse is read off the same SVD, diag(1/e) A
+    diag(1/d) = u diag(s) vt with d the column and e the row norms, so one
+    factorisation serves every solve with A or its transpose.
     """
+    zx = G[:, 1:]
+    k = zx.shape[1]
+    if n_rows < k:
+        raise RankDeficiencyError(
+            f"{n_rows} pooled row{'s' * (n_rows != 1)} for {k} coefficients:"
+            " the instrument-regressor cross-product has rank at most "
+            f"{n_rows}", smallest_pivot=0.0)
     d = np.sqrt((zx * zx).sum(axis=0))
     d[d == 0.0] = 1.0
     e = np.sqrt(((zx / d) ** 2).sum(axis=1))
@@ -139,20 +151,7 @@ def _checked_inverse(zx: np.ndarray) -> np.ndarray:
         raise RankDeficiencyError(
             f"singular instrument-regressor cross-product; smallest pivot "
             f"{smallest:.3e}", smallest_pivot=smallest)
-    return (vt.T / pivots) @ u.T / d[:, None] / e
-
-
-def _iv(G: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The just-identified IV on G = E[Z (y, X)'] over ``n_rows`` pooled
-    rows: E[Z X']^{-1} E[Z y] and that inverse.  E[Z X'] has rank at most
-    ``n_rows``, so fewer rows than coefficients raise before the SVD."""
-    k = G.shape[1] - 1
-    if n_rows < k:
-        raise RankDeficiencyError(
-            f"{n_rows} pooled row{'s' * (n_rows != 1)} for {k} coefficients:"
-            " the instrument-regressor cross-product has rank at most "
-            f"{n_rows}", smallest_pivot=0.0)
-    inverse = _checked_inverse(G[:, 1:])
+    inverse = (vt.T / pivots) @ u.T / d[:, None] / e
     return inverse @ G[:, 0], inverse
 
 
@@ -271,12 +270,13 @@ def beta_scan_evaluator(panel):
     fits w_t = alpha (1 - rho) + rho w_{t-1} by IV, instrumenting w_{t-1}
     with w_{t-2}.  Step 2 evaluates the quasi-differenced residual at
     (alpha_hat, beta_tilde, rho_hat) against the single instrument x_{t-1}
-    (``CONCENTRATED_BETA_INSTRUMENTS``).  Both steps pool periods t >= 3.
-    The panel's cross-moments are accumulated once (see
+    (``CONCENTRATED_BETA_INSTRUMENTS``).  Both steps pool periods t >= 3;
+    a shorter panel raises :class:`ValidationError` on ``n_periods``.  The
+    panel's cross-moments are accumulated once (see
     :mod:`dynpan.moments`), so repeated calls (a grid scan plus bisection
     refinements) cost small dense algebra, not a pass over the panel.
     """
-    mom = _cross_moments(panel, 2)
+    mom = _moments_from(panel, 2, ())
     # w = y - beta x at lags 0..2; the regression (w0 on const, w1 | the
     # instruments const, w2 | the reported x1) is base - beta * slope
     report = CONCENTRATED_BETA_INSTRUMENTS
@@ -414,9 +414,9 @@ def gmm_objective(panel, family: str, params,
     if weighting == "identity":
         objective = float(m @ m)
     else:
+        S = mom.product_moments(Z, r)  # S^{-1} m is the IV of m on S
         try:
-            objective = float(
-                m @ (_checked_inverse(mom.product_moments(Z, r)) @ m))
+            objective = float(m @ _iv(np.column_stack([m, S]), mom.n)[0])
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(
                 "moment outer-product is singular; two-step weighting "

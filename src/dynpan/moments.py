@@ -22,11 +22,14 @@ on the thread that runs it.  Scans, bisection steps and IV fits never run
 it: the first read of a standard error that needs the fourth moments does
 (a ``Concentrated``'s ``moment_ses``, a curve's ``ses``, the moment
 inequality, ``gmm_objective``).  :func:`cached` alone creates, reads and
-writes a panel's moment cache, on the panel's first use.  Every standard
-error of a moment mean is :meth:`_CrossMoments.ses`: the product's sample
-standard deviation, ddof 1, over sqrt(n).  A fit checks its column names
-against the panel where it takes them (``_name_tuple``); the engine only
-forms the columns of checked names.
+writes a panel's moment cache, on the panel's first use, and
+:func:`_moments_from` is the one way to the cross-moments of a lag depth:
+it takes the depth from the first period of a residual and the columns
+named, and refuses a panel without the periods.  Every standard error of a
+moment mean is :meth:`_CrossMoments.ses`: the product's sample standard
+deviation, ddof 1, over sqrt(n).  A fit checks its column names against
+the panel where it takes them (``_name_tuple``); the engine only forms the
+columns of checked names.
 """
 
 from __future__ import annotations
@@ -229,17 +232,13 @@ def _pair_moments(sources, means) -> np.ndarray:
     return fourth[np.ix_(pair.ravel(), pair.ravel())]
 
 
-def _cross_moments(panel, lags: int) -> _CrossMoments:
-    """The panel's cross-moments at lag depth ``lags``, computed once."""
-    return cached(panel, lags, lambda: _accumulate_moments(panel, lags))
-
-
 def _moments_from(panel, first: int, names) -> _CrossMoments:
-    """The cross-moments over the periods where a residual defined from
-    period ``first`` on meets every column of ``names``."""
-    t_min = max([first] + [_parse_name(name)[1] for name in names])
-    if t_min >= panel.spec.n_periods:
+    """The panel's cross-moments, computed once per lag depth, over the
+    periods where a residual defined from period ``first`` on meets every
+    column of ``names``; a panel too short for that depth raises."""
+    lags = max([first] + [_parse_name(name)[1] for name in names])
+    if lags >= panel.spec.n_periods:
         raise ValidationError(
             "not enough periods for the requested instrument lags",
             field="n_periods")
-    return _cross_moments(panel, t_min)
+    return cached(panel, lags, lambda: _accumulate_moments(panel, lags))

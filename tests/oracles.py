@@ -16,7 +16,6 @@ per value, the text ``simulate.write_panel_csv`` must match byte for byte.
 import numpy as np
 
 from dynpan.errors import RankDeficiencyError, ValidationError
-from dynpan.estimate import _checked_inverse
 from dynpan.model import ParamPoint
 
 
@@ -98,7 +97,10 @@ def oracle_beta(panel, beta_tilde):
     w2 = y2 - beta_tilde * x2
     zx = np.array([[float(n), w1.sum()], [w2.sum(), w2 @ w1]])
     zy = np.array([w0.sum(), w2 @ w0])
-    c, rho = _checked_inverse(zx) @ zy
+    try:
+        c, rho = np.linalg.solve(zx, zy)
+    except np.linalg.LinAlgError as exc:  # a pole of the moment
+        raise RankDeficiencyError(f"step-1 system: {exc}") from exc
     r = (y0 - rho * y1) - c - beta_tilde * (x0 - rho * x1)
     prod = x1 * r
     step1_resid = w0 - c - rho * w1
@@ -132,7 +134,7 @@ def oracle_rho(panel, rho_tilde, family, solve, report):
     X = np.column_stack(X)
     Z = np.column_stack([column(nm) for nm in solve])
     dep = qd("y")
-    coef = _checked_inverse(Z.T @ X) @ (Z.T @ dep)
+    coef = np.linalg.solve(Z.T @ X, Z.T @ dep)
     r = dep - X @ coef
     A = Z.T @ X / n
     moments, ses = [], []

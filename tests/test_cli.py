@@ -88,6 +88,19 @@ class TestSimulateCommand:
         assert (first / "panel.csv").read_bytes() == \
             (second / "panel.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["a b.csv", "a=b.csv"])
+    def test_manifest_carries_a_space_and_an_equals_sign(self, name,
+                                                          tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("simulate", "--n-firms", "10", "--out", name,
+                       "--out-dir", str(first)) == 0
+        assert run_cli("simulate", "--config", str(first / "run.manifest"),
+                       "--out-dir", str(second)) == 0
+        assert sorted(p.name for p in second.iterdir()) == \
+            sorted([name, "run.manifest"])
+        for p in first.iterdir():
+            assert p.read_bytes() == (second / p.name).read_bytes()
+
 
 class TestScanCommand:
     def test_scan_writes_curve_with_zero_comments(self, tmp_path):
@@ -382,9 +395,10 @@ class TestFailedRunsLeaveNothing:
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["x/", "a/b.csv", "../p.csv", "", ".",
-                                      ".."],
+                                      "..", "a#b.csv", " p.csv", "q\nr.csv"],
                              ids=["trailing_slash", "subdirectory", "parent",
-                                  "empty", "dot", "dotdot"])
+                                  "empty", "dot", "dotdot", "comment",
+                                  "leading_space", "line_break"])
     def test_out_file_must_be_a_plain_name(self, name, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("simulate", "--n-firms", "10", "--out", name,
@@ -392,6 +406,16 @@ class TestFailedRunsLeaveNothing:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValidationError"
         assert record["message"].startswith("out.file:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_the_manifest_cannot_carry(self, tmp_path, capsys):
+        # the manifest would record scan.grid = 0:2:0.1, a different run
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--n-firms", "10", "--grid", "0:2:0.1#x",
+                       "--out-dir", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("scan.grid:")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, lines", [

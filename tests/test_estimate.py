@@ -47,7 +47,8 @@ from dynpan.estimate import (
     gmm_objective,
     two_sls,
 )
-from dynpan.estimate import _checked_inverse
+from dynpan.estimate import _iv
+from dynpan.moments import _moments_from
 from oracles import (
     assert_rel,
     double_diff_residual,
@@ -173,6 +174,31 @@ class TestTooFewPooledRows:
                                          n_periods=4, seed=seed))
             with pytest.raises(RankDeficiencyError, match=TOO_FEW_ROWS):
                 concentrate_rho(panel, 0.5, family="multi_input")
+
+    def test_two_step_weight_names_the_rows(self):
+        # x_lag3 leaves one pooled row for the 2 x 2 moment outer-product
+        for seed in range(10):
+            panel = draw_panel(make_spec(n_firms=1, n_periods=4, seed=seed))
+            with pytest.raises(RankDeficiencyError, match="two-step") as err:
+                gmm_objective(panel, "quasi_diff", TRUTH,
+                              ("const", "x_lag3"), "two_step")
+            assert err.value.smallest_pivot == 0.0
+            assert str(err.value.__cause__).startswith(
+                "1 pooled row for 2 coefficients: ")
+
+
+def test_beta_evaluator_needs_a_pooled_period():
+    # the evaluator pools periods t >= 2: a panel cut to two periods has
+    # none, which its lag depth's check names before any index is formed
+    panel = draw_panel(make_spec(n_firms=30))
+    short = dataclasses.replace(
+        panel, spec=dataclasses.replace(panel.spec, n_periods=2),
+        **{f.name: getattr(panel, f.name)[:, :2]
+           for f in dataclasses.fields(panel)
+           if f.name != "spec" and getattr(panel, f.name) is not None})
+    with pytest.raises(ValidationError) as err:
+        beta_scan_evaluator(short)
+    assert err.value.field == "n_periods"
 
 
 class TestResidualIdentities:
@@ -573,7 +599,7 @@ class TestCrossMomentEngine:
         # E[d d'] is read off the diagonals of the period Gram; compare it
         # with the Gram matrix of the centered columns taken directly
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
-        mom = moments._cross_moments(panel, 2)
+        mom = _moments_from(panel, 2, ())
         cols = [panel.y, panel.x, panel.z]
         d = [np.ones(panel.spec.n_firms * 3)] + [
             arr[:, 2 - lag:5 - lag].ravel() for arr in cols
@@ -874,21 +900,24 @@ def test_solve_and_rank_check_ignore_column_units():
     zx, zy = rng.standard_normal((3, 3)), rng.standard_normal(3)
     scale = np.array([1e-9, 1.0, 1e7])
     want = np.linalg.solve(zx, zy)
-    assert_rel(_checked_inverse(zx) @ zy, want, rtol=1e-12)
-    assert_rel(_checked_inverse(zx * scale) @ zy, want / scale,
-               rtol=1e-12)
+
+    def solve(zx, zy):
+        return _iv(np.column_stack([zy, zx]), zy.size)[0]
+
+    assert_rel(solve(zx, zy), want, rtol=1e-12)
+    assert_rel(solve(zx * scale, zy), want / scale, rtol=1e-12)
     # row (instrument) units drop out too
     rows = scale[:, None]
-    assert_rel(_checked_inverse(rows * zx * scale) @ (rows[:, 0] * zy),
-               want / scale, rtol=1e-12)
+    assert_rel(solve(rows * zx * scale, rows[:, 0] * zy), want / scale,
+               rtol=1e-12)
     singular = zx.copy()
     singular[:, 2] = 2.0 * singular[:, 0]
     with pytest.raises(RankDeficiencyError):
-        _checked_inverse(singular * scale)
+        solve(singular * scale, zy)
     with pytest.raises(RankDeficiencyError):
-        _checked_inverse(rows * singular * scale)
+        solve(rows * singular * scale, zy)
     with pytest.raises(RankDeficiencyError):
-        _checked_inverse(np.zeros((2, 2)))
+        solve(np.zeros((2, 2)), np.zeros(2))
 
 
 # --- pinned bits: the period Gram and the moments of every lag depth ------
@@ -899,11 +928,14 @@ PINNED_DEPTHS = (0, 2, 3)
 #: One firm, the block edges of each depth, then 6001 and 20000 firms: 4
 #: and 13 blocks at L = 0, 3 and 8 at L = 2, 2 and 5 at L = 3.
 PINNED_FIRMS = (1, 1638, 1639, 2730, 2731, 4096, 4097, 6001, 20_000)
+PINNED_VARIANTS = ("benchmark", "multi_input", "predetermined",
+                   "fixed_effects")
 #: sha256 of ``_period_gram``'s (means, Gram, sums) and of ``second``,
 #: ``basis`` and ``fourth`` at each depth, recorded before the pair pass was
 #: split across threads.  The Gram and ``fourth`` come from BLAS products,
 #: so the pins hold for the OpenBLAS kernels they were recorded with, on any
-#: number of BLAS threads.
+#: number of BLAS threads.  Recorded with :func:`moment_digests`:
+#: ``PYTHONPATH=src python tests/test_estimate.py`` prints the file.
 MOMENT_PINS = json.loads((pathlib.Path(__file__).parent
                           / "moment_sha256.json").read_text())
 
@@ -917,18 +949,27 @@ def moment_digests(panel):
 
     out = {"gram": digest(*moments._period_gram(panel))}
     for lags in PINNED_DEPTHS:
-        mom = moments._cross_moments(panel, lags)
+        mom = _moments_from(panel, lags, ())
         for name in ("second", "basis", "fourth"):
             out[f"{name}-{lags}"] = digest(getattr(mom, name))
     return out
 
 
 @pytest.mark.parametrize("n_firms", PINNED_FIRMS)
-@pytest.mark.parametrize("variant", ["benchmark", "multi_input",
-                                     "predetermined", "fixed_effects"])
+@pytest.mark.parametrize("variant", PINNED_VARIANTS)
 def test_moments_match_their_recorded_hashes(variant, n_firms):
-    panel = draw_panel(make_spec(variant, n_firms=n_firms, seed=11))
-    assert moment_digests(panel) == MOMENT_PINS[f"{variant}-{n_firms}"]
+    got = moment_digests(draw_panel(make_spec(variant, n_firms=n_firms,
+                                              seed=11)))
+    want = MOMENT_PINS[f"{variant}-{n_firms}"]
+
+    def fourth(digests, keep=True):
+        return {k: v for k, v in digests.items()
+                if k.startswith("fourth-") == keep}
+
+    # the fourth moments apart: a change to the pair pass alone re-records
+    # these and leaves the Gram, second moments and bases unedited
+    assert fourth(got) == fourth(want)
+    assert fourth(got, keep=False) == fourth(want, keep=False)
 
 
 # --- the serial pair pass: thread-safe, fork-safe, never waits on the pool -
@@ -938,7 +979,7 @@ def fourth_digest(panel, lags=2):
     starts with an empty moment cache, so its pair pass runs again)."""
     fresh = dataclasses.replace(panel)
     return hashlib.sha256(
-        moments._cross_moments(fresh, lags).fourth.tobytes()).hexdigest()
+        _moments_from(fresh, lags, ()).fourth.tobytes()).hexdigest()
 
 
 def send_fourth_digest(spec, conn):
@@ -1020,3 +1061,10 @@ class TestConcurrentPairPass:
                 task.result(30)
             th.join(30)
         assert got == [want]
+
+
+if __name__ == "__main__":
+    print(json.dumps({
+        f"{variant}-{n_firms}": moment_digests(draw_panel(
+            make_spec(variant, n_firms=n_firms, seed=11)))
+        for variant in PINNED_VARIANTS for n_firms in PINNED_FIRMS}, indent=1, sort_keys=True))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import DEFAULTS, linear_panel
-from dynpan import moments
+from dynpan.moments import _moments_from
 from dynpan.diagnostics import (
     ar_order_test,
     moment_inequality,
@@ -93,7 +93,7 @@ def test_instrument_matrix_matches_column_stack(fixture, request):
     panel = request.getfixturevalue(fixture)
     for spec in GMM_SPECS:
         for t_min in range(max(max_lag(spec), 1), panel.spec.n_periods):
-            mom = moments._cross_moments(panel, t_min)
+            mom = _moments_from(panel, t_min, ())
             if needs_z(spec) and panel.z is None:
                 # names are checked against the panel where a fit takes them
                 with pytest.raises(ValidationError,

@@ -156,13 +156,21 @@ class TestBlockedNonlinearKappa:
 
 
 class TestZeroNoise:
-    def test_benchmark_collapses_to_constants(self):
+    @pytest.mark.parametrize("variant", simulate.VARIANTS)
+    def test_benchmark_collapses_to_constants(self, variant):
+        # every scale at zero, with the AR(2) and curvature terms switched
+        # on: ar2_kappa starts from its zero-variance stationary law
         s = StructuralParams(beta=0.6, theta=1.0, rho_omega=0.7, rho_x=0.5,
                              alpha=1.0, pi=0.3,
                              sigma_xi=0.0, sigma_u=0.0, sigma_eta=0.0)
-        panel = draw_panel(spec_for("benchmark", s=s))
+        ext = VariantParams(rho2_x=0.2, theta2=0.5, sigma_eps=0.0,
+                            sigma_v=0.0, sigma_alpha_fe=0.0,
+                            sigma_pi_fe=0.0)
+        panel = draw_panel(spec_for(variant, s=s, ext=ext))
         assert np.all(panel.x == 0.3)
         assert np.all(panel.y == 1.0 + 0.6 * 0.3)
+        if panel.z is not None:  # at the default pi_z = 0
+            assert np.all(panel.z == 0.0)
 
 
 class TestMoments:

@@ -147,16 +147,21 @@ failed_run_leaves_nothing() {
     test ! -e ci/bad
 }
 
-# An output file name with a directory part is rejected before any write.
+# An output file name with a directory part, and a string value its
+# manifest line could not carry back, are rejected before any write.
 out_file_must_be_plain() {
     rm -rf ci/o ci/p.csv
-    for name in x/ a/b.csv ../p.csv; do
+    for name in x/ a/b.csv ../p.csv 'a#b.csv'; do
         if dynpan simulate --n-firms 10 --out "$name" --out-dir ci/o; then
             exit 1
         fi
         test ! -e ci/o
     done
     test ! -e ci/p.csv
+    if dynpan simulate --n-firms 10 --grid '0:2:0.1#x' --out-dir ci/o; then
+        exit 1
+    fi
+    test ! -e ci/o
 }
 
 # A non-finite number in a config file exits 1 with one JSON error record
