@@ -6,7 +6,10 @@ Commands: ``simulate`` (panel CSV), ``scan`` (objective-curve CSV),
 ``figure`` (the five preset scan batteries over model-variant grids).
 
 Configuration is flat ``key = value`` text with dotted sections (see
-``CONFIG_SCHEMA``); ``#`` starts a comment.  Unknown keys are rejected.
+``CONFIG_SCHEMA``); ``#`` starts a comment.  ``resolve_config`` judges
+every value once, where it enters, by the schema: unknown keys, values of
+the wrong type and values outside a key's closed set are rejected alike
+from a flag and from a file, whether or not the command reads the key.
 Every run writes ``run.manifest`` into the output directory: the resolved
 configuration (defaults included) in the same format, plus the build
 identifier and the SHA-256 of each artifact as trailing comments, so a run
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DynpanError, ValidationError
-from .model import ParamPoint, StructuralParams, _theta_sign, pseudo_point
+from .model import ParamPoint, StructuralParams, pseudo_point
 from .simulate import (
     DgpSpec,
     VARIANTS,
@@ -46,7 +49,9 @@ from .simulate import (
     draw_panel,
     write_panel_csv,
 )
+from .estimate import _FAMILIES
 from .identify import (
+    DEFAULT_BOUNDS,
     find_local_minima,
     find_zeros,
     scan_curve,
@@ -63,31 +68,6 @@ _STRUCT_DEFAULTS = {"beta": 0.6, "theta": 1.0, "rho_omega": 0.7, "rho_x": 0.5,
                     "alpha": 1.0, "pi": 0.0, "sigma_xi": 1.0, "sigma_u": 1.0,
                     "sigma_eta": 1.0}
 
-#: key -> (type, default).  The resolved mapping is the whole run state.
-CONFIG_SCHEMA = {
-    "command": (str, ""),
-    "out.dir": (str, "."),
-    "out.file": (str, "panel.csv"),
-    "dgp.variant": (str, "benchmark"),
-    "dgp.n_firms": (int, 40_000),
-    "dgp.n_periods": (int, 5),
-    "dgp.seed": (int, 0),
-    "scan.axis": (str, "beta"),
-    "scan.grid": (str, "0:2:0.005"),
-    "scan.family": (str, "quasi_diff"),
-    "estimate.method": (str, "two_step"),
-    "estimate.sign": (str, "positive"),
-    "diagnose.point": (str, "truth"),
-    "diagnose.sign": (str, "positive"),
-    "diagnose.alpha": (float, 0.0),
-    "diagnose.beta": (float, 0.0),
-    "diagnose.rho": (float, 0.0),
-    "figure.which": (int, 1),
-    **{f"dgp.{name}": (float, v) for name, v in _STRUCT_DEFAULTS.items()},
-    **{f"dgp.ext.{f.name}": (float, f.default)
-       for f in dataclasses.fields(VariantParams)},
-}
-
 #: Figure presets: (variant, swept ext field, values).  The first value of
 #: each sweep reproduces the benchmark member of the family.
 FIGURE_PRESETS = {
@@ -97,6 +77,32 @@ FIGURE_PRESETS = {
     4: ("arma_x", "sigma_eps",
         (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
     5: ("reversed_curvature", None, (None,)),
+}
+
+#: key -> (type, default) or (type, default, values): a key with values
+#: takes no other.  The resolved mapping is the whole run state.
+CONFIG_SCHEMA = {
+    "command": (str, ""),
+    "out.dir": (str, "."),
+    "out.file": (str, "panel.csv"),
+    "dgp.variant": (str, "benchmark", VARIANTS),
+    "dgp.n_firms": (int, 40_000),
+    "dgp.n_periods": (int, 5),
+    "dgp.seed": (int, 0),
+    "scan.axis": (str, "beta", tuple(DEFAULT_BOUNDS)),
+    "scan.grid": (str, "0:2:0.005"),
+    "scan.family": (str, "quasi_diff", tuple(_FAMILIES)),
+    "estimate.method": (str, "two_step", ("two_step",)),
+    "estimate.sign": (str, "positive", ("positive", "negative")),
+    "diagnose.point": (str, "truth", ("truth", "pseudo", "custom")),
+    "diagnose.sign": (str, "positive", ("positive", "negative")),
+    "diagnose.alpha": (float, 0.0),
+    "diagnose.beta": (float, 0.0),
+    "diagnose.rho": (float, 0.0),
+    "figure.which": (int, 1, tuple(FIGURE_PRESETS)),
+    **{f"dgp.{name}": (float, v) for name, v in _STRUCT_DEFAULTS.items()},
+    **{f"dgp.ext.{f.name}": (float, f.default)
+       for f in dataclasses.fields(VariantParams)},
 }
 
 
@@ -116,14 +122,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def resolve_config(file_values: dict, overrides: dict) -> dict:
-    """Defaults, then config file, then command-line overrides; typed."""
-    resolved = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
+    """Defaults, then config file, then command-line overrides; typed, and
+    judged where they enter, alike from a flag or a file."""
+    resolved = {k: entry[1] for k, entry in CONFIG_SCHEMA.items()}
     for source in (file_values, overrides):
         for key, value in source.items():
             if key not in CONFIG_SCHEMA:
                 raise ValidationError(f"unknown configuration key {key!r}",
                                       field=key)
-            kind = CONFIG_SCHEMA[key][0]
+            kind, _, *closed = CONFIG_SCHEMA[key]
             try:
                 resolved[key] = kind(value)
             except (TypeError, ValueError) as exc:
@@ -133,26 +140,31 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             if kind is float and not np.isfinite(resolved[key]):
                 raise ValidationError(f"must be a finite number, got "
                                       f"{value!r}", field=key)
+            if closed and resolved[key] not in closed[0]:
+                raise ValidationError(
+                    f"must be one of {', '.join(map(str, closed[0]))}, got "
+                    f"{value!r}", field=key)
     name = resolved["out.file"]
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValidationError(f"must be a plain file name, got {name!r}",
                               field="out.file")
-    for key, (kind, _) in CONFIG_SCHEMA.items():
+    for key, entry in CONFIG_SCHEMA.items():
         # the manifest records the value as its own key = value line
-        if kind is str and key != "out.dir" and not _reads_back(
+        if entry[0] is str and key != "out.dir" and not _reads_back(
                 key, resolved[key]):
             raise ValidationError(
                 f"{resolved[key]!r} would not read back from the manifest: "
-                "it holds a '#', a line break or surrounding whitespace",
-                field=key)
+                "it holds a '#', a line break, surrounding whitespace or "
+                "text that is not UTF-8", field=key)
     return resolved
 
 
 def _reads_back(key: str, value: str) -> bool:
-    """Whether ``key = value`` parses back to exactly that pair."""
+    """Whether ``key = value`` is UTF-8 that parses back to that pair."""
     try:
+        f"{key} = {value}".encode("utf-8")
         return parse_config_text(f"{key} = {value}") == {key: value}
-    except ValidationError:
+    except (UnicodeEncodeError, ValidationError):
         return False
 
 
@@ -329,18 +341,9 @@ def _cmd_scan(cfg: dict, out: _Outputs) -> None:
     out.write("curve.csv", _lines_writer(_curve_lines(curve)))
 
 
-def _sign_label(cfg_value: str, field: str) -> str:
-    label = f"theta_{cfg_value}"
-    _theta_sign(label, field)
-    return label
-
-
 def _cmd_estimate(cfg: dict, out: _Outputs) -> None:
-    if cfg["estimate.method"] != "two_step":
-        raise ValidationError("only estimate.method = two_step is available",
-                              field="estimate.method")
-    sign = _sign_label(cfg["estimate.sign"], "estimate.sign")
-    result = two_step_estimator(_panel(config_to_spec(cfg)), sign)
+    result = two_step_estimator(_panel(config_to_spec(cfg)),
+                                f"theta_{cfg['estimate.sign']}")
     out.write("estimate.csv", _lines_writer(_estimate_lines(result)))
 
 
@@ -352,15 +355,11 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
                            spec.structural.rho_omega)
     elif which == "pseudo":
         point = pseudo_point(spec.structural)
-    elif which == "custom":
+    else:  # custom
         point = ParamPoint(cfg["diagnose.alpha"], cfg["diagnose.beta"],
                            cfg["diagnose.rho"])
-    else:
-        raise ValidationError(
-            "diagnose.point must be truth, pseudo, or custom",
-            field="diagnose.point")
-    sign = _sign_label(cfg["diagnose.sign"], "diagnose.sign")
-    panel = _panel(spec)  # drawn once the point and the sign are known
+    sign = f"theta_{cfg['diagnose.sign']}"
+    panel = _panel(spec)  # drawn once the point is known
     for name, report in (
             ("diagnose_sign.csv", residual_sign_test(panel, point, sign)),
             ("diagnose_inequality.csv",
@@ -372,9 +371,6 @@ def _cmd_diagnose(cfg: dict, out: _Outputs) -> None:
 def _cmd_figure(cfg: dict, out: _Outputs) -> None:
     global _held
     which = cfg["figure.which"]
-    if which not in FIGURE_PRESETS:
-        raise ValidationError("figure.which must be 1..5",
-                              field="figure.which")
     variant, sweep_field, values = FIGURE_PRESETS[which]
     base = dict(cfg)
     base["dgp.variant"] = variant
@@ -446,9 +442,6 @@ def run(cfg: dict) -> int:
         raise ValidationError(
             f"command must be one of {', '.join(_COMMANDS)}",
             field="command")
-    if cfg["dgp.variant"] not in VARIANTS:
-        raise ValidationError(f"unknown variant {cfg['dgp.variant']!r}",
-                              field="dgp.variant")
     out = _Outputs(cfg["out.dir"])
     _COMMANDS[command](cfg, out)
     out.write_manifest(cfg)
@@ -458,18 +451,17 @@ def run(cfg: dict) -> int:
 #: Each command-line flag (after ``--config``): the configuration keys its
 #: value sets, and its argparse options.
 _FLAGS = {
-    "--seed": (("dgp.seed",), dict(type=int)),
+    "--seed": (("dgp.seed",), {}),
     "--out-dir": (("out.dir",), {}),
     "--out": (("out.file",), dict(help="output file name (simulate)")),
     "--method": (("estimate.method",), dict(
         type=lambda v: v.replace("-", "_"), help="estimator (two-step)")),
     "--grid": (("scan.grid",), dict(help="scan grid as lo:hi:step")),
-    "--sign-theta": (("estimate.sign", "diagnose.sign"),
-                     dict(choices=("positive", "negative"))),
-    "--which": (("figure.which",), dict(type=int, help="figure preset 1..5")),
-    "--n-firms": (("dgp.n_firms",), dict(type=int)),
-    "--n-periods": (("dgp.n_periods",), dict(type=int)),
-    "--variant": (("dgp.variant",), dict(choices=VARIANTS)),
+    "--sign-theta": (("estimate.sign", "diagnose.sign"), {}),
+    "--which": (("figure.which",), dict(help="figure preset")),
+    "--n-firms": (("dgp.n_firms",), {}),
+    "--n-periods": (("dgp.n_periods",), {}),
+    "--variant": (("dgp.variant",), {}),
 }
 
 
@@ -482,7 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
-        for flag, (_, options) in _FLAGS.items():
+        for flag, (keys, options) in _FLAGS.items():
+            _, _, *closed = CONFIG_SCHEMA[keys[0]]
+            if closed:  # --help lists the values
+                options = dict(options, metavar="{%s}" % ",".join(
+                    map(str, closed[0])))
             p.add_argument(flag, **options)
     return parser
 

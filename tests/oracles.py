@@ -6,8 +6,10 @@ the residual families one column per usable period, the concentrated beta
 and rho moments with their influence-function standard errors, the
 full-length GEMM two-stage least squares on ``column_stack`` designs, the
 per-period GMM moments with ``moment_stats``, ``np.corrcoef`` and a
-two-pass standard deviation.  ``assert_rel`` is the comparison every test
-of the engine against them uses.  ``population_gram`` is the seed-free
+two-pass standard deviation.  Each standard error of a mean is row-level
+(a firm's rows independent) or, with ``clustered=True``, firm-clustered
+(``influence_se``).  ``assert_rel`` is the comparison every test of the
+engine against them uses.  ``population_gram`` is the seed-free
 oracle: the exact period Gram of a benchmark or predetermined panel, from
 the model alone.  ``panel_csv_text`` is the panel CSV written one ``repr``
 per value, the text ``simulate.write_panel_csv`` must match byte for byte.
@@ -28,6 +30,16 @@ def assert_rel(got, want, scale=None, rtol=1e-10):
     bound = rtol * (np.abs(want[ok]) if scale is None else scale)
     assert np.all(np.abs(got[ok] - want[ok]) <= bound), \
         np.max(np.abs(got[ok] - want[ok]) / np.maximum(bound / rtol, 1e-300))
+
+
+def influence_se(psi, n_firms=None):
+    """The standard error of the mean of the influence values ``psi``
+    (firm-major rows): their ddof-1 SD over sqrt(len(psi)), or, given
+    ``n_firms``, the firm-clustered one, the ddof-1 SD of each firm's mean
+    value over sqrt(n_firms)."""
+    if n_firms is not None:
+        psi = psi.reshape(n_firms, -1).mean(axis=1)
+    return psi.std(ddof=1) / np.sqrt(psi.size)
 
 
 def max_lag(names) -> int:
@@ -86,7 +98,7 @@ def family_residual(panel, family, params):
 # moved onto the cached cross-moments: each pools the raw lagged columns of
 # the panel and takes every mean directly.
 
-def oracle_beta(panel, beta_tilde):
+def oracle_beta(panel, beta_tilde, clustered=False):
     """(alpha, rho, moment, se) of the concentrated beta moment."""
     y, x = panel.y, panel.x
     y0, y1, y2 = y[:, 2:].ravel(), y[:, 1:-1].ravel(), y[:, :-2].ravel()
@@ -108,10 +120,11 @@ def oracle_beta(panel, beta_tilde):
     v = np.linalg.solve((zx / n).T, b)
     psi = prod - (v[0] + v[1] * w2) * step1_resid
     alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else np.nan
-    return np.array([alpha, rho, prod.mean(), psi.std(ddof=1) / np.sqrt(n)])
+    se = influence_se(psi, panel.spec.n_firms if clustered else None)
+    return np.array([alpha, rho, prod.mean(), se])
 
 
-def oracle_rho(panel, rho_tilde, family, solve, report):
+def oracle_rho(panel, rho_tilde, family, solve, report, clustered=False):
     """(coefficients, moments, ses) of the rho-concentrated moments."""
     t_min = max(1, max_lag(solve + report))
     t_len = panel.spec.n_periods - t_min
@@ -144,7 +157,8 @@ def oracle_rho(panel, rho_tilde, family, solve, report):
         moments.append(prod.mean())
         v = np.linalg.solve(A.T, X.T @ col / n)
         psi = prod - (Z @ v) * r
-        ses.append(psi.std(ddof=1) / np.sqrt(n))
+        ses.append(influence_se(psi, panel.spec.n_firms if clustered
+                                else None))
     return coef, np.array(moments), np.array(ses)
 
 
@@ -192,14 +206,19 @@ def stacked_instruments(panel, names, t_min):
     return np.column_stack(cols)
 
 
-def moment_stats(Z, r, weighting):
+def moment_stats(Z, r, weighting, n_firms=None):
     """(m, objective, se): m = Z'r / n, objective m' W m with W the identity
-    or the inverse uncentered outer-product, ddof-1 standard errors."""
+    or the inverse uncentered outer-product, ddof-1 standard errors.  Given
+    ``n_firms`` (firm-major rows), the outer product and the SEs are
+    firm-clustered: they take each firm's mean of the rows of Z r."""
     n = r.size
     zr = Z * r[:, None]
     m = zr.sum(axis=0) / n
-    S = zr.T @ zr / n
-    se = np.sqrt(np.clip(np.diag(S - np.outer(m, m)), 0.0, None) / (n - 1))
+    if n_firms is not None:
+        zr = zr.reshape(n_firms, -1, zr.shape[1]).mean(axis=1)
+    k = zr.shape[0]
+    S = zr.T @ zr / k
+    se = np.sqrt(np.clip(np.diag(S - np.outer(m, m)), 0.0, None) / (k - 1))
     if weighting == "identity":
         return m, float(m @ m), se
     try:
@@ -208,12 +227,13 @@ def moment_stats(Z, r, weighting):
         raise RankDeficiencyError("singular outer-product") from exc
 
 
-def stacked_gmm(panel, family, params, names, weighting):
+def stacked_gmm(panel, family, params, names, weighting, clustered=False):
     resid, offset = family_residual(panel, family, params)
     t_min = max(offset, max_lag(names))
     r = resid[:, t_min - offset:].ravel()
     Z = stacked_instruments(panel, names, t_min)
-    return moment_stats(Z, r, weighting) + (r.size,)
+    n_firms = panel.spec.n_firms if clustered else None
+    return moment_stats(Z, r, weighting, n_firms) + (r.size,)
 
 
 # --- the level diagnostics -------------------------------------------------
@@ -223,9 +243,10 @@ def corrcoef_sign(panel, p):
     return float(np.corrcoef(panel.x.ravel(), e)[0, 1])
 
 
-def two_pass_inequality(panel, p):
+def two_pass_inequality(panel, p, clustered=False):
     prod = (panel.x * (panel.y - p.alpha - p.beta * panel.x)).ravel()
-    return prod.mean(), prod.std(ddof=1) / np.sqrt(prod.size)
+    return prod.mean(), influence_se(prod, panel.spec.n_firms if clustered
+                                     else None)
 
 
 # --- the population period Gram of the benchmark variant -------------------

@@ -278,18 +278,37 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize("line, field", [
         ("diagnose.point = midway", "diagnose.point"),
         ("diagnose.sign = sideways", "diagnose.sign"),
+        ("estimate.sign = sideways", "estimate.sign"),
+        ("estimate.method = magic", "estimate.method"),
+        ("dgp.seed = abc", "dgp.seed"),
+        ("dgp.variant = bogus", "dgp.variant"),
+        ("figure.which = 9", "figure.which"),
+        ("scan.axis = gamma", "scan.axis"),
+        ("scan.family = levels", "scan.family"),
     ])
     def test_unknown_point_or_sign_is_an_error_record(self, line, field,
                                                       tmp_path, capsys):
+        # a bad value fails alike from a config file and from each flag
+        # that sets its key (naming the flag's first key), also where
+        # diagnose does not read the key
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
-        code = run_cli("diagnose", "--config", str(cfg), "--n-firms", "200",
-                       "--out-dir", str(tmp_path / "out"))
-        assert code == 1
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ValidationError"
-        assert record["message"].startswith(f"{field}:")
-        assert not (tmp_path / "out").exists()
+        value = line.partition(" = ")[2]
+        runs = [(["--config", str(cfg)], field)]
+        runs += [([flag, value], keys[0])
+                 for flag, (keys, _) in cli._FLAGS.items() if field in keys]
+        reasons = set()
+        for argv, key in runs:
+            code = run_cli("diagnose", *argv, "--n-firms", "200",
+                           "--out-dir", str(tmp_path / "out"))
+            assert code == 1
+            (err,) = capsys.readouterr().err.splitlines()
+            record = json.loads(err)
+            assert record["error"] == "ValidationError"
+            assert record["message"].startswith(f"{key}: ")
+            reasons.add(record["message"][len(key) + 2:])
+            assert not (tmp_path / "out").exists()
+        assert len(reasons) == 1
 
 
 class TestFigureCommand:
@@ -349,7 +368,7 @@ class TestCommandMismatch:
                                   "scan, estimate, diagnose, figure")
 
     def test_config_variant_must_be_known(self, tmp_path, capsys):
-        # the --variant flag has argparse choices; a config file does not
+        # resolve_config judges the --variant flag and a config file alike
         cfg = tmp_path / "cfg"
         cfg.write_text("dgp.variant = bogus\n")
         code = run_cli("simulate", "--config", str(cfg), "--out-dir",
@@ -357,8 +376,21 @@ class TestCommandMismatch:
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
-        assert record["message"] == "dgp.variant: unknown variant 'bogus'"
+        assert record["message"] == (
+            "dgp.variant: must be one of "
+            f"{', '.join(simulate.VARIANTS)}, got 'bogus'")
         assert not (tmp_path / "out").exists()
+
+    def test_no_manifest_records_an_illegal_value(self, tmp_path, capsys):
+        # scan does not read estimate.sign, but its manifest would carry it
+        cfg = tmp_path / "cfg"
+        cfg.write_text("estimate.sign = sideways\n")
+        out = tmp_path / "out"
+        assert run_cli("scan", "--config", str(cfg), "--n-firms", "200",
+                       "--grid", "0:2:0.5", "--out-dir", str(out)) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["message"].startswith("estimate.sign: ")
+        assert not out.exists()
 
     def test_config_command_must_match_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -395,10 +427,11 @@ class TestFailedRunsLeaveNothing:
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["x/", "a/b.csv", "../p.csv", "", ".",
-                                      "..", "a#b.csv", " p.csv", "q\nr.csv"],
+                                      "..", "a#b.csv", " p.csv", "q\nr.csv",
+                                      "\udcff.csv"],
                              ids=["trailing_slash", "subdirectory", "parent",
                                   "empty", "dot", "dotdot", "comment",
-                                  "leading_space", "line_break"])
+                                  "leading_space", "line_break", "not_utf8"])
     def test_out_file_must_be_a_plain_name(self, name, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("simulate", "--n-firms", "10", "--out", name,
@@ -457,7 +490,10 @@ class TestFailedRunsLeaveNothing:
         (line,) = capsys.readouterr().err.splitlines()
         record = json.loads(line)
         assert record["error"] == "ValidationError"
-        assert record["message"].startswith("family:")
+        # resolve_config refuses a family that is not in the table;
+        # scan_curve one that the rho axis cannot concentrate
+        field = "scan.family" if family == "levels" else "family"
+        assert record["message"].startswith(f"{field}:")
         assert not out.exists()
 
     def test_rho_scan_of_a_family_whose_input_the_panel_lacks(self, tmp_path,
@@ -663,6 +699,16 @@ class TestParser:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+    def test_help_lists_each_closed_set(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("estimate", "--help")
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for want in ("--sign-theta {positive,negative}",
+                     "--which {1,2,3,4,5}", "--method {two_step}",
+                     "--variant {" + ",".join(simulate.VARIANTS) + "}"):
+            assert want in text
 
 
 # --- pinned bytes: every artifact of every command ------------------------

@@ -535,12 +535,12 @@ RHO_SETS = (
 )
 
 
-def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13)):
+def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13), clustered=False):
     fast = beta_scan_evaluator(panel)
     got, want = [], []
     for b in grid:
         try:
-            want.append(oracle_beta(panel, b))
+            want.append(oracle_beta(panel, b, clustered))
         except RankDeficiencyError:
             want.append(np.full(4, np.nan))
             with pytest.raises(RankDeficiencyError):
@@ -559,10 +559,11 @@ def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13)):
 
 
 def check_rho_scan(panel, family, solve, report,
-                   grid=np.linspace(-0.9, 0.9, 10)):
+                   grid=np.linspace(-0.9, 0.9, 10), clustered=False):
     got_m, want_m = [], []
     for rho in grid:
-        coef, moments, ses = oracle_rho(panel, rho, family, solve, report)
+        coef, moments, ses = oracle_rho(panel, rho, family, solve, report,
+                                        clustered)
         cr = concentrate_rho(panel, rho, family=family,
                              solve_instruments=solve,
                              report_instruments=report)

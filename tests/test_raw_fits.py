@@ -13,6 +13,8 @@ every conftest panel the fits and reports must agree with them to 1e-10
 relative.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from oracles import (
     assert_rel,
     corrcoef_sign,
     gemm_two_sls,
+    influence_se,
     max_lag,
     stacked_ar_order,
     stacked_gmm,
@@ -46,7 +49,12 @@ from oracles import (
     stacked_reduced_form,
     two_pass_inequality,
 )
-from test_estimate import FIXTURE_PANELS
+from test_estimate import (
+    FIXTURE_PANELS,
+    RHO_SETS,
+    check_beta_scan,
+    check_rho_scan,
+)
 
 TRUTH = ParamPoint(alpha=1.0, beta=0.6, rho=0.7)
 POINTS = (TRUTH, pseudo_point(DEFAULTS), ParamPoint(1.0, -2.0, 0.7))
@@ -167,6 +175,65 @@ def test_sign_and_inequality_match_old_formulas(fixture, request):
         rep = moment_inequality(panel, p)
         assert_rel([rep.statistic, rep.standard_error],
                    two_pass_inequality(panel, p))
+
+
+# --- the firm-clustered oracles where each firm pools one row ------------
+#
+# Cut to its first L + 1 periods, a panel gives a fit at lag depth L one
+# pooled row per firm.  A firm's mean influence value is then its one row's,
+# so the engine's row-level standard errors (and the two-step weight) must
+# equal the firm-clustered oracles, which the clustered engine is to match
+# on every panel.
+
+def first_periods(panel, t):
+    """``panel`` cut to its first ``t`` periods."""
+    return dataclasses.replace(
+        panel, spec=dataclasses.replace(panel.spec, n_periods=t),
+        **{f.name: np.ascontiguousarray(getattr(panel, f.name)[:, :t])
+           for f in dataclasses.fields(panel)
+           if getattr(getattr(panel, f.name), "ndim", 0) == 2})
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_PANELS)
+def test_one_row_per_firm_matches_the_clustered_oracles(fixture, request):
+    panel = request.getfixturevalue(fixture)
+    cuts = {t: first_periods(panel, t) for t in range(1, 5)}
+    check_beta_scan(cuts[3], clustered=True)
+    for family, solve, report in RHO_SETS:
+        if family != "multi_input" or panel.z is not None:
+            check_rho_scan(cuts[3], family, solve, report, clustered=True)
+    for family, points in GMM_POINTS.items():
+        if family == "multi_input" and panel.z is None:
+            continue
+        for spec in GMM_SPECS:
+            if needs_z(spec) and panel.z is None:
+                continue
+            depth = max(max_lag(spec), 2 if family == "double_diff" else 1)
+            cut = cuts[depth + 1]
+            for params in points:
+                for weighting in ("identity", "two_step"):
+                    rep = gmm_objective(cut, family, params, spec, weighting)
+                    m, objective, se, n = stacked_gmm(
+                        cut, family, params, spec, weighting, clustered=True)
+                    assert rep.n_obs == n == cut.spec.n_firms
+                    assert_rel(rep.moments, m)
+                    assert_rel(rep.objective, objective)
+                    assert_rel(rep.std_errors, se)
+    for p in POINTS:
+        rep = moment_inequality(cuts[1], p)
+        assert_rel([rep.statistic, rep.standard_error],
+                   two_pass_inequality(cuts[1], p, clustered=True))
+
+
+def test_clustered_inequality_se_reads_each_firm_once(bench200k):
+    # on five periods the firm's rows are correlated: clustering widens
+    # the inequality's standard error (row-level it is about 1.3x too small)
+    row, firm = (two_pass_inequality(bench200k, TRUTH, clustered)[1]
+                 for clustered in (False, True))
+    assert firm > 1.15 * row
+    prod = np.repeat(np.arange(8.0), 5)  # each firm's 5 rows are equal
+    assert influence_se(prod, 8) == pytest.approx(
+        np.arange(8.0).std(ddof=1) / np.sqrt(8), rel=1e-15)
 
 
 # --- two_sls on small panels ----------------------------------------------

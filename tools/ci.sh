@@ -23,7 +23,8 @@ fi
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        reproduce_simulate panel_csv_matches_oracle batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
-       nonfinite_config_rejected one_firm_panels_exit_cleanly bench_tests
+       nonfinite_config_rejected bad_value_rejected_alike
+       one_firm_panels_exit_cleanly bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
@@ -148,10 +149,11 @@ failed_run_leaves_nothing() {
 }
 
 # An output file name with a directory part, and a string value its
-# manifest line could not carry back, are rejected before any write.
+# manifest line could not carry back (a '#', or a byte that is not UTF-8),
+# are rejected before any write.
 out_file_must_be_plain() {
     rm -rf ci/o ci/p.csv
-    for name in x/ a/b.csv ../p.csv 'a#b.csv'; do
+    for name in x/ a/b.csv ../p.csv 'a#b.csv' $'\xff.csv'; do
         if dynpan simulate --n-firms 10 --out "$name" --out-dir ci/o; then
             exit 1
         fi
@@ -164,27 +166,49 @@ out_file_must_be_plain() {
     test ! -e ci/o
 }
 
-# A non-finite number in a config file exits 1 with one JSON error record
-# that names its key, before any write.
+# rejected <key> <dynpan argument>...: the run exits 1 with one JSON error
+# record whose message starts with <key>, and writes no output directory.
+rejected() {
+    local key=$1 status=0
+    shift
+    rm -rf ci/n
+    dynpan "$@" --out-dir ci/n 2> ci/rejected.err || status=$?
+    test "$status" -eq 1
+    test "$(wc -l < ci/rejected.err)" -eq 1
+    python3 -c 'import json, sys
+record = json.loads(open(sys.argv[1]).read())
+assert record["error"] == "ValidationError", record
+assert record["message"].startswith(sys.argv[2] + ": "), record' \
+        ci/rejected.err "$key"
+    test ! -e ci/n
+}
+
+# A non-finite number in a config file is rejected by its key.
 nonfinite_config_rejected() {
+    local case command line
     mkdir -p ci
-    rm -rf ci/n ci/nonfinite.cfg ci/nonfinite.err
-    local case command line status
     for case in "simulate:dgp.theta = inf" "estimate:dgp.beta = nan"; do
         command=${case%%:*}
         line=${case#*:}
         printf '%s\n' "$line" > ci/nonfinite.cfg
-        status=0
-        dynpan "$command" --config ci/nonfinite.cfg --out-dir ci/n \
-            2> ci/nonfinite.err || status=$?
-        test "$status" -eq 1
-        test "$(wc -l < ci/nonfinite.err)" -eq 1
-        python3 -c 'import json, sys
-record = json.loads(open(sys.argv[1]).read())
-assert record["error"] == "ValidationError", record
-assert record["message"].startswith(sys.argv[2] + ": "), record' \
-            ci/nonfinite.err "${line%% =*}"
-        test ! -e ci/n
+        rejected "${line%% =*}" "$command" --config ci/nonfinite.cfg
+    done
+}
+
+# A value a key cannot take is rejected by its key alike from a flag and
+# from a config file, also by a command that does not read the key, so no
+# manifest records it.
+bad_value_rejected_alike() {
+    local case command flag key value
+    mkdir -p ci
+    for case in simulate:--seed:dgp.seed:abc \
+                simulate:--variant:dgp.variant:bogus \
+                scan:--sign-theta:estimate.sign:sideways \
+                simulate:--which:figure.which:9; do
+        IFS=: read -r command flag key value <<< "$case"
+        rejected "$key" "$command" "$flag" "$value"
+        printf '%s = %s\n' "$key" "$value" > ci/bad_value.cfg
+        rejected "$key" "$command" --config ci/bad_value.cfg
     done
 }
 
