@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -372,19 +371,12 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
     global _held
     which = cfg["figure.which"]
     variant, sweep_field, values = FIGURE_PRESETS[which]
-    base = dict(cfg)
-    base["dgp.variant"] = variant
 
-    jobs = []
-    for value in values:
-        sub, label = dict(base), variant
+    def run_job(value):
+        sub, label = {**cfg, "dgp.variant": variant}, variant
         if sweep_field is not None:
             label = f"{sweep_field}_{value:g}"
             sub[f"dgp.ext.{sweep_field}"] = value
-        jobs.append((label, sub))
-
-    def run_job(job):
-        label, sub = job
         try:
             panel = draw_panel(config_to_spec(sub))  # validates the spec
         except ValidationError as exc:
@@ -393,8 +385,8 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
 
     _held = (None, None)  # the jobs draw their own panels, several at once
     with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(4, len(jobs))) as pool:
-        results = list(pool.map(run_job, jobs))
+            max_workers=min(4, len(values))) as pool:
+        results = list(pool.map(run_job, values))
 
     curves = [result for result in results if result[1] is not None]
     if not curves:
@@ -449,13 +441,13 @@ def run(cfg: dict) -> int:
 
 
 #: Each command-line flag (after ``--config``): the configuration keys its
-#: value sets, and its argparse options.
+#: value sets, and its argparse options.  Its value is kept under the first
+#: key, which ``--help`` shows unless the key takes a closed set.
 _FLAGS = {
     "--seed": (("dgp.seed",), {}),
     "--out-dir": (("out.dir",), {}),
     "--out": (("out.file",), dict(help="output file name (simulate)")),
-    "--method": (("estimate.method",), dict(
-        type=lambda v: v.replace("-", "_"), help="estimator (two-step)")),
+    "--method": (("estimate.method",), dict(help="estimator")),
     "--grid": (("scan.grid",), dict(help="scan grid as lo:hi:step")),
     "--sign-theta": (("estimate.sign", "diagnose.sign"), {}),
     "--which": (("figure.which",), dict(help="figure preset")),
@@ -470,30 +462,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynpan",
         description="Simulation and estimation toolkit for dynamic-panel "
                     "pseudo-solutions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value configuration file")
-        for flag, (keys, options) in _FLAGS.items():
-            _, _, *closed = CONFIG_SCHEMA[keys[0]]
-            if closed:  # --help lists the values
-                options = dict(options, metavar="{%s}" % ",".join(
-                    map(str, closed[0])))
-            p.add_argument(flag, **options)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat key = value configuration file")
+    for flag, (keys, options) in _FLAGS.items():
+        _, _, *closed = CONFIG_SCHEMA[keys[0]]
+        if closed:  # --help lists the values
+            options = dict(options, metavar="{%s}" % ",".join(
+                map(str, closed[0])))
+        parser.add_argument(flag, dest=keys[0], **options)
     return parser
 
 
-@functools.cache
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reads argv with, built once per process
-    (parsing leaves it unchanged); :func:`build_parser` stays fresh."""
-    return build_parser()
+#: The parser :func:`main` reads argv with (parsing leaves it unchanged).
+_PARSER = build_parser()
 
 
 def _overrides_from_args(args) -> dict:
     out = {}
-    for flag, (keys, _) in _FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+    for keys, _ in _FLAGS.values():
+        value = getattr(args, keys[0])
         if value is not None:
             out.update(dict.fromkeys(keys, value))
     return out
@@ -513,13 +500,13 @@ def _glued(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = _main_parser().parse_args(
+    args = _PARSER.parse_args(
         _glued(sys.argv[1:] if argv is None else argv))
     try:
         file_values = {}
         if args.config:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(args.config, encoding="utf-8-sig") as fh:
                     file_values = parse_config_text(fh.read())
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{args.config} is not UTF-8 text: "
@@ -528,10 +515,10 @@ def main(argv=None) -> int:
         if cfg["command"] and cfg["command"] != args.command:
             raise ValidationError(
                 f"config command {cfg['command']!r} conflicts with "
-                f"subcommand {args.command!r}", field="command")
+                f"the command line's {args.command!r}", field="command")
         cfg["command"] = args.command
         return run(cfg)
-    except (DynpanError, OSError) as exc:
+    except (DynpanError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "module": type(exc).__module__}
         print(json.dumps(record), file=sys.stderr)

@@ -7,7 +7,9 @@ full default size is the acceptance suite's job.
 import gc
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import threading
@@ -98,6 +100,21 @@ class TestSimulateCommand:
                        "--out-dir", str(second)) == 0
         assert sorted(p.name for p in second.iterdir()) == \
             sorted([name, "run.manifest"])
+        for p in first.iterdir():
+            assert p.read_bytes() == (second / p.name).read_bytes()
+
+    def test_manifest_saved_with_a_byte_order_mark_reproduces(self,
+                                                               tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("simulate", "--seed", "3", "--n-firms", "25",
+                       "--out-dir", str(first)) == 0
+        bom = tmp_path / "bom.manifest"
+        bom.write_bytes(b"\xef\xbb\xbf" + (first / "run.manifest")
+                        .read_bytes())
+        assert run_cli("simulate", "--config", str(bom),
+                       "--out-dir", str(second)) == 0
+        assert sorted(p.name for p in second.iterdir()) == \
+            sorted(p.name for p in first.iterdir())
         for p in first.iterdir():
             assert p.read_bytes() == (second / p.name).read_bytes()
 
@@ -280,6 +297,7 @@ class TestDiagnoseCommand:
         ("diagnose.sign = sideways", "diagnose.sign"),
         ("estimate.sign = sideways", "estimate.sign"),
         ("estimate.method = magic", "estimate.method"),
+        ("estimate.method = two-step", "estimate.method"),
         ("dgp.seed = abc", "dgp.seed"),
         ("dgp.variant = bogus", "dgp.variant"),
         ("figure.which = 9", "figure.which"),
@@ -424,6 +442,16 @@ class TestFailedRunsLeaveNothing:
         out = tmp_path / "out"
         assert run_cli(*argv, "--out-dir", str(out)) == 1
         assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_impossible_panel_size_is_an_error_record(self, tmp_path,
+                                                      capsys):
+        # numpy refuses 10**15 x 5 doubles before it reserves any memory
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--n-firms", str(10**15),
+                       "--out-dir", str(out)) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"] == "MemoryError"
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["x/", "a/b.csv", "../p.csv", "", ".",
@@ -663,7 +691,7 @@ class TestParser:
     def test_every_flag_lands_on_its_keys(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("simulate", "--seed", "3", "--out-dir", str(out),
-                       "--out", "p.csv", "--method", "two-step",
+                       "--out", "p.csv", "--method", "two_step",
                        "--grid", "0:1:0.5", "--sign-theta", "negative",
                        "--which", "4", "--n-firms", "12", "--n-periods", "6",
                        "--variant", "arma_x") == 0
@@ -677,25 +705,31 @@ class TestParser:
         assert (out / "p.csv").exists()
         assert not any(line.startswith("out.dir") for line in lines)
 
-    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
-        built, original = [], cli.build_parser
+    def test_main_builds_no_parser(self, tmp_path):
+        # a fresh process: the parser is built at import, and every main
+        # call reuses it
+        code = ("import sys\n"
+                "from dynpan import cli\n"
+                "def refuse():\n"
+                "    raise AssertionError('main built a parser')\n"
+                "cli.build_parser = refuse\n"
+                "for k in '123':\n"
+                "    assert cli.main(['simulate', '--n-firms', '20', '--seed',"
+                " k, '--out-dir', sys.argv[1] + k]) == 0\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")],
+                       check=True, env=env)
+        assert (tmp_path / "run3" / "panel.csv").read_text() != \
+            (tmp_path / "run2" / "panel.csv").read_text()
 
-        def counting():
-            built.append(original())
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        cli._main_parser.cache_clear()
-        try:
-            for k in range(3):
-                assert run_cli("simulate", "--n-firms", "20", "--seed",
-                               str(k), "--out-dir",
-                               str(tmp_path / str(k))) == 0
-            assert len(built) == 1
-        finally:
-            cli._main_parser.cache_clear()
-        assert (tmp_path / "2" / "panel.csv").read_text() != \
-            (tmp_path / "1" / "panel.csv").read_text()
+    def test_flags_may_come_before_the_command(self, tmp_path):
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert run_cli("--seed", "4", "--n-firms", "20", "--grid",
+                       "-0.5:2:0.5", "scan", "--out-dir", str(before)) == 0
+        assert run_cli("scan", "--seed", "4", "--n-firms", "20", "--grid",
+                       "-0.5:2:0.5", "--out-dir", str(after)) == 0
+        for name in ("curve.csv", "run.manifest"):
+            assert (before / name).read_bytes() == (after / name).read_bytes()
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -708,6 +742,18 @@ class TestParser:
         for want in ("--sign-theta {positive,negative}",
                      "--which {1,2,3,4,5}", "--method {two_step}",
                      "--variant {" + ",".join(simulate.VARIANTS) + "}"):
+            assert want in text
+
+    def test_help_without_a_command_lists_every_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("--help")
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in text
+        for want in ("--config", *cli._FLAGS, "--sign-theta {positive,"
+                     "negative}", "--which {1,2,3,4,5}", "--method "
+                     "{two_step}", "--variant {" + ",".join(
+                         simulate.VARIANTS) + "}"):
             assert want in text
 
 

@@ -142,9 +142,20 @@ for out, argv in (("estimate", ["estimate"]), ("truth", ["diagnose"]),
     test "$(ls ci/m/*/* | wc -l)" -eq "$(ls ci/w/*/* | wc -l)"
 }
 
+# A panel too short to estimate, and one too large to allocate (numpy
+# refuses 10**15 x 5 doubles before it reserves any memory), exit 1 and
+# leave no output directory; the second writes one error record, not a
+# traceback.
 failed_run_leaves_nothing() {
     rm -rf ci/bad
+    mkdir -p ci
     if dynpan estimate --n-periods 2 --out-dir ci/bad; then exit 1; fi
+    test ! -e ci/bad
+    local status=0
+    dynpan simulate --n-firms 1000000000000000 --out-dir ci/bad \
+        2> ci/bad.err || status=$?
+    test "$status" -eq 1
+    test "$(wc -l < ci/bad.err)" -eq 1
     test ! -e ci/bad
 }
 
@@ -204,7 +215,8 @@ bad_value_rejected_alike() {
     for case in simulate:--seed:dgp.seed:abc \
                 simulate:--variant:dgp.variant:bogus \
                 scan:--sign-theta:estimate.sign:sideways \
-                simulate:--which:figure.which:9; do
+                simulate:--which:figure.which:9 \
+                estimate:--method:estimate.method:two-step; do
         IFS=: read -r command flag key value <<< "$case"
         rejected "$key" "$command" "$flag" "$value"
         printf '%s = %s\n' "$key" "$value" > ci/bad_value.cfg
