@@ -31,8 +31,7 @@ class DegenerateReducedFormError(DynpanError):
 
     A non-positive discriminant signals an equal-persistence configuration
     (the two AR parameters coincide, so the inversion collapses) or an
-    inconsistent input; a branch can also be non-stationary or have a
-    singular intercept system.
+    inconsistent input; a branch can also be non-stationary.
     """
 
 

@@ -155,17 +155,9 @@ def _one_branch(r: ReducedFormParams, theta: float, sign: str) -> SolutionBranch
             raise DegenerateReducedFormError(
                 f"{sign} branch is not stationary: its estimated {name} = "
                 f"{value:.6g} lies outside (-1, 1)")
-    # Intercepts solve the exact 2x2 linear system implied by the forward map:
-    #   (1 - rho_x)*pi - pi_xy*alpha        = pi_x0
-    #   beta*(1 - rho_x)*pi + (1 - pi_yy)*alpha = pi_y0
-    a11, a12 = (1.0 - rho_x), -r.pi_xy
-    a21, a22 = beta * (1.0 - rho_x), (1.0 - r.pi_yy)
-    det = a11 * a22 - a12 * a21
-    if det == 0.0:
-        raise DegenerateReducedFormError(
-            "intercept system is singular; cannot recover (pi, alpha)")
-    pi = (a22 * r.pi_x0 - a12 * r.pi_y0) / det
-    alpha = (a11 * r.pi_y0 - a21 * r.pi_x0) / det
+    # The intercept system's determinant is (1 - rho_x)(1 - rho_omega) != 0.
+    alpha = (r.pi_y0 - beta * r.pi_x0) / (1.0 - rho_omega)
+    pi = (r.pi_x0 + r.pi_xy * alpha) / (1.0 - rho_x)
     params = StructuralParams(beta=beta, theta=theta, rho_omega=rho_omega,
                               rho_x=rho_x, alpha=alpha, pi=pi,
                               sigma_xi=0.0, sigma_u=0.0, sigma_eta=0.0)
@@ -183,11 +175,12 @@ def invert_reduced_form(
         beta      = ((pi_yy - pi_xx)/pi_xy - 1/theta) / 2
         rho_omega = (pi_yy + pi_xx + pi_xy/theta) / 2
         rho_x     = (pi_yy + pi_xx - pi_xy/theta) / 2
+        alpha     = (pi_y0 - beta*pi_x0) / (1 - rho_omega)
+        pi        = (pi_x0 + pi_xy*alpha) / (1 - rho_x)
 
-    and (pi, alpha) from the linear intercept system.  Returns the plus
-    branch first.  Each branch is verified to reproduce ``r`` under
-    :func:`forward_map` to ``ROUND_TRIP_TOL``; a violation indicates a bug
-    and raises :class:`InternalConsistencyError`.
+    Returns the plus branch first.  Each branch is verified to reproduce
+    ``r`` under :func:`forward_map` to ``ROUND_TRIP_TOL``; a violation
+    indicates a bug and raises :class:`InternalConsistencyError`.
 
     Raises :class:`NoEndogeneityError` when pi_xy == 0 and
     :class:`DegenerateReducedFormError` when D <= 0 (both signal an

@@ -25,10 +25,11 @@ omega and on the persistent market factors kappa and wp:
     predetermined         x is chosen one period ahead:
                           x_t = pi + theta*rho_omega*omega_{t-1} + kappa_{t-1}
 
-``draw_panel`` writes each variant's x, z and y as the plain numpy
-expressions of this table, summed left to right.  numpy reuses their large
-temporaries in place, so a draw holds what an in-place sum would, except
-one more (n, t) array for the broadcast fixed_effects intercepts.
+``draw_panel`` sums each variant's x, z and y left to right, as in this
+table, and a draw holds what an in-place sum would: numpy reuses the large
+temporaries of a plain expression in place, and a sum that may hold a
+broadcast firm intercept (the fixed_effects x, and every y) is written in
+place.
 
 Randomness is a Philox (counter-based) stream per (seed, shock label); each
 label is read once, row-major with rows as firms, so output is independent
@@ -46,9 +47,9 @@ concurrently: it allocates every buffer itself and hands each fill to the
 package's small thread pool (``_pool``: created on first use, at most one
 worker per usable CPU, recreated in a forked child, and used by nothing
 else), then runs the state recursions as the fills they need complete.
-The nonlinear ``u`` stays on the calling thread.  Each stream is still read once, in full, by one
-generator, so every array is bit-identical whatever the thread count,
-schedule or fork.
+The nonlinear ``u`` stays on the calling thread.  Each stream is still
+read once, in full, by one generator, so every array is bit-identical
+whatever the thread count, schedule or fork.
 """
 
 from __future__ import annotations
@@ -389,7 +390,9 @@ def draw_panel(spec: DgpSpec) -> PanelData:
         fe_alpha = s.alpha + drawn("fe_alpha")
         fe_pi = s.pi + drawn("fe_pi")
         alpha = fe_alpha[:, None]
-        x = fe_pi[:, None] + s.theta * omega + kappa
+        x = s.theta * omega
+        x += fe_pi[:, None]
+        x += kappa
     elif variant == "nonlinear_omega_input":
         x = s.pi + s.theta * omega + ext.theta2 * omega ** 2 + kappa
     elif variant == "arma_x":
@@ -398,10 +401,12 @@ def draw_panel(spec: DgpSpec) -> PanelData:
         # benchmark, logistic_kappa, ar2_kappa, reversed_curvature
         x = s.pi + s.theta * omega + kappa
     eta = drawn("eta")
-    if z is None:
-        y = alpha + s.beta * x + omega + eta
-    else:
-        y = alpha + s.beta * x + ext.gamma * z + omega + eta
+    y = s.beta * x
+    y += alpha
+    if z is not None:
+        y += ext.gamma * z
+    y += omega
+    y += eta
     return PanelData(spec=spec, y=y, x=x, z=z, omega=omega, kappa=kappa,
                      xi=xi, u=u, eta=eta, wp=wp, eps=eps, v=v,
                      fe_alpha=fe_alpha, fe_pi=fe_pi)

@@ -1,6 +1,19 @@
-"""Shared fixtures: the expensive 200k-observation panels are built once."""
+"""Shared fixtures: the expensive 200k-observation panels are built once.
+
+The suite runs under one named kernel baseline, whatever the host:
+OpenBLAS's Haswell kernels, and numpy's loops dispatched no higher than
+X86_V3 (AVX2).  The bits pinned in ``moment_sha256.json``,
+``artifact_sha256.json`` and ``panel_sha256.json`` were recorded under it,
+so any x86-64 host with AVX2 reproduces them.  Both libraries read their
+variable when they load, so it is set here, before numpy is imported, and
+overwritten, so that a runner's own setting cannot reach the pins.
+"""
 
 import dataclasses
+import os
+
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
 
 import numpy as np
 import pytest

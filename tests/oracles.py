@@ -11,7 +11,8 @@ two-pass standard deviation.  Each standard error of a mean is row-level
 (``influence_se``).  ``assert_rel`` is the comparison every test of the
 engine against them uses.  ``population_gram`` is the seed-free
 oracle: the exact period Gram of a benchmark or predetermined panel, from
-the model alone.  ``panel_csv_text`` is the panel CSV written one ``repr``
+the model alone.  ``cramer_intercepts`` is the generic 2x2 solve that the
+inversion's closed-form intercepts replaced.  ``panel_csv_text`` is the panel CSV written one ``repr``
 per value, the text ``simulate.write_panel_csv`` must match byte for byte.
 """
 
@@ -298,6 +299,23 @@ def population_gram(spec):
               + s.sigma_eta ** 2 * np.eye(t))
     means = np.array([s.alpha + s.beta * s.pi, s.pi])
     return means, np.block([[yy, yx], [yx.T, xx]]), np.zeros(2 * t)
+
+
+# --- the branch intercepts, by Cramer's rule -------------------------------
+
+def cramer_intercepts(r, beta, rho_x):
+    """(pi, alpha, det) of one inversion branch: the 2x2 system the forward
+    map implies for a branch's beta and rho_x,
+
+        (1 - rho_x)*pi - pi_xy*alpha            = pi_x0
+        beta*(1 - rho_x)*pi + (1 - pi_yy)*alpha = pi_y0,
+
+    solved by Cramer's rule, with the system's determinant."""
+    a11, a12 = (1.0 - rho_x), -r.pi_xy
+    a21, a22 = beta * (1.0 - rho_x), (1.0 - r.pi_yy)
+    det = a11 * a22 - a12 * a21
+    return ((a22 * r.pi_x0 - a12 * r.pi_y0) / det,
+            (a11 * r.pi_y0 - a21 * r.pi_x0) / det, det)
 
 
 # --- the panel CSV, one repr per value --------------------------------------

@@ -15,6 +15,8 @@ import tempfile
 import threading
 import warnings
 
+# first, so that run as a script it also sets the kernel baseline
+import conftest
 import numpy as np
 import pytest
 
@@ -808,8 +810,8 @@ def artifact_digests(case, out_dir):
 def test_artifacts_match_their_recorded_hashes(case, tmp_path):
     """Every file of ``case``, manifest included, keeps its recorded bytes.
     Panels, scans and fits rest on BLAS products, so, like
-    ``tests/moment_sha256.json``, the pins hold for the OpenBLAS kernels
-    they were recorded with, on one BLAS thread or two."""
+    ``tests/moment_sha256.json``, the pins hold under the kernel baseline
+    that ``conftest.py`` names, on one BLAS thread or two."""
     assert artifact_digests(case, tmp_path / "out") == ARTIFACT_PINS[case]
 
 

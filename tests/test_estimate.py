@@ -15,11 +15,12 @@ import pathlib
 import sys
 import threading
 
+# first, so that run as a script it also sets the kernel baseline
+from conftest import DEFAULTS, linear_panel, make_spec
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEFAULTS, linear_panel, make_spec
 from dynpan import estimate, moments, simulate
 from dynpan.diagnostics import (
     ar_order_test,
@@ -932,10 +933,10 @@ PINNED_FIRMS = (1, 1638, 1639, 2730, 2731, 4096, 4097, 6001, 20_000)
 PINNED_VARIANTS = ("benchmark", "multi_input", "predetermined",
                    "fixed_effects")
 #: sha256 of ``_period_gram``'s (means, Gram, sums) and of ``second``,
-#: ``basis`` and ``fourth`` at each depth, recorded before the pair pass was
-#: split across threads.  The Gram and ``fourth`` come from BLAS products,
-#: so the pins hold for the OpenBLAS kernels they were recorded with, on any
-#: number of BLAS threads.  Recorded with :func:`moment_digests`:
+#: ``basis`` and ``fourth`` at each depth.  The Gram and ``fourth`` come
+#: from BLAS products, so the pins hold under the kernel baseline that
+#: ``conftest.py`` names, on any number of BLAS threads.  Recorded with
+#: :func:`moment_digests`:
 #: ``PYTHONPATH=src python tests/test_estimate.py`` prints the file.
 MOMENT_PINS = json.loads((pathlib.Path(__file__).parent
                           / "moment_sha256.json").read_text())

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynpan.errors import (
     DegenerateReducedFormError,
@@ -20,6 +21,7 @@ from dynpan.model import (
     invert_reduced_form,
     pseudo_point,
 )
+from oracles import cramer_intercepts
 
 BENCH = StructuralParams(beta=0.6, theta=1.0, rho_omega=0.7, rho_x=0.5,
                          alpha=1.0, pi=0.0)
@@ -155,6 +157,24 @@ class TestInvertReducedForm:
                                  r"estimated rho_omega = 1\.01\d* lies "
                                  r"outside \(-1, 1\)"):
             invert_reduced_form(r)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.builds(ReducedFormParams,
+                     pi_y0=st.floats(-5.0, 5.0), pi_yy=st.floats(-0.9, 0.9),
+                     pi_yx=st.floats(-1.0, 1.0), pi_x0=st.floats(-5.0, 5.0),
+                     pi_xy=st.floats(-1.0, 1.0), pi_xx=st.floats(-0.9, 0.9)))
+    def test_intercepts_match_the_cramer_solve(self, r):
+        # any reduced form that inverts into two stationary branches, kept
+        # away from pi_xy = 0, equal persistence and a unit root
+        assume(abs(r.pi_xy) >= 0.05 and r.discriminant() >= 0.01)
+        half_gap = 0.5 * math.sqrt(r.discriminant())
+        assume(abs(0.5 * (r.pi_yy + r.pi_xx)) + half_gap <= 0.95)
+        for br in invert_reduced_form(r):
+            p = br.params
+            pi, alpha, det = cramer_intercepts(r, p.beta, p.rho_x)
+            assert abs(det - (1.0 - p.rho_x) * (1.0 - p.rho_omega)) <= 1e-12
+            for got, want in ((p.alpha, alpha), (p.pi, pi)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_negative_discriminant_raises(self):
         r = ReducedFormParams(pi_y0=0.0, pi_yy=0.5, pi_yx=-1.0,

@@ -10,6 +10,8 @@ import sys
 import threading
 import tracemalloc
 
+# first, so that run as a script it also sets the kernel baseline
+import conftest
 import numpy as np
 import pytest
 
@@ -153,6 +155,19 @@ class TestBlockedNonlinearKappa:
         finally:
             tracemalloc.stop()
         assert peak < 25e6, peak
+
+
+class TestFixedEffectsDraw:
+    def test_firm_intercepts_are_added_in_place(self):
+        # seven 40,000 x 5 arrays and the two intercept vectors take 11.9 MB;
+        # one broadcast sum that is not in place adds 1.6 MB
+        tracemalloc.start()
+        try:
+            draw_panel(spec_for("fixed_effects", n_firms=40_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.7e6, peak
 
 
 class TestZeroNoise:
@@ -427,14 +442,21 @@ class TestInPlaceDraw:
         assert not want
 
 
-#: sha256 of every array of every variant at seed 11, recorded before the
-#: draw filled its sub-streams concurrently; n_firms straddles the
-#: _BLOCK_FIRMS edges of the blocked nonlinear-kappa draw.
+#: sha256 of every array of every variant at seed 11; n_firms straddles the
+#: _BLOCK_FIRMS edges of the blocked nonlinear-kappa draw.  Recorded with
+#: :func:`array_digests`: ``PYTHONPATH=src python tests/test_simulate.py``
+#: prints the file.
 PINNED = json.loads((pathlib.Path(__file__).parent
                      / "panel_sha256.json").read_text())
+PINNED_FIRMS = (1, 2048, 2049, 4097)
 #: Extension values that make every extra stream count: the logistic slope,
 #: the AR(2) second lag and the i.i.d. input shock.
 PINNED_EXT = VariantParams(theta2=0.5, rho2_x=0.2, sigma_eps=0.5)
+
+
+def pinned_panel(variant, n_firms):
+    return draw_panel(spec_for(variant, n_firms=n_firms, seed=11,
+                               ext=PINNED_EXT))
 
 
 def array_digests(panel):
@@ -446,12 +468,11 @@ def array_digests(panel):
 
 
 class TestPinnedBits:
-    @pytest.mark.parametrize("n_firms", [1, 2048, 2049, 4097])
+    @pytest.mark.parametrize("n_firms", PINNED_FIRMS)
     @pytest.mark.parametrize("variant", simulate.VARIANTS)
     def test_every_array_matches_its_recorded_hash(self, variant, n_firms):
-        panel = draw_panel(spec_for(variant, n_firms=n_firms, seed=11,
-                                    ext=PINNED_EXT))
-        assert array_digests(panel) == PINNED[f"{variant}-{n_firms}"]
+        assert (array_digests(pinned_panel(variant, n_firms))
+                == PINNED[f"{variant}-{n_firms}"])
 
 
 def send_digests(spec, conn):
@@ -660,3 +681,10 @@ class TestCsvExport:
         write_panel_csv(panel, out)
         data = out.read_bytes()
         assert b"\r" not in data
+
+
+if __name__ == "__main__":
+    print(json.dumps({
+        f"{variant}-{n_firms}": array_digests(pinned_panel(variant, n_firms))
+        for variant in simulate.VARIANTS for n_firms in PINNED_FIRMS},
+        indent=1, sort_keys=True))

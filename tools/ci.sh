@@ -21,6 +21,7 @@ if ! command -v dynpan > /dev/null; then
 fi
 
 STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
+       pins_across_kernels
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        reproduce_simulate panel_csv_matches_oracle batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
        nonfinite_config_rejected bad_value_rejected_alike
@@ -54,6 +55,30 @@ moment_bits_one_blas_thread() {
         tests/test_estimate.py::test_moments_match_their_recorded_hashes \
         tests/test_simulate.py::TestPinnedBits \
         tests/test_cli.py::test_artifacts_match_their_recorded_hashes
+}
+
+# tests/conftest.py runs the suite under one kernel baseline, overwriting
+# whatever the environment asks for, so the pins hold under every outer
+# OpenBLAS kernel (SkylakeX only on a host with AVX-512), with and without
+# numpy's dispatch targets above X86_V3 disabled.
+pins_across_kernels() {
+    local core cores=(Haswell Zen) features
+    if grep -qw avx512f /proc/cpuinfo; then
+        cores+=(SkylakeX)
+    fi
+    for core in "${cores[@]}"; do
+        for features in "" "X86_V4 AVX512_ICL AVX512_SPR"; do
+            echo "== OPENBLAS_CORETYPE=$core NPY_DISABLE_CPU_FEATURES='$features'"
+            env -u NPY_DISABLE_CPU_FEATURES OPENBLAS_CORETYPE="$core" \
+                ${features:+NPY_DISABLE_CPU_FEATURES="$features"} \
+                PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
+                tests/test_kernel_baseline.py \
+                tests/test_estimate.py::test_moments_match_their_recorded_hashes \
+                tests/test_simulate.py::TestPinnedBits \
+                tests/test_cli.py::test_artifacts_match_their_recorded_hashes \
+                tests/test_identify.py::TestWarmStart::test_no_finite_score_names_the_strategy
+        done
+    done
 }
 
 # Each reproduce step runs a command into ci/<first>, reruns it from its
