@@ -37,12 +37,22 @@ class DiagnosticReport:
     rule_applied: str
 
 
-def _level_forms(panel, p: ParamPoint):
-    """The panel's all-period cross-moments with the forms of x and of the
-    level residual y - alpha - beta x; both checks on a panel share them."""
+def _level_forms(panel, p: ParamPoint, declared_theta_sign: str):
+    """The declared theta sign, the all-period cross-moments and the forms
+    of x and of y - alpha - beta x, which both checks on a panel share."""
+    want = _theta_sign(declared_theta_sign, "declared_theta_sign")
     mom = _moments_from(panel, 0, ())
     const, y, x = mom.forms(("const", "y_lag0", "x_lag0")).T
-    return mom, x, y - p.alpha * const - p.beta * x
+    return want, mom, x, y - p.alpha * const - p.beta * x
+
+
+def _report(stat, stderr, verdict: str, rule: str) -> DiagnosticReport:
+    """The one rule: a statistic whose standard error is not a positive
+    number is inconclusive, whatever its check's verdict."""
+    if not stderr > 0.0:
+        return DiagnosticReport(stat, float("nan"), "inconclusive",
+                                rule + " (degenerate: no standard error)")
+    return DiagnosticReport(stat, stderr, verdict, rule)
 
 
 def _signed_verdict(signed: float, stderr: float) -> str:
@@ -65,20 +75,17 @@ def residual_sign_test(panel, p: ParamPoint,
     the correlation flips.  A flip of more than SIGN_TEST_BAND standard
     errors (about 1/sqrt(n)) is flagged.
     """
-    want = _theta_sign(declared_theta_sign, "declared_theta_sign")
-    mom, x, e = _level_forms(panel, p)
+    want, mom, x, e = _level_forms(panel, p, declared_theta_sign)
     centered = np.column_stack([x, e])
     centered[0] = 0.0  # drop the constant: the forms' deviations from mean
     (sxx, sxe), (_, see) = mom.cross(centered, centered)
     rule = (f"corr(x, y - alpha - beta x) should carry the declared theta "
             f"sign; flag when it contradicts by > {SIGN_TEST_BAND:.0f} se")
-    if sxx <= 0.0 or see <= 0.0:
-        return DiagnosticReport(float("nan"), float("nan"), "inconclusive",
-                                rule + " (degenerate: zero variance)")
-    corr = float(np.clip(sxe / np.sqrt(sxx * see), -1.0, 1.0))
-    stderr = 1.0 / np.sqrt(mom.n)
-    return DiagnosticReport(corr, stderr, _signed_verdict(corr * want, stderr),
-                            rule)
+    corr = stderr = float("nan")  # a zero variance
+    if sxx > 0.0 and see > 0.0:
+        corr = float(np.clip(sxe / np.sqrt(sxx * see), -1.0, 1.0))
+        stderr = 1.0 / np.sqrt(mom.n)
+    return _report(corr, stderr, _signed_verdict(corr * want, stderr), rule)
 
 
 def moment_inequality(panel, p: ParamPoint,
@@ -89,17 +96,12 @@ def moment_inequality(panel, p: ParamPoint,
     Necessary at the truth under the declared sign, violated at the
     pseudo-solution; it cannot by itself confirm a candidate.
     """
-    want = _theta_sign(declared_theta_sign, "declared_theta_sign")
-    mom, x, e = _level_forms(panel, p)
+    want, mom, x, e = _level_forms(panel, p, declared_theta_sign)
     stat = float(mom.cross(x, e))
     stderr = float(mom.ses(x[:, None], e, np.array([stat]))[0])
     rule = ("one-sided: mean(x * residual) signed by theta must not be "
             f"below -{SIGN_TEST_BAND:.0f} se")
-    if not stderr > 0.0:
-        return DiagnosticReport(stat, float("nan"), "inconclusive",
-                                rule + " (degenerate: zero variance)")
-    return DiagnosticReport(stat, stderr, _signed_verdict(stat * want, stderr),
-                            rule)
+    return _report(stat, stderr, _signed_verdict(stat * want, stderr), rule)
 
 
 def ar_order_test(panel) -> DiagnosticReport:
@@ -108,9 +110,7 @@ def ar_order_test(panel) -> DiagnosticReport:
     With unequal persistence parameters the input is a two-factor process
     whose projection needs two lags; with equal persistence it is exactly
     AR(1).  |t| > AR_TEST_REJECT supports unequal persistence, |t| <
-    AR_TEST_FLAT warns that the persistences look equal, in between is
-    inconclusive.  An exact fit, which ``two_sls`` judges and reports with
-    no positive standard error, is inconclusive.
+    AR_TEST_FLAT warns that they look equal, in between is inconclusive.
     """
     names = ("const", "x_lag1", "x_lag2")
     fit = two_sls(panel, "x_lag0", names, names)
@@ -118,17 +118,15 @@ def ar_order_test(panel) -> DiagnosticReport:
     rule = (f"x on (1, x_lag1, x_lag2): second-lag |t| > "
             f"{AR_TEST_REJECT:.0f} supports unequal persistence; |t| < "
             f"{AR_TEST_FLAT:.0f} warns of equal persistence")
-    if not se2 > 0.0:
-        return DiagnosticReport(coef2, float("nan"), "inconclusive",
-                                rule + " (degenerate: exact fit)")
-    t = abs(coef2) / se2
+    with np.errstate(divide="ignore", invalid="ignore"):  # se2 may be 0
+        t = abs(fit.coefficients[2]) / fit.std_errors[2]
     if t > AR_TEST_REJECT:
         verdict = "consistent_with_truth"
     elif t < AR_TEST_FLAT:
         verdict = "equal_rho_warning"
     else:
         verdict = "inconclusive"
-    return DiagnosticReport(coef2, se2, verdict, rule)
+    return _report(coef2, se2, verdict, rule)
 
 
 def flatness_guard(curve: ObjectiveCurve) -> DiagnosticReport:
@@ -141,13 +139,10 @@ def flatness_guard(curve: ObjectiveCurve) -> DiagnosticReport:
     ok = np.isfinite(curve.m) & np.isfinite(curve.ses) & (curve.ses > 0)
     rule = (f"max over grid of |m|/se(m) < {FLATNESS_BAND:.0f} means the "
             "moment is flat at zero everywhere (equal-persistence warning)")
-    if not ok.any():
-        return DiagnosticReport(float("nan"), float("nan"), "inconclusive",
-                                rule + " (no valid grid points)")
-    ratios = np.abs(curve.m[ok]) / curve.ses[ok]
-    stat = float(ratios.max())
+    ratios = np.abs(curve.m[ok]) / curve.ses[ok]  # unit standard errors
+    stat, unit = (float(ratios.max()), 1.0) if ok.any() else (np.nan, np.nan)
     if stat < FLATNESS_BAND:
         verdict = "equal_rho_warning"
     else:
         verdict = "consistent_with_truth"
-    return DiagnosticReport(stat, 1.0, verdict, rule)
+    return _report(stat, unit, verdict, rule)

@@ -14,6 +14,7 @@ relative.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -314,7 +315,28 @@ def test_sign_test_reports_zero_variance(case):
                              ParamPoint(1.0, 0.5, 0.7))
     assert np.isnan(rep.statistic) and np.isnan(rep.standard_error)
     assert rep.verdict == "inconclusive"
-    assert rep.rule_applied.endswith("(degenerate: zero variance)")
+    assert rep.rule_applied.endswith("(degenerate: no standard error)")
+
+
+def test_ar_order_test_without_residual_variance_is_inconclusive():
+    # x is an exact AR(2) on every firm, so the fit leaves no residual and
+    # its variance rounds to a zero (or tiny) standard error, never raising
+    zero = 0
+    for seed in range(40):
+        x = np.empty((30, 8))
+        x[:, :2] = np.random.default_rng(seed).integers(-5, 5, (30, 2))
+        for t in range(2, 8):
+            x[:, t] = 1.0 + 0.5 * x[:, t - 1] + 0.25 * x[:, t - 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ar_order_test(linear_panel(x, x.copy()))
+        assert rep.statistic == pytest.approx(0.25, abs=1e-12)
+        if not rep.standard_error > 0.0:
+            zero += 1
+            assert rep.verdict == "inconclusive"
+            assert rep.rule_applied.endswith(
+                "(degenerate: no standard error)")
+    assert zero > 0  # the zero standard error is reached
 
 
 @pytest.mark.parametrize("seed", range(20))
