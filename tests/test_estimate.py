@@ -579,7 +579,7 @@ def check_rho_scan(panel, family, solve, report,
 class TestCrossMomentEngine:
     @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
     def test_beta_scan_matches_raw_formulas(self, fixture, request):
-        check_beta_scan(request.getfixturevalue(fixture))
+        check_beta_scan(request.getfixturevalue(fixture), clustered=True)
 
     @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
     def test_rho_concentration_matches_raw_formulas(self, fixture, request):
@@ -587,15 +587,15 @@ class TestCrossMomentEngine:
         for family, solve, report in RHO_SETS:
             if family == "multi_input" and panel.z is None:
                 continue
-            check_rho_scan(panel, family, solve, report)
+            check_rho_scan(panel, family, solve, report, clustered=True)
 
     def test_block_remainder(self):
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
         per_block = moments._BLOCK_ROWS // 3
         assert panel.spec.n_firms > per_block
         assert panel.spec.n_firms % per_block != 0
-        check_beta_scan(panel)
-        check_rho_scan(panel, *RHO_SETS[2])
+        check_beta_scan(panel, clustered=True)
+        check_rho_scan(panel, *RHO_SETS[2], clustered=True)
 
     def test_second_moments_match_centered_gram(self):
         # E[d d'] is read off the diagonals of the period Gram; compare it
@@ -641,7 +641,7 @@ class TestCrossMomentEngine:
         assert cb.n_obs == k * 3
         assert_rel([cb.coefficients["alpha"], cb.coefficients["rho"],
                     cb.moment_ses[0]],
-                   oracle_beta(prefix, 0.6)[[0, 1, 3]])
+                   oracle_beta(prefix, 0.6, clustered=True)[[0, 1, 3]])
 
 
 # --- one period Gram per panel; the pair pass only where SEs need it -----

@@ -144,7 +144,8 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
                     rep = gmm_objective(panel, family, params, spec,
                                         weighting)
                     m, objective, se, n = stacked_gmm(
-                        panel, family, params, spec, weighting)
+                        panel, family, params, spec, weighting,
+                        clustered=True)
                     assert (rep.names, rep.weighting, rep.n_obs) == \
                         (spec, weighting, n)
                     assert_rel(rep.moments, m)
@@ -155,12 +156,13 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
 def test_singular_two_step_outer_product_raises_like_oracle(bench200k):
     spec = ("const", "x_lag1", "x_lag1")
     with pytest.raises(RankDeficiencyError):
-        stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step")
+        stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step",
+                    clustered=True)
     with pytest.raises(RankDeficiencyError, match="two-step"):
         gmm_objective(bench200k, "quasi_diff", TRUTH, spec, "two_step")
     rep = gmm_objective(bench200k, "quasi_diff", TRUTH, spec)
     _, objective, se, _ = stacked_gmm(bench200k, "quasi_diff", TRUTH, spec,
-                                      "identity")
+                                      "identity", clustered=True)
     assert_rel(rep.objective, objective)
     assert_rel(rep.std_errors, se)
 
@@ -175,7 +177,7 @@ def test_sign_and_inequality_match_old_formulas(fixture, request):
                    [corrcoef_sign(panel, p), stderr])
         rep = moment_inequality(panel, p)
         assert_rel([rep.statistic, rep.standard_error],
-                   two_pass_inequality(panel, p))
+                   two_pass_inequality(panel, p, clustered=True))
 
 
 # --- the firm-clustered oracles where each firm pools one row ------------

@@ -75,8 +75,7 @@ pins_across_kernels() {
                 tests/test_kernel_baseline.py \
                 tests/test_estimate.py::test_moments_match_their_recorded_hashes \
                 tests/test_simulate.py::TestPinnedBits \
-                tests/test_cli.py::test_artifacts_match_their_recorded_hashes \
-                tests/test_identify.py::TestWarmStart::test_no_finite_score_names_the_strategy
+                tests/test_cli.py::test_artifacts_match_their_recorded_hashes
         done
     done
 }
