@@ -143,6 +143,11 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
                 raise ValidationError(
                     f"must be one of {', '.join(map(str, closed[0]))}, got "
                     f"{value!r}", field=key)
+    grid = parse_grid(resolved["scan.grid"])
+    lo, hi = DEFAULT_BOUNDS[resolved["scan.axis"]]
+    if grid[0] < lo or grid[-1] > hi:  # scan_curve's check, for every command
+        raise ValidationError(f"grid [{grid[0]}, {grid[-1]}] outside bounds "
+                              f"[{lo}, {hi}]", field="scan.grid")
     name = resolved["out.file"]
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValidationError(f"must be a plain file name, got {name!r}",

@@ -146,8 +146,8 @@ def _iv(G: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # a non-finite cross-product
         raise RankDeficiencyError(
             f"instrument-regressor cross-product has no SVD: {exc}") from exc
-    smallest = pivots[-1] if pivots.size else 0.0
-    if smallest <= 1e-10 * max(pivots[0] if pivots.size else 0.0, 1.0):
+    smallest = pivots[-1]
+    if smallest <= 1e-10 * max(pivots[0], 1.0):
         raise RankDeficiencyError(
             f"singular instrument-regressor cross-product; smallest pivot "
             f"{smallest:.3e}", smallest_pivot=smallest)

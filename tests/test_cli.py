@@ -330,6 +330,19 @@ class TestDiagnoseCommand:
             assert not (tmp_path / "out").exists()
         assert len(reasons) == 1
 
+    @pytest.mark.parametrize("grid", ["foo", "0:9:0.5"])
+    def test_simulate_judges_the_scan_grid(self, grid, tmp_path, capsys):
+        # simulate never scans, but its manifest would carry the grid to a
+        # scan that could not run it: unreadable, or outside the beta bounds
+        code = run_cli("simulate", "--grid", grid, "--n-firms", "10",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        record = json.loads(err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("scan.grid: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFigureCommand:
     def test_figure1_writes_three_curves_and_summary(self, tmp_path):

@@ -240,7 +240,8 @@ bad_value_rejected_alike() {
                 simulate:--variant:dgp.variant:bogus \
                 scan:--sign-theta:estimate.sign:sideways \
                 simulate:--which:figure.which:9 \
-                estimate:--method:estimate.method:two-step; do
+                estimate:--method:estimate.method:two-step \
+                simulate:--grid:scan.grid:foo; do
         IFS=: read -r command flag key value <<< "$case"
         rejected "$key" "$command" "$flag" "$value"
         printf '%s = %s\n' "$key" "$value" > ci/bad_value.cfg
