@@ -378,8 +378,8 @@ def gmm_objective(panel, family: str, params,
     rho) for ``multi_input``; ``instruments`` is a sequence of column names,
     the family's own set by default.  ``weighting`` is ``identity`` or
     ``two_step``; the two-step weight is the inverse of the uncentered
-    outer-product of the firms' mean moments at the evaluated point, which
-    makes the objective invariant to rescaling instrument columns.  The residual is the
+    outer-product of firm-mean moments at the evaluated point, making the
+    objective invariant to rescaling instrument columns.  The residual is the
     family's rho plan, the one ``concentrate_rho`` solves, at the given
     coefficients, so m, the outer-product and the standard errors (ddof 1)
     are small dense algebra.

@@ -106,8 +106,7 @@ class _CrossMoments:
     ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
     E[q q'] over firms for q a firm's mean of the k^2 ordered products
     vec(d d'), so the variance of a firm's mean (a'd)(b'd) is a quadratic
-    form in vec(a b').  ``pair_pass`` computes
-    ``fourth`` on first use.
+    form in vec(a b').  ``pair_pass`` computes ``fourth`` on first use.
     """
 
     index: dict
@@ -230,8 +229,7 @@ def _pair_moments(sources, means) -> np.ndarray:
         for i in range(1, k):
             np.multiply(p[i], p[i:k], out=p[start:start + k - i])
             start += k - i
-        # each firm's sum of its t_len contiguous rows (sum(axis=...) is
-        # 2-3x slower than the matrix-vector product)
+        # each firm's sum over its rows, as a matvec: 2-3x faster than .sum()
         s = (p.reshape(-1, t_len) @ ones).reshape(rows.size, hi - lo)
         fourth += s @ s.T
     fourth /= n_firms * t_len**2

@@ -305,6 +305,8 @@ class TestDiagnoseCommand:
         ("figure.which = 9", "figure.which"),
         ("scan.axis = gamma", "scan.axis"),
         ("scan.family = levels", "scan.family"),
+        ("scan.grid = foo", "scan.grid"),
+        ("scan.grid = 0:9:0.5", "scan.grid"),  # outside the beta bounds
     ])
     def test_unknown_point_or_sign_is_an_error_record(self, line, field,
                                                       tmp_path, capsys):
@@ -329,19 +331,6 @@ class TestDiagnoseCommand:
             reasons.add(record["message"][len(key) + 2:])
             assert not (tmp_path / "out").exists()
         assert len(reasons) == 1
-
-    @pytest.mark.parametrize("grid", ["foo", "0:9:0.5"])
-    def test_simulate_judges_the_scan_grid(self, grid, tmp_path, capsys):
-        # simulate never scans, but its manifest would carry the grid to a
-        # scan that could not run it: unreadable, or outside the beta bounds
-        code = run_cli("simulate", "--grid", grid, "--n-firms", "10",
-                       "--out-dir", str(tmp_path / "out"))
-        assert code == 1
-        (err,) = capsys.readouterr().err.splitlines()
-        record = json.loads(err)
-        assert record["error"] == "ValidationError"
-        assert record["message"].startswith("scan.grid: ")
-        assert not (tmp_path / "out").exists()
 
 
 class TestFigureCommand:
