@@ -52,7 +52,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -211,18 +211,18 @@ class Concentrated:
     """One concentrated evaluation: the coefficients solved at the held
     value ``at`` of the scanned axis (a slope or a persistence), and the
     remaining moments.  Their influence-function standard errors,
-    ``moment_ses``, are computed on first read and kept."""
+    ``moment_ses``, are asked of the plan on first read and kept."""
 
     at: float
     coefficients: dict
     moment_names: tuple[str, ...]
     moments: np.ndarray
     n_obs: int
-    _ses: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _plan: _Plan = field(repr=False, compare=False)
 
     @cached_property
     def moment_ses(self) -> np.ndarray:
-        return self._ses()
+        return self._plan.moment_ses(self.at)
 
 
 @dataclass(frozen=True)
@@ -237,29 +237,32 @@ class _Plan:
     coef_names: tuple
     moment_names: tuple
 
-    def at(self, t: float) -> Concentrated:
-        """IV of the dependent form on the coefficient forms at t, then the
-        reported moments against its residual.  Their standard errors carry
-        the first-step noise: the influence function of E[c r] is (c - Z v) r
-        with v = A'^{-1} E[X c] and A = E[Z X'] (mean E[c r], as E[Z r] = 0);
-        one rank-checked factorisation of A serves both solves."""
+    def _fit(self, t: float):
+        """The forms at t, E[Z (y, X)'], its IV and the reported moments."""
         n = len(self.coef_names)
         W = self.base - t * self.slope
-        F, ZR = W[:, :n + 1], W[:, n + 1:]
-        G = self.mom.cross(ZR, F)
+        G = self.mom.cross(W[:, n + 1:], W[:, :n + 1])
         coef, inverse = _iv(G[:n], self.mom.n)
-        moments = G[n:, 0] - G[n:, 1:] @ coef
+        return W, G, coef, inverse, G[n:, 0] - G[n:, 1:] @ coef
 
-        def ses():
-            V = inverse.T @ G[n:, 1:].T
-            r = F[:, 0] - F[:, 1:] @ coef
-            adjusted = ZR[:, n:] - ZR[:, :n] @ V
-            return self.mom.ses(adjusted, r, moments)
-
+    def at(self, t: float) -> Concentrated:
+        """The IV fit at t and the reported moments against its residual."""
+        _, _, coef, _, moments = self._fit(t)
         return Concentrated(
             at=t, coefficients=dict(zip(self.coef_names, map(float, coef))),
             moment_names=self.moment_names, moments=moments,
-            n_obs=self.mom.n, _ses=ses)
+            n_obs=self.mom.n, _plan=self)
+
+    def moment_ses(self, t: float) -> np.ndarray:
+        """Standard errors of ``at(t).moments`` with the first-step noise:
+        the influence function of E[c r] is (c - Z v) r, v = A'^{-1} E[X c]
+        and A = E[Z X'] (mean E[c r], as E[Z r] = 0), one SVD for both."""
+        n = len(self.coef_names)
+        W, G, coef, inverse, moments = self._fit(t)
+        F, ZR = W[:, :n + 1], W[:, n + 1:]
+        r = F[:, 0] - F[:, 1:] @ coef
+        adjusted = ZR[:, n:] - ZR[:, :n] @ (inverse.T @ G[n:, 1:].T)
+        return self.mom.ses(adjusted, r, moments)
 
 
 def beta_scan_evaluator(panel):

@@ -72,9 +72,9 @@ class ObjectiveCurve:
     Grid points where the underlying fit failed carry NaN.  ``evaluator``
     gives m at any point of the axis; ``zeros`` and ``minima`` are filled by
     :func:`find_zeros` / :func:`find_local_minima`, which refine with it.
-    ``ses``, the per-point sampling standard error of m, is computed on
-    first read from the kept grid fits, NaN where a fit failed or none is
-    kept; it can also be assigned.
+    The curve keeps m and its plan, not a fit per point: ``ses``, the
+    per-point standard error of m, is computed by the plan on first read,
+    NaN where m is not finite or there is no plan; it can also be assigned.
     """
 
     axis: str
@@ -84,32 +84,32 @@ class ObjectiveCurve:
     evaluator: Callable[[float], float] = field(repr=False)
     zeros: list = field(default_factory=list)
     minima: list = field(default_factory=list)
-    #: each grid point's ``Concentrated``, None where its fit failed
-    _points: tuple = field(default=(), repr=False, compare=False)
+    #: the plan of the fits that succeeded, None if none did
+    _plan: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def ses(self) -> np.ndarray:
         ses = np.full(self.grid.size, np.nan)
-        for i, c in enumerate(self._points):
-            if c is not None:
-                ses[i] = c.moment_ses[0]
+        if self._plan is not None:
+            for i in np.flatnonzero(np.isfinite(self.m)):
+                ses[i] = self._plan.moment_ses(self.grid[i])[0]
         return ses
 
 
 def _evaluate(axis: str, grid: np.ndarray, concentrate) -> ObjectiveCurve:
     """The first moment of ``concentrate(g)`` (a ``Concentrated``) over the
-    grid, NaN where the fit fails; the curve keeps each point's fit for its
-    standard errors, and its evaluator is that moment."""
-    points = []
-    for g in grid:
+    grid, NaN where the fit fails; the curve keeps these moments and the
+    plan of the fits that succeeded, and its evaluator is that moment."""
+    m, plan = np.full(grid.size, np.nan), None
+    for i, g in enumerate(grid):
         try:
-            points.append(concentrate(g))
+            c = concentrate(g)
         except DynpanError:
-            points.append(None)
-    m = np.array([np.nan if c is None else c.moments[0] for c in points])
+            continue
+        m[i], plan = c.moments[0], c._plan
     return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m,
                           evaluator=lambda v: concentrate(v).moments[0],
-                          _points=tuple(points))
+                          _plan=plan)
 
 
 def scan_curve(panel, axis: str, grid,

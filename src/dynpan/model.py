@@ -28,10 +28,10 @@ from .errors import (
     ValidationError,
 )
 
-#: Absolute per-coefficient tolerance for the internal round-trip guard in
-#: :func:`invert_reduced_form`.  All maps are closed-form, so only rounding
-#: error is present.
-ROUND_TRIP_TOL = 1e-10
+#: Tolerance of the internal round-trip guard in :func:`invert_reduced_form`
+#: on the largest coefficient error, relative to max(1, largest |reduced-form
+#: coefficient|).  All maps are closed-form, so only rounding error is present.
+ROUND_TRIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,9 @@ def invert_reduced_form(
         alpha     = (pi_y0 - beta*pi_x0) / (1 - rho_omega)
         pi        = (pi_x0 + pi_xy*alpha) / (1 - rho_x)
 
-    Returns the plus branch first.  Each branch is verified to reproduce
-    ``r`` under :func:`forward_map` to ``ROUND_TRIP_TOL``; a violation
-    indicates a bug and raises :class:`InternalConsistencyError`.
+    Returns the plus branch first.  Each branch must reproduce ``r`` under
+    :func:`forward_map` to ``ROUND_TRIP_TOL`` times max(1, max |r coef|);
+    a violation indicates a bug and raises :class:`InternalConsistencyError`.
 
     Raises :class:`NoEndogeneityError` when pi_xy == 0 and
     :class:`DegenerateReducedFormError` when D <= 0 (both signal an
@@ -203,7 +203,7 @@ def invert_reduced_form(
         back = forward_map(br.params)
         err = max(abs(a - b) for a, b in zip(back.as_tuple(), r.as_tuple()))
         scale = max(1.0, max(abs(v) for v in r.as_tuple()))
-        if err > 100.0 * ROUND_TRIP_TOL * scale:
+        if err > ROUND_TRIP_TOL * scale:
             raise InternalConsistencyError(
                 f"{br.branch_sign} branch fails the round-trip guard "
                 f"(max coefficient error {err:.3e})")

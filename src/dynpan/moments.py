@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +79,7 @@ def _name_tuple(names, field: str, panel) -> tuple:
     return names
 
 
-def cached(panel, key, build: Callable[[], object]):
+def cached(panel, key, build):
     """The panel's statistic ``key``, made by ``build()`` on first use and
     kept in its moment cache, which the first call makes (a replaced panel
     starts without one); a build that raises keeps nothing."""
@@ -106,7 +105,7 @@ class _CrossMoments:
     ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
     E[q q'] over firms for q a firm's mean of the k^2 ordered products
     vec(d d'), so the variance of a firm's mean (a'd)(b'd) is a quadratic
-    form in vec(a b').  ``pair_pass`` computes ``fourth`` on first use.
+    form in vec(a b'), computed from ``sources`` on first use.
     """
 
     index: dict
@@ -114,11 +113,11 @@ class _CrossMoments:
     n_firms: int
     basis: np.ndarray      # column j: the centered form of raw column j
     second: np.ndarray
-    pair_pass: Callable[[], np.ndarray]
+    sources: list          # the pooled lagged columns, firm by period
 
     @cached_property
     def fourth(self) -> np.ndarray:
-        return self.pair_pass()
+        return _pair_moments(self.sources, self.basis[0, 1:])
 
     def column(self, name: str) -> np.ndarray:
         """The form of the raw column ``name`` (checked by ``_name_tuple``)."""
@@ -202,7 +201,7 @@ def _accumulate_moments(panel, lags: int) -> _CrossMoments:
     return _CrossMoments(
         index={name: j for j, name in enumerate(names)},
         n=sources[0].size, n_firms=len(sources[0]), basis=basis, second=second,
-        pair_pass=partial(_pair_moments, sources, basis[0, 1:]))
+        sources=sources)
 
 
 def _pair_moments(sources, means) -> np.ndarray:

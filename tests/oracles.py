@@ -6,14 +6,17 @@ the residual families one column per usable period, the concentrated beta
 and rho moments with their influence-function standard errors, the
 full-length GEMM two-stage least squares on ``column_stack`` designs, the
 per-period GMM moments with ``moment_stats``, ``np.corrcoef`` and a
-two-pass standard deviation.  Each standard error of a mean is row-level
-(a firm's rows independent) or, with ``clustered=True``, firm-clustered
-(``influence_se``).  ``assert_rel`` is the comparison every test of the
-engine against them uses.  ``population_gram`` is the seed-free
-oracle: the exact period Gram of a benchmark or predetermined panel, from
-the model alone.  ``cramer_intercepts`` is the generic 2x2 solve that the
-inversion's closed-form intercepts replaced.  ``panel_csv_text`` is the panel CSV written one ``repr``
-per value, the text ``simulate.write_panel_csv`` must match byte for byte.
+two-pass standard deviation.  The standard errors of the concentrated
+and the GMM moments are firm-clustered (``influence_se``); the
+inequality's is firm-clustered or row-level (a firm's rows independent),
+to compare the two.  ``assert_rel`` is the comparison every test of the
+engine against them uses.
+``population_gram`` is the seed-free oracle: the exact period Gram of a
+benchmark or predetermined panel, from the model alone.
+``cramer_intercepts`` is the generic 2x2 solve that the inversion's
+closed-form intercepts replaced.  ``panel_csv_text`` is the panel CSV
+written one ``repr`` per value, the text ``simulate.write_panel_csv`` must
+match byte for byte.
 """
 
 import numpy as np
@@ -99,7 +102,7 @@ def family_residual(panel, family, params):
 # moved onto the cached cross-moments: each pools the raw lagged columns of
 # the panel and takes every mean directly.
 
-def oracle_beta(panel, beta_tilde, clustered=False):
+def oracle_beta(panel, beta_tilde):
     """(alpha, rho, moment, se) of the concentrated beta moment."""
     y, x = panel.y, panel.x
     y0, y1, y2 = y[:, 2:].ravel(), y[:, 1:-1].ravel(), y[:, :-2].ravel()
@@ -121,11 +124,11 @@ def oracle_beta(panel, beta_tilde, clustered=False):
     v = np.linalg.solve((zx / n).T, b)
     psi = prod - (v[0] + v[1] * w2) * step1_resid
     alpha = c / (1.0 - rho) if abs(1.0 - rho) > 1e-12 else np.nan
-    se = influence_se(psi, panel.spec.n_firms if clustered else None)
+    se = influence_se(psi, panel.spec.n_firms)
     return np.array([alpha, rho, prod.mean(), se])
 
 
-def oracle_rho(panel, rho_tilde, family, solve, report, clustered=False):
+def oracle_rho(panel, rho_tilde, family, solve, report):
     """(coefficients, moments, ses) of the rho-concentrated moments."""
     t_min = max(1, max_lag(solve + report))
     t_len = panel.spec.n_periods - t_min
@@ -158,8 +161,7 @@ def oracle_rho(panel, rho_tilde, family, solve, report, clustered=False):
         moments.append(prod.mean())
         v = np.linalg.solve(A.T, X.T @ col / n)
         psi = prod - (Z @ v) * r
-        ses.append(influence_se(psi, panel.spec.n_firms if clustered
-                                else None))
+        ses.append(influence_se(psi, panel.spec.n_firms))
     return coef, np.array(moments), np.array(ses)
 
 
@@ -207,16 +209,15 @@ def stacked_instruments(panel, names, t_min):
     return np.column_stack(cols)
 
 
-def moment_stats(Z, r, weighting, n_firms=None):
+def moment_stats(Z, r, weighting, n_firms):
     """(m, objective, se): m = Z'r / n, objective m' W m with W the identity
-    or the inverse uncentered outer-product, ddof-1 standard errors.  Given
-    ``n_firms`` (firm-major rows), the outer product and the SEs are
-    firm-clustered: they take each firm's mean of the rows of Z r."""
+    or the inverse uncentered outer-product, ddof-1 standard errors.  The
+    rows are firm-major, ``n_firms`` firms, and the outer product and the
+    SEs are firm-clustered: they take each firm's mean of the rows of Z r."""
     n = r.size
     zr = Z * r[:, None]
     m = zr.sum(axis=0) / n
-    if n_firms is not None:
-        zr = zr.reshape(n_firms, -1, zr.shape[1]).mean(axis=1)
+    zr = zr.reshape(n_firms, -1, zr.shape[1]).mean(axis=1)
     k = zr.shape[0]
     S = zr.T @ zr / k
     se = np.sqrt(np.clip(np.diag(S - np.outer(m, m)), 0.0, None) / (k - 1))
@@ -228,13 +229,12 @@ def moment_stats(Z, r, weighting, n_firms=None):
         raise RankDeficiencyError("singular outer-product") from exc
 
 
-def stacked_gmm(panel, family, params, names, weighting, clustered=False):
+def stacked_gmm(panel, family, params, names, weighting):
     resid, offset = family_residual(panel, family, params)
     t_min = max(offset, max_lag(names))
     r = resid[:, t_min - offset:].ravel()
     Z = stacked_instruments(panel, names, t_min)
-    n_firms = panel.spec.n_firms if clustered else None
-    return moment_stats(Z, r, weighting, n_firms) + (r.size,)
+    return moment_stats(Z, r, weighting, panel.spec.n_firms) + (r.size,)
 
 
 # --- the level diagnostics -------------------------------------------------

@@ -536,12 +536,12 @@ RHO_SETS = (
 )
 
 
-def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13), clustered=False):
+def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13)):
     fast = beta_scan_evaluator(panel)
     got, want = [], []
     for b in grid:
         try:
-            want.append(oracle_beta(panel, b, clustered))
+            want.append(oracle_beta(panel, b))
         except RankDeficiencyError:
             want.append(np.full(4, np.nan))
             with pytest.raises(RankDeficiencyError):
@@ -560,11 +560,10 @@ def check_beta_scan(panel, grid=np.linspace(-0.5, 2.5, 13), clustered=False):
 
 
 def check_rho_scan(panel, family, solve, report,
-                   grid=np.linspace(-0.9, 0.9, 10), clustered=False):
+                   grid=np.linspace(-0.9, 0.9, 10)):
     got_m, want_m = [], []
     for rho in grid:
-        coef, moments, ses = oracle_rho(panel, rho, family, solve, report,
-                                        clustered)
+        coef, moments, ses = oracle_rho(panel, rho, family, solve, report)
         cr = concentrate_rho(panel, rho, family=family,
                              solve_instruments=solve,
                              report_instruments=report)
@@ -579,7 +578,7 @@ def check_rho_scan(panel, family, solve, report,
 class TestCrossMomentEngine:
     @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
     def test_beta_scan_matches_raw_formulas(self, fixture, request):
-        check_beta_scan(request.getfixturevalue(fixture), clustered=True)
+        check_beta_scan(request.getfixturevalue(fixture))
 
     @pytest.mark.parametrize("fixture", FIXTURE_PANELS)
     def test_rho_concentration_matches_raw_formulas(self, fixture, request):
@@ -587,15 +586,15 @@ class TestCrossMomentEngine:
         for family, solve, report in RHO_SETS:
             if family == "multi_input" and panel.z is None:
                 continue
-            check_rho_scan(panel, family, solve, report, clustered=True)
+            check_rho_scan(panel, family, solve, report)
 
     def test_block_remainder(self):
         panel = draw_panel(make_spec("multi_input", n_firms=6001))
         per_block = moments._BLOCK_ROWS // 3
         assert panel.spec.n_firms > per_block
         assert panel.spec.n_firms % per_block != 0
-        check_beta_scan(panel, clustered=True)
-        check_rho_scan(panel, *RHO_SETS[2], clustered=True)
+        check_beta_scan(panel)
+        check_rho_scan(panel, *RHO_SETS[2])
 
     def test_second_moments_match_centered_gram(self):
         # E[d d'] is read off the diagonals of the period Gram; compare it
@@ -641,7 +640,7 @@ class TestCrossMomentEngine:
         assert cb.n_obs == k * 3
         assert_rel([cb.coefficients["alpha"], cb.coefficients["rho"],
                     cb.moment_ses[0]],
-                   oracle_beta(prefix, 0.6, clustered=True)[[0, 1, 3]])
+                   oracle_beta(prefix, 0.6)[[0, 1, 3]])
 
 
 # --- one period Gram per panel; the pair pass only where SEs need it -----

@@ -9,6 +9,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,62 @@ class TestScanCurve:
         bad = [z for z in find_zeros(curve) if not z.converged]
         # the concentration denominator vanishes between the true roots
         assert bad, "expected pole crossings to be reported as unconverged"
+
+
+class TestScanState:
+    """A curve keeps its moments and one plan, not a fit per grid point."""
+
+    def test_long_scan_retains_no_fit_per_point(self):
+        panel = draw_panel(make_spec(n_firms=2000, seed=3))
+        grid = np.linspace(0.0, 2.0, 5001)
+        scan_curve(panel, "beta", grid[:11])  # caches the panel's moments
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curve = scan_curve(panel, "beta", grid)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(curve.m).sum() > grid.size // 2
+        # m and msq take 16 B a point; a kept fit took about 2.3 KB
+        assert retained < 200 * grid.size, retained / grid.size
+
+    @pytest.mark.parametrize("axis, grid, family", [
+        ("beta", np.linspace(0.0, 2.0, 21), "quasi_diff"),
+        ("rho", np.linspace(-0.9, 0.9, 19), "multi_input")],
+        ids=["beta", "rho"])
+    def test_reading_ses_evaluates_no_point(self, monkeypatch, axis, grid,
+                                            family):
+        calls = []
+        concentrate, evaluator = (identify.concentrate_rho,
+                                  identify.beta_scan_evaluator)
+
+        def counting_concentrate(*args, **kwargs):
+            calls.append(args[1])
+            return concentrate(*args, **kwargs)
+
+        def counting_evaluator(panel):
+            evaluate = evaluator(panel)
+
+            def counted(beta):
+                calls.append(beta)
+                return evaluate(beta)
+            return counted
+
+        monkeypatch.setattr(identify, "concentrate_rho", counting_concentrate)
+        monkeypatch.setattr(identify, "beta_scan_evaluator",
+                            counting_evaluator)
+        panel = draw_panel(make_spec("multi_input", n_firms=2000, seed=4))
+        curve = scan_curve(panel, axis, grid, family=family)
+        assert len(calls) == grid.size
+        ses = curve.ses
+        assert len(calls) == grid.size
+        assert np.array_equal(np.isfinite(ses), np.isfinite(curve.m))
+        assert np.isfinite(ses).sum() > grid.size // 2
+
+    def test_hand_built_curve_has_nan_ses(self):
+        curve = synthetic_curve(lambda g: g - 1.05, BETA_GRID)
+        assert np.isnan(curve.ses).all()
 
 
 class TestFindZeros:

@@ -1,18 +1,22 @@
 """Tests for the closed-form structural <-> reduced-form maps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dynpan import model
 from dynpan.errors import (
     DegenerateReducedFormError,
     DynpanError,
+    InternalConsistencyError,
     NoEndogeneityError,
     ValidationError,
 )
 from dynpan.model import (
+    ROUND_TRIP_TOL,
     ParamPoint,
     ReducedFormParams,
     StructuralParams,
@@ -175,6 +179,30 @@ class TestInvertReducedForm:
             assert abs(det - (1.0 - p.rho_x) * (1.0 - p.rho_omega)) <= 1e-12
             for got, want in ((p.alpha, alpha), (p.pi, pi)):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    def test_round_trip_guard_applies_its_relative_bound(self, monkeypatch,
+                                                         alpha):
+        # a forward map off by `shift` in pi_yy: the guard raises past
+        # ROUND_TRIP_TOL times max(1, max |coefficient|), and not below it
+        r = forward_map(dataclasses.replace(BENCH, alpha=alpha))
+        scale = max(1.0, max(abs(v) for v in r.as_tuple()))
+        assert (scale > 1.0) == (alpha > 1.0)  # 20 = |pi_x0| at alpha 100
+        original = model.forward_map
+        shift = 0.0
+
+        def shifted(s):
+            back = original(s)
+            return dataclasses.replace(back, pi_yy=back.pi_yy + shift)
+
+        monkeypatch.setattr(model, "forward_map", shifted)
+        shift = 2.0 * ROUND_TRIP_TOL * scale
+        with pytest.raises(InternalConsistencyError,
+                           match="plus branch fails the round-trip guard"):
+            invert_reduced_form(r)
+        shift = 0.5 * ROUND_TRIP_TOL * scale
+        plus, minus = invert_reduced_form(r)
+        assert (plus.branch_sign, minus.branch_sign) == ("plus", "minus")
 
     def test_negative_discriminant_raises(self):
         r = ReducedFormParams(pi_y0=0.0, pi_yy=0.5, pi_yx=-1.0,

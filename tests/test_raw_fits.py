@@ -144,8 +144,7 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
                     rep = gmm_objective(panel, family, params, spec,
                                         weighting)
                     m, objective, se, n = stacked_gmm(
-                        panel, family, params, spec, weighting,
-                        clustered=True)
+                        panel, family, params, spec, weighting)
                     assert (rep.names, rep.weighting, rep.n_obs) == \
                         (spec, weighting, n)
                     assert_rel(rep.moments, m)
@@ -156,13 +155,12 @@ def test_gmm_objective_matches_raw_oracle(fixture, request):
 def test_singular_two_step_outer_product_raises_like_oracle(bench200k):
     spec = ("const", "x_lag1", "x_lag1")
     with pytest.raises(RankDeficiencyError):
-        stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step",
-                    clustered=True)
+        stacked_gmm(bench200k, "quasi_diff", TRUTH, spec, "two_step")
     with pytest.raises(RankDeficiencyError, match="two-step"):
         gmm_objective(bench200k, "quasi_diff", TRUTH, spec, "two_step")
     rep = gmm_objective(bench200k, "quasi_diff", TRUTH, spec)
     _, objective, se, _ = stacked_gmm(bench200k, "quasi_diff", TRUTH, spec,
-                                      "identity", clustered=True)
+                                      "identity")
     assert_rel(rep.objective, objective)
     assert_rel(rep.std_errors, se)
 
@@ -201,10 +199,10 @@ def first_periods(panel, t):
 def test_one_row_per_firm_matches_the_clustered_oracles(fixture, request):
     panel = request.getfixturevalue(fixture)
     cuts = {t: first_periods(panel, t) for t in range(1, 5)}
-    check_beta_scan(cuts[3], clustered=True)
+    check_beta_scan(cuts[3])
     for family, solve, report in RHO_SETS:
         if family != "multi_input" or panel.z is not None:
-            check_rho_scan(cuts[3], family, solve, report, clustered=True)
+            check_rho_scan(cuts[3], family, solve, report)
     for family, points in GMM_POINTS.items():
         if family == "multi_input" and panel.z is None:
             continue
@@ -217,7 +215,7 @@ def test_one_row_per_firm_matches_the_clustered_oracles(fixture, request):
                 for weighting in ("identity", "two_step"):
                     rep = gmm_objective(cut, family, params, spec, weighting)
                     m, objective, se, n = stacked_gmm(
-                        cut, family, params, spec, weighting, clustered=True)
+                        cut, family, params, spec, weighting)
                     assert rep.n_obs == n == cut.spec.n_firms
                     assert_rel(rep.moments, m)
                     assert_rel(rep.objective, objective)

@@ -25,7 +25,7 @@ STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        reproduce_simulate panel_csv_matches_oracle batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
        nonfinite_config_rejected bad_value_rejected_alike
-       one_firm_panels_exit_cleanly bench_tests
+       one_firm_panels_exit_cleanly long_scan_holds_no_fits bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
 install() {
@@ -264,6 +264,27 @@ one_firm_panels_exit_cleanly() {
         grep -q '^# degenerate,' "ci/one/e$firms-$periods-$seed/estimate.csv"
     done
     dynpan diagnose --n-firms 1 --seed 2 --out-dir ci/one/d2
+}
+
+# A scan keeps its moments and one concentration plan, not a fit per grid
+# point.  Run in two fresh interpreters, a 100,001-point scan of a
+# 2,000-firm panel peaks less than 100 MB above a 1,001-point one; a fit
+# kept per point (about 2.3 KB each) took it about 280 MB above.
+long_scan_holds_no_fits() {
+    local grid peak=()
+    rm -rf ci/scan
+    for grid in 0:2:0.002 0:2:0.00002; do
+        peak+=("$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+import resource, sys
+from dynpan.cli import main
+if main(["scan", "--n-firms", "2000", "--grid", sys.argv[1],
+         "--out-dir", sys.argv[2]]) != 0:
+    sys.exit(1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)' \
+            "$grid" "ci/scan/${#peak[@]}")")
+    done
+    echo "peak RSS: ${peak[0]} KB at 1,001 points, ${peak[1]} KB at 100,001"
+    test $((peak[1] - peak[0])) -lt $((100 * 1024))
 }
 
 bench_tests() {
