@@ -273,7 +273,7 @@ def _curve_lines(curve) -> list[str]:
     trailing comment block with the located zeros and minima."""
     return (["axis_value,m,objective"]
             + [",".join(map(_fmt, row))
-               for row in zip(curve.grid, curve.m, curve.msq)]
+               for row in zip(curve.grid, curve.m, curve.m * curve.m)]
             + [f"# axis,{curve.axis}"]
             + [f"# zero,{_fmt(root.location)},m={_fmt(root.m_value)},"
                f"converged={root.converged}" for root in curve.zeros]
@@ -404,7 +404,7 @@ def _cmd_figure(cfg: dict, out: _Outputs) -> None:
                   _lines_writer(_curve_lines(curve)))
 
     # plot file with objectives rescaled to agree at the lowest grid point
-    msqs = [curve.msq for _, curve, _ in curves]
+    msqs = [curve.m * curve.m for _, curve, _ in curves]
     scaled = [msq * (msqs[0][0] / msq[0] if np.isfinite(msq[0])
                      and msq[0] != 0.0 else 1.0) for msq in msqs]
     rows = [",".join(["axis_value"] + [label for label, _, _ in curves])]

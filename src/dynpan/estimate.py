@@ -112,7 +112,7 @@ class IvFit:
     """Just-identified IV fit on named panel columns."""
 
     coefficients: np.ndarray
-    std_errors: np.ndarray  # large-sample homoskedastic (diagnostic only)
+    std_errors: np.ndarray  # homoskedastic; read by diagnostics, pi_xy guard
     n_obs: int
     names: tuple[str, ...]
 

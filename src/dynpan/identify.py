@@ -80,7 +80,6 @@ class ObjectiveCurve:
     axis: str
     grid: np.ndarray
     m: np.ndarray
-    msq: np.ndarray
     evaluator: Callable[[float], float] = field(repr=False)
     zeros: list = field(default_factory=list)
     minima: list = field(default_factory=list)
@@ -107,7 +106,7 @@ def _evaluate(axis: str, grid: np.ndarray, concentrate) -> ObjectiveCurve:
         except DynpanError:
             continue
         m[i], plan = c.moments[0], c._plan
-    return ObjectiveCurve(axis=axis, grid=grid, m=m, msq=m * m,
+    return ObjectiveCurve(axis=axis, grid=grid, m=m,
                           evaluator=lambda v: concentrate(v).moments[0],
                           _plan=plan)
 
@@ -231,7 +230,7 @@ def find_local_minima(curve: ObjectiveCurve) -> list[MinimumInfo]:
     """Interior grid points where m^2 dips strictly below both neighbors,
     refined by a three-point parabola and valued by the evaluator at its
     vertex (by the grid m^2 if that fit fails).  Attached to the curve."""
-    msq, grid = curve.msq, curve.grid
+    msq, grid = curve.m * curve.m, curve.grid
     out: list[MinimumInfo] = []
     for i in range(1, grid.size - 1):
         trio = msq[i - 1:i + 2]

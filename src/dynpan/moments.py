@@ -101,7 +101,7 @@ class _CrossMoments:
     """Pooled cross-moments of the lagged columns of one panel.
 
     A linear form is a coefficient vector over the centered columns
-    (``const`` first); :meth:`column` gives the form of one raw column.
+    (``const`` first); :meth:`forms` gives the forms of raw columns.
     ``second`` is E[d d'] for the centered columns d, and ``fourth`` is
     E[q q'] over firms for q a firm's mean of the k^2 ordered products
     vec(d d'), so the variance of a firm's mean (a'd)(b'd) is a quadratic
@@ -119,17 +119,13 @@ class _CrossMoments:
     def fourth(self) -> np.ndarray:
         return _pair_moments(self.sources, self.basis[0, 1:])
 
-    def column(self, name: str) -> np.ndarray:
-        """The form of the raw column ``name`` (checked by ``_name_tuple``)."""
-        return self.basis[:, self.index[name]]
-
     def forms(self, names) -> np.ndarray:
         """The forms of the raw columns ``names``, one column each; None
         gives the zero form."""
         out = np.zeros((len(self.index), len(names)))
         for j, name in enumerate(names):
             if name is not None:
-                out[:, j] = self.column(name)
+                out[:, j] = self.basis[:, self.index[name]]
         return out
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ omega and on the persistent market factors kappa and wp:
     logistic_kappa        kappa persistence rises with |kappa| via a logistic
                           factor in (0.5, 1); theta2 = 0 reproduces the
                           benchmark's rho_x = 0.5
-    ar2_kappa             kappa follows an AR(2) with (rho1_x, rho2_x)
+    ar2_kappa             kappa AR(2): 0 <= rho2_x < 1, |rho1_x| + rho2_x < 1
     arma_x                benchmark plus an i.i.d. input shock eps
     reversed_curvature    kappa persistence falls with |kappa| (factor in
                           (0, 0.5])
@@ -154,6 +154,10 @@ class DgpSpec:
             if self.ext.rho1_x + self.ext.rho2_x >= 1.0:
                 raise ValidationError(
                     "rho1_x + rho2_x must be < 1 (stationarity)",
+                    field="ext.rho1_x")
+            if self.ext.rho2_x - self.ext.rho1_x >= 1.0:
+                raise ValidationError(
+                    "rho2_x - rho1_x must be < 1 (stationarity)",
                     field="ext.rho1_x")
         if self.variant in _SECOND_INPUT:
             if not abs(self.ext.rho_z) < 1.0:

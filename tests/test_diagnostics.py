@@ -132,7 +132,7 @@ class TestFlatnessGuard:
     def test_constant_zero_curve_triggers(self):
         grid = np.linspace(0.0, 2.0, 11)
         curve = ObjectiveCurve(axis="beta", grid=grid, m=np.zeros(11),
-                               msq=np.zeros(11), evaluator=lambda b: 0.0)
+                               evaluator=lambda b: 0.0)
         curve.ses = np.full(11, 0.01)
         rep = flatness_guard(curve)
         assert rep.verdict == "equal_rho_warning"
@@ -140,7 +140,6 @@ class TestFlatnessGuard:
     def test_no_valid_points_is_inconclusive(self):
         grid = np.linspace(0.0, 1.0, 5)
         curve = ObjectiveCurve(axis="beta", grid=grid, m=np.full(5, np.nan),
-                               msq=np.full(5, np.nan),
                                evaluator=lambda b: np.nan)
         curve.ses = np.full(5, np.nan)
         rep = flatness_guard(curve)

@@ -46,7 +46,7 @@ BETA_GRID = np.round(np.arange(0.0, 2.0001, 0.01), 10)
 def synthetic_curve(fn, grid):
     m = np.array([fn(g) for g in grid])
     return ObjectiveCurve(axis="beta", grid=np.asarray(grid, float), m=m,
-                          msq=m * m, evaluator=fn)
+                          evaluator=fn)
 
 
 class TestScanCurve:
@@ -108,7 +108,6 @@ class TestScanCurve:
                                      sigma_eta=0.0))
         curve = scan_curve(panel, "beta", np.linspace(0.0, 2.0, 21))
         assert np.isnan(curve.m).all() and np.isnan(curve.ses).all()
-        assert np.isnan(curve.msq).all()
         assert find_zeros(curve) == []
         assert find_local_minima(curve) == []
         assert flatness_guard(curve).verdict == "inconclusive"
@@ -163,7 +162,7 @@ class TestScanState:
         finally:
             tracemalloc.stop()
         assert np.isfinite(curve.m).sum() > grid.size // 2
-        # m and msq take 16 B a point; a kept fit took about 2.3 KB
+        # m takes 8 B a point; a kept fit took about 2.3 KB
         assert retained < 200 * grid.size, retained / grid.size
 
     @pytest.mark.parametrize("axis, grid, family", [
@@ -229,7 +228,7 @@ class TestFindZeros:
     def test_exact_grid_zero_beside_a_failed_fit_is_reported(self, m):
         # a failed fit on either side of an exact zero must not hide it
         grid, m = np.array([0.0, 0.5, 1.0]), np.array(m)
-        curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
+        curve = ObjectiveCurve(axis="beta", grid=grid, m=m,
                                evaluator=lambda b: b - 0.5)
         assert find_zeros(curve) == [identify.RootInfo(
             location=0.5, bracket=(0.5, 0.5), m_value=0.0, iterations=0,
@@ -252,7 +251,7 @@ class TestFindZeros:
 
         m = np.array([0.0, 0.0, 0.0, -1.0, 1.0])
         curve = ObjectiveCurve(axis="beta", grid=np.arange(5.0), m=m,
-                               msq=m * m, evaluator=evaluator)
+                               evaluator=evaluator)
         roots = find_zeros(curve)
         assert calls == [3.5]
         assert roots[-1] == identify.RootInfo(
@@ -270,7 +269,7 @@ class TestFindZeros:
     def test_nan_points_are_skipped(self):
         grid = np.array([0.0, 0.5, 1.0, 1.5])
         m = np.array([1.0, np.nan, -1.0, -2.0])
-        curve = ObjectiveCurve(axis="beta", grid=grid, m=m, msq=m * m,
+        curve = ObjectiveCurve(axis="beta", grid=grid, m=m,
                                evaluator=lambda b: 1 - 2 * b)
         assert find_zeros(curve) == []
 
@@ -285,7 +284,7 @@ class TestFindZeros:
         code = ("import sys, numpy as np\n"
                 "from dynpan.identify import ObjectiveCurve, find_zeros\n"
                 "g = np.linspace(0.0, 2.0, 21)\n"
-                "c = ObjectiveCurve('beta', g, g - 1.05, (g - 1.05) ** 2,\n"
+                "c = ObjectiveCurve('beta', g, g - 1.05,\n"
                 "                   evaluator=lambda b: b - 1.05)\n"
                 "assert find_zeros(c)[0].converged\n"
                 "assert 'numpy.ma' not in sys.modules\n")
@@ -332,7 +331,8 @@ class TestFindLocalMinima:
         minima = find_local_minima(curve)
         assert minima and len(injected) == len(minima)
         for mn in minima:
-            assert mn.value == curve.msq[mn.grid_index]
+            i = mn.grid_index
+            assert mn.value == curve.m[i] * curve.m[i]
             assert mn.location in injected
 
     def test_parabolic_refinement_beats_grid(self):
@@ -505,7 +505,7 @@ class TestWarmStart:
             return concentrate_rho(pred200k, rho, **PREDETERMINED).moments[0]
 
         m = np.array([moment(r) for r in grid])
-        curve = ObjectiveCurve(axis="rho", grid=grid, m=m, msq=m * m,
+        curve = ObjectiveCurve(axis="rho", grid=grid, m=m,
                                evaluator=moment)
         roots = find_zeros(curve)
         assert all(r.converged for r in roots)

@@ -9,6 +9,7 @@ import pathlib
 import sys
 import threading
 import tracemalloc
+import warnings
 
 # first, so that run as a script it also sets the kernel baseline
 import conftest
@@ -565,6 +566,33 @@ class TestValidation:
         with pytest.raises(ValidationError, match="rho2_x"):
             draw_panel(spec_for("ar2_kappa",
                                 ext=VariantParams(rho2_x=-0.1)))
+
+    @pytest.mark.parametrize("rho1, rho2", [(-1.5, 0.0), (-0.6, 0.4)])
+    def test_ar2_outside_the_triangle_is_rejected(self, rho1, rho2):
+        # rho2_x - rho1_x >= 1: a negative stationary variance at
+        # (-1.5, 0), a zero one's denominator at (-0.6, 0.4)
+        spec = spec_for("ar2_kappa",
+                        ext=VariantParams(rho1_x=rho1, rho2_x=rho2))
+        with pytest.raises(ValidationError) as err:
+            spec.validate()
+        assert err.value.field == "ext.rho1_x"
+
+    def test_every_accepted_ar2_pair_draws_finite_kappa(self):
+        accepted = 0
+        for rho1 in np.round(np.arange(-1.2, 1.2001, 0.1), 10):
+            for rho2 in np.round(np.arange(0.0, 0.9001, 0.1), 10):
+                spec = spec_for("ar2_kappa", n_firms=200,
+                                ext=VariantParams(rho1_x=rho1, rho2_x=rho2))
+                try:
+                    spec.validate()
+                except ValidationError:
+                    continue
+                accepted += 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    kappa = draw_panel(spec).kappa
+                assert np.isfinite(kappa).all(), (rho1, rho2)
+        assert accepted == 100
 
     def test_rho_z_stationarity(self):
         with pytest.raises(ValidationError, match="rho_z"):

@@ -25,6 +25,7 @@ STEPS=(install tier1 unclosed_files moment_bits_one_blas_thread
        reproduce_diagnose reproduce_estimate reproduce_scan reproduce_figure
        reproduce_simulate panel_csv_matches_oracle batch_matches_commands failed_run_leaves_nothing out_file_must_be_plain
        nonfinite_config_rejected bad_value_rejected_alike
+       nonstationary_spec_rejected
        one_firm_panels_exit_cleanly long_scan_holds_no_fits bench_tests
        bench_scan_rho_multi bench_scan_beta_1m bench_cli_batch)
 
@@ -247,6 +248,14 @@ bad_value_rejected_alike() {
         printf '%s = %s\n' "$key" "$value" > ci/bad_value.cfg
         rejected "$key" "$command" --config ci/bad_value.cfg
     done
+}
+
+# An AR(2) kappa outside the stationarity triangle (here rho2_x - rho1_x
+# = 1) is rejected by its key, not drawn.
+nonstationary_spec_rejected() {
+    mkdir -p ci
+    printf 'dgp.ext.rho1_x = -0.6\ndgp.ext.rho2_x = 0.4\n' > ci/ar2.cfg
+    rejected ext.rho1_x simulate --variant ar2_kappa --config ci/ar2.cfg
 }
 
 # Tiny panels report a degenerate reduced form instead of failing.  One firm
